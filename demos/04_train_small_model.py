@@ -6,8 +6,7 @@ per-class DOA vectors at the 10 ms frame rate.  Training minimizes MSE
 against the activity-coupled targets on batches synthesized on the fly;
 everything, gradients included, is plain numpy.
 
-This demo uses a deliberately small configuration; the acceptance suite
-trains a larger one to F(20 deg) >= 80 in under half an hour.
+This demo uses a deliberately small configuration and a short run.
 """
 
 import time
@@ -56,5 +55,4 @@ for k in range(5):
 m = acc.finalize()
 print(f"\n5 held-out scenes: LE {m.le_cd:.1f} deg  LR {m.lr_cd:.1f}%  "
       f"ER {m.er_20:.2f}  F {m.f_20:.1f}%")
-print("(300 iterations only roughs in detection; see the acceptance suite "
-      "for a fully trained run)")
+print("(300 iterations only roughs in detection)")

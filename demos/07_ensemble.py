@@ -20,13 +20,14 @@ good = targets + 0.1 * rng.standard_normal(targets.shape)   # tracks the truth
 noise = rng.standard_normal(targets.shape)                  # knows nothing
 outputs = [good, noise]
 
-weights, history = fit_weights(outputs, targets, lr=0.2, iters=2000, record_every=400)
+weights = fit_weights(outputs, targets, lr=0.2, iters=2000)
 print("fitted (classes x models) weights:")
 print(np.round(weights.w, 3))
 
-print("\nvalidation MSE during the fit:")
-for iteration, mse in history:
-    print(f"  iter {iteration:4d}: {mse:.5f}")
+print("\nvalidation MSE after n full-batch descent steps:")
+for n in range(400, 2001, 400):
+    mse = ensemble_mse(outputs, fit_weights(outputs, targets, lr=0.2, iters=n), targets)
+    print(f"  iter {n:4d}: {mse:.5f}")
 
 for m, name in enumerate(["good member", "noise member"]):
     solo = np.zeros((3, 2))

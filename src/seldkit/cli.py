@@ -5,7 +5,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -14,20 +13,18 @@ import numpy as np
 from . import __version__
 from .accdoa import decode_accdoa, dump_accdoa, encode_accdoa, load_accdoa
 from .augment import SpecAugmentConfig
-from .ensemble import (
-    EnsembleWeights, combine, ensemble_mse, fit_weights, read_weights_csv, write_weights_csv,
-)
+from .ensemble import combine, ensemble_mse, fit_weights, read_weights_csv, write_weights_csv
 from .features import StftConfig
 from .infer import Predictor
 from .metrics import MetricsAccumulator, metrics_csv_header, metrics_csv_row
-from .net.checkpoint import (
-    KIND_ACCDOA, KIND_TWO_STAGE, build_config_dict, load_model, save_model,
-)
+from .net.checkpoint import KIND_ACCDOA, KIND_TWO_STAGE, load_model, save_model
 from .net.model import NetConfig, RD3NetLite, TwoStageNet
 from .net.optim import TrainConfig
 from .net.train import AugmentOptions, SceneBatchStream, train_single_stage, train_two_stage
 from .plot import write_timeline
-from .scene import SceneConfig, read_label_csv, read_wav, synth_scene, write_label_csv, write_wav
+from .scene import (
+    SAMPLE_RATE, SceneConfig, read_label_csv, read_wav, synth_scene, write_label_csv, write_wav,
+)
 
 FORMAT_VERSION = 1
 
@@ -71,9 +68,18 @@ def read_config(path=None) -> dict:
             key, value = key.strip(), value.strip()
             if key not in merged:
                 raise SystemExit(f"{path}:{lineno}: unknown key {key!r}")
-            old = merged[key]
-            merged[key] = value if isinstance(old, str) else type(old)(float(value)) \
-                if isinstance(old, int) else float(value)
+            if isinstance(merged[key], str):
+                merged[key] = value
+                continue
+            try:
+                number = float(value)
+            except ValueError:
+                raise SystemExit(f"{path}:{lineno}: {key} needs a number, got {value!r}") from None
+            if isinstance(merged[key], int):
+                if not number.is_integer():
+                    raise SystemExit(f"{path}:{lineno}: {key} needs an integer, got {value!r}")
+                number = int(number)
+            merged[key] = number
     return merged
 
 
@@ -168,10 +174,13 @@ def cmd_train(args) -> int:
         save_model(args.out, KIND_ACCDOA, model, net_cfg, stft_cfg, extra)
     else:
         model = TwoStageNet(net_cfg, seed=args.seed)
-        sed_iters = args.iters_sed if args.iters_sed is not None else args.iters // 2
-        doa_iters = args.iters - sed_iters
-        if args.iters_sed is not None and args.iters_doa is not None:
-            doa_iters = args.iters_doa
+        sed_iters, doa_iters = args.iters_sed, args.iters_doa
+        if sed_iters is None:
+            sed_iters = args.iters // 2 if doa_iters is None else args.iters - doa_iters
+        if doa_iters is None:
+            doa_iters = args.iters - sed_iters
+        if sed_iters < 0 or doa_iters < 0:
+            raise SystemExit(f"phase iterations must be >= 0, got sed {sed_iters}, doa {doa_iters}")
         log = train_two_stage(model, stream, train_cfg, sed_iters, doa_iters)
         save_model(args.out, KIND_TWO_STAGE, model, net_cfg, stft_cfg, extra)
     loss_path = args.loss_log or (str(args.out) + ".loss.csv")
@@ -186,6 +195,10 @@ def cmd_train(args) -> int:
 def cmd_infer(args) -> int:
     kind, model, _net_cfg, stft_cfg, _cfg = load_model(args.ckpt)
     clip = read_wav(args.wav)
+    if clip.sample_rate != SAMPLE_RATE:
+        raise ValueError(
+            f"{args.wav}: sample rate {clip.sample_rate} Hz, but models run at {SAMPLE_RATE} Hz"
+        )
     predictor = Predictor(model, stft_cfg, seg_len=args.seg_len, shift=args.shift)
     seq = predictor.label_rate_sequence(clip, tta=args.tta)
     if args.dump_accdoa:
@@ -196,19 +209,11 @@ def cmd_infer(args) -> int:
     return 0
 
 
-def _read_pair(pred_path: Path, ref_path: Path, n_classes: int, threshold: float):
-    ref = read_label_csv(ref_path)
-    pred = read_label_csv(pred_path, n_frames=ref.n_frames)
-    acc = MetricsAccumulator(n_classes=n_classes, threshold_deg=threshold)
-    acc.update(pred, ref)
-    return acc
-
-
 def _eval_one(pred_spec: str, ref: Path, n_classes: int, threshold: float):
     pred = Path(pred_spec)
-    acc = MetricsAccumulator(n_classes=n_classes, threshold_deg=threshold)
     if pred.is_dir() != ref.is_dir():
         raise SystemExit("--pred and --ref must both be files or both directories")
+    pairs = [(pred, ref)]
     if pred.is_dir():
         names = sorted(p.name for p in ref.glob("*.csv"))
         if not names:
@@ -216,11 +221,11 @@ def _eval_one(pred_spec: str, ref: Path, n_classes: int, threshold: float):
         for name in names:
             if not (pred / name).exists():
                 raise SystemExit(f"missing prediction {pred / name}")
-            one = _read_pair(pred / name, ref / name, n_classes, threshold)
-            for field in ("tp", "fp", "fn", "s", "d", "i", "k_matched", "d_sum", "n_ref"):
-                setattr(acc, field, getattr(acc, field) + getattr(one, field))
-    else:
-        acc = _read_pair(pred, ref, n_classes, threshold)
+        pairs = [(pred / name, ref / name) for name in names]
+    acc = MetricsAccumulator(n_classes=n_classes, threshold_deg=threshold)
+    for pred_path, ref_path in pairs:
+        ref_events = read_label_csv(ref_path)
+        acc.update(read_label_csv(pred_path, n_frames=ref_events.n_frames), ref_events)
     return acc.finalize()
 
 

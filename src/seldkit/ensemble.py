@@ -69,13 +69,11 @@ def fit_weights(
     iters: int = 2000,
     batch: int = 0,
     seed: int = 0,
-    record_every: int = 0,
-):
+) -> EnsembleWeights:
     """Fit combination weights by minibatch gradient descent on MSE.
 
     Weights start at 1/n_models.  `batch` counts label frames per step; 0
-    uses the full validation set (deterministic gradient descent).  When
-    `record_every` > 0, returns (weights, [(iteration, full-set MSE), ...]).
+    uses the full validation set (deterministic gradient descent).
     """
     stacked = _stack_outputs(outputs)          # (M, T, N, 3)
     targets = np.asarray(targets, dtype=float)
@@ -88,8 +86,7 @@ def fit_weights(
     w = np.full((n_classes, n_models), 1.0 / n_models)
     rng = np.random.default_rng(seed)
     n_samples = a.shape[1]
-    history = []
-    for it in range(iters):
+    for _ in range(iters):
         if batch and batch * 3 < n_samples:
             idx = rng.integers(0, n_samples, size=batch * 3)
             ab, yb = a[:, idx, :], y[:, idx]
@@ -98,11 +95,7 @@ def fit_weights(
         resid = np.einsum("nsm,nm->ns", ab, w) - yb
         grad = 2.0 * np.einsum("nsm,ns->nm", ab, resid) / ab.shape[1]
         w -= lr * grad
-        if record_every and ((it + 1) % record_every == 0 or it + 1 == iters):
-            full = np.einsum("nsm,nm->ns", a, w) - y
-            history.append((it + 1, float(np.mean(full * full))))
-    weights = EnsembleWeights(w)
-    return (weights, history) if record_every else weights
+    return EnsembleWeights(w)
 
 
 def write_weights_csv(path, weights: EnsembleWeights) -> None:

@@ -9,7 +9,6 @@ feature range.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -100,17 +99,3 @@ def extract_features(clip: AmbisonicClip, cfg: StftConfig = StftConfig()) -> Fea
     """stft + make_feature_stack in one call."""
     return make_feature_stack(stft(clip, cfg))
 
-
-def dump_features(path, fs: FeatureStack) -> None:
-    """Write a flat binary dump: three little-endian int64 dims, then float32 data."""
-    data = np.ascontiguousarray(fs.data, dtype="<f4")
-    with open(path, "wb") as f:
-        f.write(struct.pack("<3q", *data.shape))
-        f.write(data.tobytes())
-
-
-def load_features(path) -> FeatureStack:
-    with open(path, "rb") as f:
-        dims = struct.unpack("<3q", f.read(24))
-        data = np.frombuffer(f.read(), dtype="<f4").reshape(dims)
-    return FeatureStack(data.astype(np.float64))

@@ -11,6 +11,7 @@ from .scene import AmbisonicClip
 
 DEFAULT_SEG_LEN = 1024
 DEFAULT_SHIFT = 20
+MAX_BATCH = 8  # segments per predict_batch call
 
 
 def sliding_inference(
@@ -18,7 +19,6 @@ def sliding_inference(
     fs: FeatureStack,
     seg_len: int = DEFAULT_SEG_LEN,
     shift: int = DEFAULT_SHIFT,
-    max_batch: int = 8,
 ) -> np.ndarray:
     """Run a fixed-length model over a whole clip.
 
@@ -44,8 +44,8 @@ def sliding_inference(
     count = np.zeros(n_t)
     total[:seg_len] += first
     count[:seg_len] += 1
-    for lo in range(1, len(starts), max_batch):
-        chunk = starts[lo:lo + max_batch]
+    for lo in range(1, len(starts), MAX_BATCH):
+        chunk = starts[lo:lo + MAX_BATCH]
         batch = np.stack([data[:, s:s + seg_len] for s in chunk])
         outs = predict_batch(batch)
         for s, out in zip(chunk, outs):
@@ -70,8 +70,10 @@ def rotation_tta(predict_clip, clip: AmbisonicClip, patterns=ALL_PATTERNS) -> np
 class Predictor:
     """Clip-level prediction glue around a trained or analytic model.
 
-    Produces 10-ms-rate (T, N, 3) sequences via overlapped segments, with
-    optional rotation averaging, and label-rate sequences for decoding.
+    The model's `predict_batch` maps (B, 7, T, F) feature batches to
+    (B, T, N, 3) sequences.  Produces 10-ms-rate (T, N, 3) sequences via
+    overlapped segments, with optional rotation averaging, and label-rate
+    sequences for decoding.
     """
 
     def __init__(
@@ -80,24 +82,14 @@ class Predictor:
         stft_cfg: StftConfig,
         seg_len: int = DEFAULT_SEG_LEN,
         shift: int = DEFAULT_SHIFT,
-        max_batch: int = 8,
     ):
         self.model = model
         self.stft_cfg = stft_cfg
         self.seg_len = seg_len
         self.shift = shift
-        self.max_batch = max_batch
-
-    def _predict_batch(self, x: np.ndarray) -> np.ndarray:
-        model = self.model
-        if hasattr(model, "predict_batch"):      # analytic models
-            return model.predict_batch(x)
-        if hasattr(model, "predict"):            # two-stage: compose branches
-            return model.predict(x.astype(np.float32))
-        return model.forward(x.astype(np.float32))
 
     def predict_features(self, fs: FeatureStack) -> np.ndarray:
-        return sliding_inference(self._predict_batch, fs, self.seg_len, self.shift, self.max_batch)
+        return sliding_inference(self.model.predict_batch, fs, self.seg_len, self.shift)
 
     def predict_clip(self, clip: AmbisonicClip) -> np.ndarray:
         return self.predict_features(extract_features(clip, self.stft_cfg))

@@ -14,6 +14,7 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
+from ..accdoa import compose_accdoa
 from .layers import BiGru, ConvUnit, DenseBlock, FreqPool, Linear, Module, Sigmoid, Tanh
 
 
@@ -155,6 +156,8 @@ class RD3NetLite(Module):
     def forward(self, x: np.ndarray) -> np.ndarray:
         return self.branch.forward(x)
 
+    predict_batch = forward
+
     def backward(self, dy: np.ndarray) -> np.ndarray:
         return self.branch.backward(dy)
 
@@ -163,8 +166,8 @@ class TwoStageNet(Module):
     """Detection branch (sigmoid activities) plus localization branch.
 
     The localization branch is trained after its trunk is seeded with a
-    copy of the detection trunk; `compose` merges both outputs into the
-    activity-coupled vector format.
+    copy of the detection trunk; `predict_batch` merges both outputs into
+    the activity-coupled vector format.
     """
 
     def __init__(self, cfg: NetConfig, seed: int = 0, dtype=np.float32):
@@ -178,16 +181,5 @@ class TwoStageNet(Module):
         state = {k: v.copy() for k, v in self.sed.trunk.state_dict().items()}
         self.doa.trunk.load_state_dict(state)
 
-    def forward_sed(self, x: np.ndarray) -> np.ndarray:
-        return self.sed.forward(x)
-
-    def forward_doa(self, x: np.ndarray) -> np.ndarray:
-        return self.doa.forward(x)
-
-    def compose(self, activity: np.ndarray, doa: np.ndarray) -> np.ndarray:
-        norms = np.linalg.norm(doa, axis=-1, keepdims=True)
-        unit = np.divide(doa, norms, out=np.zeros_like(doa), where=norms > 1e-30)
-        return activity[..., None] * unit
-
-    def predict(self, x: np.ndarray) -> np.ndarray:
-        return self.compose(self.forward_sed(x), self.forward_doa(x))
+    def predict_batch(self, x: np.ndarray) -> np.ndarray:
+        return compose_accdoa(self.sed.forward(x), self.doa.forward(x))

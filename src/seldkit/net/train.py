@@ -7,7 +7,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from ..accdoa import LABEL_FRAME_FACTOR
+from ..accdoa import encode_accdoa, expand_to_frame_rate
 from ..augment import (
     ALL_PATTERNS,
     SpecAugmentConfig,
@@ -112,16 +112,9 @@ class SceneBatchStream:
         if self.augment.specaug:
             fs = spec_augment(fs, self.augment.spec_cfg, rng)
 
-        n_t = self.input_frames
-        activity = np.zeros((n_t, cfg.n_classes), dtype=np.float32)
-        doa = np.zeros((n_t, cfg.n_classes, 3), dtype=np.float32)
-        for ev in events.events:
-            lo = max(ev.onset * LABEL_FRAME_FACTOR, t0)
-            hi = min(ev.offset * LABEL_FRAME_FACTOR, t0 + n_t)
-            for g in range(lo, hi):
-                t = g - t0
-                activity[t, ev.class_id] = 1.0
-                doa[t, ev.class_id] = ev.trajectory[g // LABEL_FRAME_FACTOR - ev.onset].unit_vec
+        seq = expand_to_frame_rate(encode_accdoa(events, cfg.n_classes), t0 + self.input_frames)
+        doa = seq[t0:].astype(np.float32)
+        activity = (np.linalg.norm(doa, axis=-1) > 0).astype(np.float32)
         return fs.data.astype(np.float32), activity, doa
 
     def batch(self, iteration: int) -> dict:
@@ -138,21 +131,33 @@ class SceneBatchStream:
         return {"x": x, "activity": activity, "doa": doa, "accdoa": doa}
 
 
-def _run_phase(model_fwd, model_bwd, params, grads_fn, loss_fn, stream, cfg, iters,
-               start_iter, phase, log, log_every):
-    adam = Adam(params, cfg)
-    acc, cnt = 0.0, 0
-    for it in range(iters):
-        batch = stream.batch(start_iter + it)
-        value, dpred = loss_fn(batch, model_fwd(batch["x"]))
-        model_bwd(dpred)
-        adam.step(grads_fn(), it)
-        acc += value
-        cnt += 1
-        if (it + 1) % log_every == 0 or it + 1 == iters:
-            if cnt:
-                log.append((start_iter + it + 1, acc / cnt, phase))
-            acc, cnt = 0.0, 0
+def _train(phases, stream: SceneBatchStream, cfg: TrainConfig, log_every: int) -> list:
+    """Run training phases back to back on one batch stream.
+
+    `phases` yields (name, module, loss_fn, iters) tuples and is consumed
+    lazily, so code between two yields runs after the earlier phase ends.
+    Each phase trains `module` with a fresh Adam; `loss_fn(batch, pred)`
+    returns (value, gradient w.r.t. pred).  Iterations are numbered
+    globally across phases, both for the batch stream and in the log.
+    """
+    log: list = []
+    start = 0
+    for name, module, loss_fn, iters in phases:
+        adam = Adam(dict(module.named_parameters()), cfg)
+        acc, cnt = 0.0, 0
+        for it in range(iters):
+            batch = stream.batch(start + it)
+            value, dpred = loss_fn(batch, module.forward(batch["x"]))
+            module.zero_grad()
+            module.backward(dpred)
+            adam.step(dict(module.named_grads()), it)
+            acc += value
+            cnt += 1
+            if (it + 1) % log_every == 0 or it + 1 == iters:
+                log.append((start + it + 1, acc / cnt, name))
+                acc, cnt = 0.0, 0
+        start += iters
+    return log
 
 
 def train_single_stage(
@@ -167,21 +172,11 @@ def train_single_stage(
     Returns the loss log as (iteration, mean loss over the window, phase)
     tuples, one row per `log_every` iterations.
     """
-    log: list = []
 
-    def loss_fn(batch, pred):
+    def loss(batch, pred):
         return loss_mse(pred, batch["accdoa"])
 
-    def bwd(dpred):
-        model.zero_grad()
-        model.backward(dpred)
-
-    _run_phase(
-        model.forward, bwd, dict(model.named_parameters()),
-        lambda: dict(model.named_grads()), loss_fn, stream, cfg, iters, 0, "accdoa",
-        log, log_every,
-    )
-    return log
+    return _train([("accdoa", model, loss, iters)], stream, cfg, log_every)
 
 
 def train_two_stage(
@@ -198,33 +193,16 @@ def train_two_stage(
     trunk is then copied into the localization branch, which phase 2 trains
     with activity-masked MSE while every detection parameter stays frozen.
     """
-    log: list = []
 
     def sed_loss(batch, pred):
         return loss_bce(pred, batch["activity"])
 
-    def sed_bwd(dpred):
-        model.zero_grad()
-        model.sed.backward(dpred)
-
-    _run_phase(
-        model.forward_sed, sed_bwd, dict(model.sed.named_parameters(prefix="sed.")),
-        lambda: dict(model.sed.named_grads(prefix="sed.")), sed_loss, stream, cfg,
-        iters_sed, 0, "sed", log, log_every,
-    )
-
-    model.copy_trunk_to_doa()
-
     def doa_loss(batch, pred):
         return loss_masked_mse(pred, batch["doa"], batch["activity"])
 
-    def doa_bwd(dpred):
-        model.zero_grad()
-        model.doa.backward(dpred)
+    def phases():
+        yield "sed", model.sed, sed_loss, iters_sed
+        model.copy_trunk_to_doa()
+        yield "doa", model.doa, doa_loss, iters_doa
 
-    _run_phase(
-        model.forward_doa, doa_bwd, dict(model.doa.named_parameters(prefix="doa.")),
-        lambda: dict(model.doa.named_grads(prefix="doa.")), doa_loss, stream, cfg,
-        iters_doa, iters_sed, "doa", log, log_every,
-    )
-    return log
+    return _train(phases(), stream, cfg, log_every)

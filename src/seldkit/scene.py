@@ -350,10 +350,17 @@ def write_wav(path, clip: AmbisonicClip) -> None:
 
 
 def read_wav(path) -> AmbisonicClip:
+    """Read a 4-channel WAV; integer PCM is scaled to [-1, 1) by its full scale."""
     rate, data = wavfile.read(str(path))
     if data.ndim != 2 or data.shape[1] != 4:
         raise ValueError(f"{path}: expected 4-channel WAV")
-    return AmbisonicClip(data.T.astype(float), rate)
+    samples = data.T.astype(float)
+    if data.dtype.kind in "iu":
+        info = np.iinfo(data.dtype)
+        half = (float(info.max) - float(info.min) + 1.0) / 2.0
+        # the midpoint is 0 for signed PCM and 128 for unsigned 8-bit PCM
+        samples = (samples - (info.min + half)) / half
+    return AmbisonicClip(samples, rate)
 
 
 def write_label_csv(path, events: EventList) -> None:

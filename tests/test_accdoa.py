@@ -189,3 +189,10 @@ class TestRateConversion:
         path = tmp_path / "seq.acc"
         dump_accdoa(path, seq)
         np.testing.assert_allclose(load_accdoa(path), seq, atol=1e-6)
+
+    def test_dump_header_is_three_int64(self, tmp_path):
+        path = tmp_path / "seq.acc"
+        dump_accdoa(path, np.zeros((2, 3, 3)))
+        raw = path.read_bytes()
+        assert len(raw) == 24 + 2 * 3 * 3 * 4
+        assert np.frombuffer(raw[:24], dtype="<i8").tolist() == [2, 3, 3]

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.io import wavfile
 
 from seldkit.accdoa import dump_accdoa, load_accdoa, encode_accdoa
 from seldkit.cli import main, read_config
@@ -102,6 +103,29 @@ class TestTrain:
         with pytest.raises(SystemExit):
             read_config(bad)
 
+    def test_malformed_numeric_value_rejected(self, tmp_path):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text("# comment\ntrain.batch_size = 2.7\n")
+        with pytest.raises(SystemExit, match="bad.cfg:2: train.batch_size"):
+            read_config(bad)
+        bad.write_text("train.lr = fast\n")
+        with pytest.raises(SystemExit, match="bad.cfg:1: train.lr"):
+            read_config(bad)
+        bad.write_text("train.batch_size = 3.0\n")
+        assert read_config(bad)["train.batch_size"] == 3
+
+    @pytest.mark.parametrize("flag, value, expected", [
+        ("--iters-sed", "1", [("1", "sed"), ("4", "doa")]),
+        ("--iters-doa", "1", [("3", "sed"), ("4", "doa")]),
+    ])
+    def test_two_stage_phase_flag_alone_takes_remainder(self, tmp_path, tiny_config,
+                                                        flag, value, expected):
+        ckpt = tmp_path / "two.ckpt"
+        assert main(["train", "--mode", "two-stage", "--config", tiny_config,
+                     "--iters", "4", flag, value, "--seed", "0", "--out", str(ckpt)]) == 0
+        rows = Path(str(ckpt) + ".loss.csv").read_text().strip().splitlines()[1:]
+        assert [(row.split(",")[0], row.split(",")[2]) for row in rows] == expected
+
 
 class TestInferEval:
     def setup_scene(self, tmp_path, seed=5):
@@ -128,6 +152,16 @@ class TestInferEval:
         tta = load_accdoa(tmp_path / "tta.acc")
         assert np.abs(plain - tta).max() < 1e-6
         assert (tmp_path / "plain.csv").read_bytes() == (tmp_path / "tta.csv").read_bytes()
+
+    def test_infer_rejects_other_sample_rate(self, tmp_path, capsys):
+        wav = tmp_path / "48k.wav"
+        wavfile.write(str(wav), 48000, np.zeros((4800, 4), dtype=np.float32))
+        code = main(["infer", "--ckpt", str(self.oracle_ckpt(tmp_path)), "--in", str(wav),
+                     "--out", str(tmp_path / "pred.csv")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "48000" in err and "24000" in err
+        assert not (tmp_path / "pred.csv").exists()
 
     def test_eval_identical_files_is_perfect(self, tmp_path):
         _, labels = self.setup_scene(tmp_path)

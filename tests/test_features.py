@@ -4,11 +4,8 @@ import numpy as np
 import pytest
 
 from seldkit.features import (
-    FeatureStack,
     StftConfig,
-    dump_features,
     extract_features,
-    load_features,
     make_feature_stack,
     stft,
 )
@@ -109,21 +106,3 @@ class TestFeatureStack:
         assert fs.data.shape[0] == 7
         assert np.all(fs.data[:4] >= 0.0)
 
-
-class TestDump:
-    def test_round_trip(self, tmp_path):
-        rng = np.random.default_rng(5)
-        fs = extract_features(clip_from(rng.standard_normal((4, 4800))))
-        path = tmp_path / "features.bin"
-        dump_features(path, fs)
-        loaded = load_features(path)
-        assert loaded.data.shape == fs.data.shape
-        np.testing.assert_allclose(loaded.data, fs.data, rtol=1e-6, atol=1e-6)
-
-    def test_header_is_three_int64(self, tmp_path):
-        fs = FeatureStack(np.zeros((7, 2, 3)))
-        path = tmp_path / "features.bin"
-        dump_features(path, fs)
-        raw = path.read_bytes()
-        assert len(raw) == 24 + 7 * 2 * 3 * 4
-        assert np.frombuffer(raw[:24], dtype="<i8").tolist() == [7, 2, 3]

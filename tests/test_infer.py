@@ -3,12 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from seldkit.accdoa import decode_accdoa, pool_to_label_rate
+from seldkit.accdoa import compose_accdoa, decode_accdoa, pool_to_label_rate
 from seldkit.augment import ALL_PATTERNS, RotationPattern
 from seldkit.features import FeatureStack, StftConfig, extract_features
 from seldkit.infer import Predictor, rotation_tta, sliding_inference
 from seldkit.intensity import IntensityVectorModel
 from seldkit.metrics import evaluate
+from seldkit.net.model import NetConfig, RD3NetLite, TwoStageNet
 from seldkit.scene import SceneConfig, synth_scene
 
 STFT = StftConfig(win_len=256, hop=240, fft_size=256)
@@ -75,6 +76,48 @@ class TestSlidingInference:
 def make_clip(seed=0, n_classes=3):
     cfg = SceneConfig(n_classes=n_classes, duration_s=2.0, n_events=2, rng_seed=seed)
     return synth_scene(cfg)
+
+
+NET = NetConfig(n_classes=3, f_bins=129, stem_channels=4, growth=3,
+                layers_per_block=2, n_blocks=2, freq_pool=2, gru_hidden=4)
+
+
+def segment_by_segment(forward, data, seg_len, shift):
+    """Reference overlap average: each segment through `forward` on its own,
+    then every frame averaged over the segments that cover it."""
+    n_t = data.shape[1]
+    if n_t <= seg_len:
+        padded = np.zeros((7, seg_len, data.shape[2]))
+        padded[:, :n_t] = data
+        return forward(padded[None])[0][:n_t]
+    starts = list(range(0, n_t - seg_len + 1, shift))
+    if starts[-1] != n_t - seg_len:
+        starts.append(n_t - seg_len)
+    outs = {s: forward(data[None, :, s:s + seg_len])[0] for s in starts}
+    return np.stack([
+        np.mean([outs[s][t - s] for s in starts if s <= t < s + seg_len], axis=0)
+        for t in range(n_t)
+    ])
+
+
+class TestPredictorNetworks:
+    @pytest.mark.parametrize("kind", ["rd3net", "two-stage"])
+    @pytest.mark.parametrize("seg_len, shift", [(64, 24), (48, 48), (256, 20)])
+    def test_matches_segment_by_segment_average(self, kind, seg_len, shift):
+        # 199 frames: (64, 24) and (48, 48) end on a ragged tail segment,
+        # and 256 is longer than the whole clip
+        if kind == "rd3net":
+            model = RD3NetLite(NET, seed=1).eval()
+            forward = model.forward
+        else:
+            model = TwoStageNet(NET, seed=2).eval()
+            forward = lambda x: compose_accdoa(model.sed.forward(x), model.doa.forward(x))  # noqa: E731
+        clip, _ = make_clip(seed=4)
+        predictor = Predictor(model, STFT, seg_len=seg_len, shift=shift)
+        out = predictor.predict_clip(clip)
+        data = extract_features(clip, STFT).data
+        assert out.shape == (data.shape[1], 3, 3)
+        np.testing.assert_allclose(out, segment_by_segment(forward, data, seg_len, shift), atol=1e-6)
 
 
 class TestRotationTta:

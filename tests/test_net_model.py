@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from seldkit.accdoa import compose_accdoa
 from seldkit.features import StftConfig
 from seldkit.net.checkpoint import (
     KIND_ACCDOA,
@@ -154,7 +155,7 @@ class TestCheckpoint:
         kind, loaded, _, _, _ = load_model(path)
         assert kind == KIND_TWO_STAGE
         x = np.random.default_rng(4).standard_normal((1, 7, 8, 16)).astype(np.float32)
-        assert loaded.predict(x).shape == (1, 8, 3, 3)
+        assert loaded.predict_batch(x).shape == (1, 8, 3, 3)
 
 
 class TestTwoStageSemantics:
@@ -169,10 +170,9 @@ class TestTwoStageSemantics:
             assert np.array_equal(sed_state[name], doa_state[name]), name
 
     def test_compose_unit_direction_and_activity_norm(self):
-        model = TwoStageNet(tiny_config(n_classes=2), seed=3)
         activity = np.array([[[0.8, 0.0]]])
         doa = np.zeros((1, 1, 2, 3))
         doa[0, 0, 0] = [2.0, 0.0, 0.0]
-        out = model.compose(activity, doa)
+        out = compose_accdoa(activity, doa)
         np.testing.assert_allclose(out[0, 0, 0], [0.8, 0, 0])
         np.testing.assert_allclose(out[0, 0, 1], [0, 0, 0])

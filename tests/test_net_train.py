@@ -91,6 +91,16 @@ class TestSingleStage:
         log = train_single_stage(model, make_stream(), TRAIN, iters=7, log_every=3)
         assert [row[0] for row in log] == [3, 6, 7]
 
+    def test_pinned_loss_log(self):
+        model = RD3NetLite(NET, seed=11)
+        # fixed-seed losses; any change to the loop, the stream or the targets shows here
+        log = train_single_stage(model, make_stream(seed=11), TRAIN, iters=3, log_every=1)
+        assert [(row[0], row[2]) for row in log] == [(1, "accdoa"), (2, "accdoa"), (3, "accdoa")]
+        np.testing.assert_allclose(
+            [row[1] for row in log],
+            [0.3911166191101074, 0.2279861718416214, 0.23619157075881958], rtol=1e-5,
+        )
+
     def test_loss_decreases(self):
         model = RD3NetLite(NET, seed=1)
         log = train_single_stage(model, make_stream(seed=2), TRAIN, iters=500)
@@ -132,6 +142,17 @@ class TestTwoStage:
         _, grad = loss_masked_mse(pred, target, mask)
         assert np.all(grad[mask == 0] == 0.0)
         assert np.any(grad[mask == 1] != 0.0)
+
+    def test_pinned_loss_log(self):
+        model = TwoStageNet(NET, seed=12)
+        # fixed-seed losses; any change to the loop, the stream or the targets shows here
+        log = train_two_stage(model, make_stream(seed=12), TRAIN, 2, 2, log_every=1)
+        assert [(row[0], row[2]) for row in log] == [(1, "sed"), (2, "sed"), (3, "doa"), (4, "doa")]
+        np.testing.assert_allclose(
+            [row[1] for row in log],
+            [0.7011265754699707, 0.7078254818916321, 0.5779000520706177, 0.4317668080329895],
+            rtol=1e-5,
+        )
 
     def test_global_iteration_numbering_in_log(self):
         model = TwoStageNet(NET, seed=9)

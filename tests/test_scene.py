@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.io import wavfile
 
 from seldkit.scene import (
     AmbisonicClip,
@@ -173,6 +174,13 @@ class TestFileFormats:
         loaded = read_wav(path)
         assert loaded.sample_rate == clip.sample_rate
         np.testing.assert_allclose(loaded.samples, clip.samples, atol=1e-7)
+
+    def test_int16_wav_scaled_by_full_scale(self, tmp_path):
+        path = tmp_path / "pcm16.wav"
+        data = np.array([[16384, -32768, 32767, 0]] * 5, dtype=np.int16)
+        wavfile.write(str(path), 24000, data)
+        loaded = read_wav(path)
+        np.testing.assert_array_equal(loaded.samples[:, 0], [0.5, -1.0, 32767 / 32768, 0.0])
 
     def test_label_csv_round_trip(self, tmp_path):
         events = EventList(
