@@ -9,7 +9,7 @@ are exactly commuting operations.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import signal as sps

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import inspect
 import json
 import sys
 from pathlib import Path
@@ -12,11 +13,10 @@ import numpy as np
 
 from . import __version__
 from .accdoa import decode_accdoa, dump_accdoa, encode_accdoa, load_accdoa
-from .augment import SpecAugmentConfig
 from .ensemble import combine, ensemble_mse, fit_weights, read_weights_csv, write_weights_csv
 from .features import StftConfig
-from .infer import Predictor
-from .metrics import MetricsAccumulator, metrics_csv_header, metrics_csv_row
+from .infer import DEFAULT_SEG_LEN, DEFAULT_SHIFT, Predictor
+from .metrics import DEFAULT_THRESHOLD_DEG, MetricsAccumulator, metrics_csv_header, metrics_csv_row
 from .net.checkpoint import KIND_ACCDOA, KIND_TWO_STAGE, load_model, save_model
 from .net.model import NetConfig, RD3NetLite, TwoStageNet
 from .net.optim import TrainConfig
@@ -28,29 +28,27 @@ from .scene import (
 
 FORMAT_VERSION = 1
 
+# Each config key is `section.name`; its default is the one on the class that
+# consumes it, so the recipe is written only once.
+_CONFIG_SECTIONS = {
+    "scene": (SceneConfig, ("n_classes", "duration_s", "max_polyphony", "n_events")),
+    "stft": (StftConfig, ("win_len", "hop", "fft_size", "window")),
+    "net": (NetConfig, ("stem_channels", "growth", "layers_per_block", "n_blocks",
+                        "freq_pool", "gru_hidden")),
+    "train": (TrainConfig, ("lr", "lr_decay", "decay_interval", "weight_decay",
+                            "batch_size", "input_frames")),
+    "data": (SceneBatchStream, ("pool_scenes", "secondary_bank")),
+}
+
+
+def _default(obj, name: str):
+    return inspect.signature(obj).parameters[name].default
+
+
 _CONFIG_DEFAULTS = {
-    "scene.n_classes": 14,
-    "scene.duration_s": 10.0,
-    "scene.max_polyphony": 2,
-    "scene.n_events": 3,
-    "stft.win_len": 480,
-    "stft.hop": 240,
-    "stft.fft_size": 512,
-    "stft.window": "hann",
-    "net.stem_channels": 16,
-    "net.growth": 8,
-    "net.layers_per_block": 3,
-    "net.n_blocks": 2,
-    "net.freq_pool": 4,
-    "net.gru_hidden": 64,
-    "train.lr": 1e-3,
-    "train.lr_decay": 0.9,
-    "train.decay_interval": 20000,
-    "train.weight_decay": 1e-6,
-    "train.batch_size": 32,
-    "train.input_frames": 1024,
-    "data.pool_scenes": 64,
-    "data.secondary_bank": 32,
+    f"{section}.{name}": _default(cls, name)
+    for section, (cls, names) in _CONFIG_SECTIONS.items()
+    for name in names
 }
 
 
@@ -83,38 +81,17 @@ def read_config(path=None) -> dict:
     return merged
 
 
+def _section(merged: dict, section: str) -> dict:
+    prefix = section + "."
+    return {key[len(prefix):]: value for key, value in merged.items() if key.startswith(prefix)}
+
+
 def _configs_from(merged: dict, seed: int):
-    scene_cfg = SceneConfig(
-        n_classes=int(merged["scene.n_classes"]),
-        duration_s=float(merged["scene.duration_s"]),
-        max_polyphony=int(merged["scene.max_polyphony"]),
-        n_events=int(merged["scene.n_events"]),
-        rng_seed=seed,
-    )
-    stft_cfg = StftConfig(
-        win_len=int(merged["stft.win_len"]),
-        hop=int(merged["stft.hop"]),
-        fft_size=int(merged["stft.fft_size"]),
-        window=str(merged["stft.window"]),
-    )
-    net_cfg = NetConfig(
-        n_classes=scene_cfg.n_classes,
-        f_bins=stft_cfg.n_bins,
-        stem_channels=int(merged["net.stem_channels"]),
-        growth=int(merged["net.growth"]),
-        layers_per_block=int(merged["net.layers_per_block"]),
-        n_blocks=int(merged["net.n_blocks"]),
-        freq_pool=int(merged["net.freq_pool"]),
-        gru_hidden=int(merged["net.gru_hidden"]),
-    )
-    train_cfg = TrainConfig(
-        lr=float(merged["train.lr"]),
-        lr_decay=float(merged["train.lr_decay"]),
-        decay_interval=int(merged["train.decay_interval"]),
-        weight_decay=float(merged["train.weight_decay"]),
-        batch_size=int(merged["train.batch_size"]),
-        input_frames=int(merged["train.input_frames"]),
-    )
+    scene_cfg = SceneConfig(rng_seed=seed, **_section(merged, "scene"))
+    stft_cfg = StftConfig(**_section(merged, "stft"))
+    net_cfg = NetConfig(n_classes=scene_cfg.n_classes, f_bins=stft_cfg.n_bins,
+                        **_section(merged, "net"))
+    train_cfg = TrainConfig(**_section(merged, "train"))
     return scene_cfg, stft_cfg, net_cfg, train_cfg
 
 
@@ -156,18 +133,12 @@ def cmd_train(args) -> int:
     scene_cfg, stft_cfg, net_cfg, train_cfg = _configs_from(merged, args.seed)
     if args.iters < 0:
         raise SystemExit("--iters must be >= 0")
-    augment = AugmentOptions(
-        emda=args.emda, rotate=args.rotate, specaug=args.specaug,
-        spec_cfg=SpecAugmentConfig(),
-    )
+    augment = AugmentOptions(emda=args.emda, rotate=args.rotate, specaug=args.specaug)
     stream = SceneBatchStream(
         scene_cfg, stft_cfg, train_cfg.batch_size, train_cfg.input_frames,
-        seed=args.seed, augment=augment,
-        pool_scenes=int(merged["data.pool_scenes"]),
-        secondary_bank=int(merged["data.secondary_bank"]),
-        workers=args.workers,
+        seed=args.seed, augment=augment, workers=args.workers, **_section(merged, "data"),
     )
-    extra = {"train.seed": args.seed, "train.iters": args.iters, "train.mode": args.mode}
+    extra = {**merged, "train.seed": args.seed, "train.iters": args.iters, "train.mode": args.mode}
     if args.mode == "accdoa":
         model = RD3NetLite(net_cfg, seed=args.seed)
         log = train_single_stage(model, stream, train_cfg, args.iters)
@@ -299,10 +270,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="synthesize a scene dataset")
     p.add_argument("--scenes", type=int, default=10)
-    p.add_argument("--classes", type=int, default=14)
-    p.add_argument("--duration", type=float, default=10.0)
-    p.add_argument("--polyphony", type=int, default=2)
-    p.add_argument("--events", type=int, default=3)
+    p.add_argument("--classes", type=int, default=SceneConfig.n_classes)
+    p.add_argument("--duration", type=float, default=SceneConfig.duration_s)
+    p.add_argument("--polyphony", type=int, default=SceneConfig.max_polyphony)
+    p.add_argument("--events", type=int, default=SceneConfig.n_events)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_synth)
@@ -328,8 +299,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--tta", action="store_true", help="average over the 8 rotations")
     p.add_argument("--threshold", type=float, default=0.5)
-    p.add_argument("--seg-len", type=int, default=1024)
-    p.add_argument("--shift", type=int, default=20)
+    p.add_argument("--seg-len", type=int, default=DEFAULT_SEG_LEN)
+    p.add_argument("--shift", type=int, default=DEFAULT_SHIFT)
     p.add_argument("--dump-accdoa", default=None, help="also dump the raw label-rate sequence")
     p.set_defaults(func=cmd_infer)
 
@@ -338,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="prediction CSV/dir, optionally NAME=PATH; repeatable")
     p.add_argument("--ref", required=True)
     p.add_argument("--classes", type=int, required=True)
-    p.add_argument("--threshold", type=float, default=20.0)
+    p.add_argument("--threshold", type=float, default=DEFAULT_THRESHOLD_DEG)
     p.add_argument("--out", help="write metrics JSON here")
     p.add_argument("--csv", help="write metrics CSV rows here")
     p.set_defaults(func=cmd_eval)
@@ -351,10 +322,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--classes", type=int, default=None)
     p.add_argument("--out", help="decoded CSV (apply)")
     p.add_argument("--threshold", type=float, default=0.5)
-    p.add_argument("--lr", type=float, default=0.1)
-    p.add_argument("--iters", type=int, default=2000)
-    p.add_argument("--batch", type=int, default=0)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--lr", type=float, default=_default(fit_weights, "lr"))
+    p.add_argument("--iters", type=int, default=_default(fit_weights, "iters"))
+    p.add_argument("--batch", type=int, default=_default(fit_weights, "batch"))
+    p.add_argument("--seed", type=int, default=_default(fit_weights, "seed"))
     p.set_defaults(func=cmd_ensemble)
 
     p = sub.add_parser("plot", help="render an event CSV as an SVG timeline")

@@ -17,9 +17,8 @@ scores are comparable in spirit but not bit-identical to it.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -68,9 +67,6 @@ class SeldMetrics:
             "F20": self.f_20,
             "counts": dict(self.counts),
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
 
 @dataclass

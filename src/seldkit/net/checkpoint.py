@@ -145,9 +145,9 @@ def load_model(path):
     stft_cfg = StftConfig(**_sub_config(ckpt.config, "stft"))
     net_entries = _sub_config(ckpt.config, "net")
     if ckpt.kind == KIND_INTENSITY:
-        model = IntensityVectorModel.for_scene_classes(int(net_entries["n_classes"]), stft_cfg)
+        model = IntensityVectorModel.for_scene_classes(net_entries["n_classes"], stft_cfg)
         return ckpt.kind, model, None, stft_cfg, ckpt.config
-    net_cfg = NetConfig(**{k: (v if k == "output_activation" else int(v)) for k, v in net_entries.items()})
+    net_cfg = NetConfig(**net_entries)
     if ckpt.kind == KIND_ACCDOA:
         model = RD3NetLite(net_cfg)
     elif ckpt.kind == KIND_TWO_STAGE:

@@ -15,8 +15,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
-from pathlib import Path
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import signal as sps
@@ -191,7 +190,7 @@ class SceneConfig:
     """Parameters for one synthetic scene."""
 
     n_classes: int = 14
-    duration_s: float = 10.0
+    duration_s: float = 11.0       # one 1024-frame input at 480/240 needs 10.25 s
     max_polyphony: int = 2
     n_events: int = 3
     rng_seed: int = 0

@@ -7,7 +7,7 @@ import pytest
 from scipy.io import wavfile
 
 from seldkit.accdoa import dump_accdoa, load_accdoa, encode_accdoa
-from seldkit.cli import main, read_config
+from seldkit.cli import _configs_from, main, read_config
 from seldkit.features import StftConfig
 from seldkit.net.checkpoint import load_checkpoint, save_intensity_checkpoint
 from seldkit.net.model import NetConfig, RD3NetLite
@@ -113,6 +113,20 @@ class TestTrain:
             read_config(bad)
         bad.write_text("train.batch_size = 3.0\n")
         assert read_config(bad)["train.batch_size"] == 3
+
+    def test_default_scene_holds_one_input(self):
+        scene_cfg, stft_cfg, _, train_cfg = _configs_from(read_config(None), 0)
+        n_samples = int(round(scene_cfg.duration_s * scene_cfg.sample_rate))
+        assert stft_cfg.n_frames(n_samples) >= train_cfg.input_frames
+
+    def test_checkpoint_records_effective_config(self, tmp_path, tiny_config):
+        ckpt = tmp_path / "model.ckpt"
+        assert main(["train", "--config", tiny_config, "--iters", "0", "--seed", "2",
+                     "--out", str(ckpt)]) == 0
+        config = load_checkpoint(ckpt).config
+        for key, value in read_config(tiny_config).items():
+            assert config.get(key) == str(value), key
+        assert (config["train.seed"], config["train.iters"], config["train.mode"]) == ("2", "0", "accdoa")
 
     @pytest.mark.parametrize("flag, value, expected", [
         ("--iters-sed", "1", [("1", "sed"), ("4", "doa")]),
