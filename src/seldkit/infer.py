@@ -4,14 +4,55 @@ from __future__ import annotations
 
 import numpy as np
 
-from .accdoa import pool_to_label_rate
+from .accdoa import compose_accdoa, pool_to_label_rate
 from .augment import ALL_PATTERNS, rotate_accdoa, rotate_foa
 from .features import FeatureStack, StftConfig, extract_features
+from .net.layers import Module
+from .net.model import TwoStageNet
 from .scene import AmbisonicClip
 
 DEFAULT_SEG_LEN = 1024
 DEFAULT_SHIFT = 20
 MAX_BATCH = 8  # segments per predict_batch call
+
+
+def _check_geometry(seg_len: int, shift: int) -> None:
+    """Reject segment lengths below 1 and shifts outside [1, seg_len]: a
+    larger shift leaves frames that no segment covers."""
+    if seg_len < 1 or not 1 <= shift <= seg_len:
+        raise ValueError(
+            f"need seg_len >= 1 and 1 <= shift <= seg_len, got seg_len {seg_len}, shift {shift}"
+        )
+
+
+def _pad_to_segment(data: np.ndarray, seg_len: int) -> np.ndarray:
+    """A clip shorter than one segment, followed by zero feature frames."""
+    n_t = data.shape[1]
+    if n_t >= seg_len:
+        return data
+    padded = np.zeros((data.shape[0], seg_len, data.shape[2]), dtype=data.dtype)
+    padded[:, :n_t] = data
+    return padded
+
+
+def _segment_starts(n_t: int, seg_len: int, shift: int) -> list:
+    """Starts every `shift` frames, plus a last segment flush against the end."""
+    starts = list(range(0, n_t - seg_len + 1, shift))
+    if starts[-1] != n_t - seg_len:
+        starts.append(n_t - seg_len)
+    return starts
+
+
+def _overlap_average(n_t: int, seg_len: int, outputs) -> np.ndarray:
+    """Per-frame mean of the (start, (seg_len, N, 3) output) pairs covering it."""
+    total = count = None
+    for s, out in outputs:
+        if total is None:
+            total = np.zeros((n_t,) + out.shape[1:])
+            count = np.zeros(n_t)
+        total[s:s + seg_len] += out
+        count[s:s + seg_len] += 1
+    return total / count[:, None, None]
 
 
 def sliding_inference(
@@ -28,30 +69,110 @@ def sliding_inference(
     mean over all segments covering it.  Clips shorter than one segment are
     zero-padded and the padding frames dropped.
     """
-    data = fs.data
-    n_t = data.shape[1]
-    if n_t <= seg_len:
-        padded = np.zeros((7, seg_len, data.shape[2]), dtype=data.dtype)
-        padded[:, :n_t] = data
-        out = predict_batch(padded[None])[0]
-        return np.asarray(out[:n_t], dtype=float)
+    _check_geometry(seg_len, shift)
+    data = _pad_to_segment(fs.data, seg_len)
+    starts = _segment_starts(data.shape[1], seg_len, shift)
 
-    starts = list(range(0, n_t - seg_len + 1, shift))
-    if starts[-1] != n_t - seg_len:
-        starts.append(n_t - seg_len)
-    first = predict_batch(data[None, :, starts[0]:starts[0] + seg_len])[0]
-    total = np.zeros((n_t,) + first.shape[1:])
-    count = np.zeros(n_t)
-    total[:seg_len] += first
-    count[:seg_len] += 1
-    for lo in range(1, len(starts), MAX_BATCH):
-        chunk = starts[lo:lo + MAX_BATCH]
-        batch = np.stack([data[:, s:s + seg_len] for s in chunk])
-        outs = predict_batch(batch)
-        for s, out in zip(chunk, outs):
-            total[s:s + seg_len] += out
-            count[s:s + seg_len] += 1
-    return total / count[:, None, None]
+    def outputs():
+        for lo in range(0, len(starts), MAX_BATCH):
+            chunk = starts[lo:lo + MAX_BATCH]
+            yield from zip(chunk, predict_batch(np.stack([data[:, s:s + seg_len] for s in chunk])))
+
+    return _overlap_average(data.shape[1], seg_len, outputs())[:fs.data.shape[1]]
+
+
+def _network_parts(model):
+    """The branches of an RD3NetLite or TwoStageNet and the function that
+    merges their outputs, as their `predict_batch` does."""
+    if isinstance(model, TwoStageNet):
+        return (model.sed, model.doa), compose_accdoa
+    return (model.branch,), lambda y: y
+
+
+def _trunk_into(branch, data: np.ndarray, length: int, per_call: int, jobs: list) -> None:
+    """Run the trunk on windows of `length` frames, `per_call` at a time.
+
+    Each job is (window start, destination, rows of the window's output
+    copied into the destination).
+    """
+    for lo in range(0, len(jobs), per_call):
+        part = jobs[lo:lo + per_call]
+        ys = branch.forward_trunk(np.stack([data[:, a:a + length] for a, _, _ in part]))
+        for (_, dest, rows), y in zip(part, ys):
+            dest[...] = y[rows]
+
+
+def _clip_trunk(branch, data: np.ndarray, seg_len: int, halo: int) -> np.ndarray:
+    """The branch's trunk output over the whole clip, (T, gru_in).
+
+    Windows overlap by 2 * halo frames; each contributes the frames at
+    least `halo` from any edge it does not share with the clip, where it
+    equals the whole-clip trunk.  A call holds at most MAX_BATCH * seg_len
+    frames, as a batch of segments does, unless one window of 2 * halo + 1
+    frames is longer.
+    """
+    n_t = data.shape[1]
+    win = min(max(seg_len, 2 * halo + 1), n_t)
+    out = np.empty((n_t, branch.cfg.gru_in), dtype=branch.dtype)
+    jobs = []
+    for s in _segment_starts(n_t, win, max(win - 2 * halo, 1)):
+        lo = s + halo if s > 0 else 0
+        hi = s + win - halo if s + win < n_t else n_t
+        jobs.append((s, out[lo:hi], slice(lo - s, hi - s)))
+    _trunk_into(branch, data, win, max(1, MAX_BATCH * seg_len // win), jobs)
+    return out
+
+
+def _segment_trunks(branch, data, trunk, chunk, seg_len, halo) -> np.ndarray:
+    """Each segment's own trunk output, (len(chunk), seg_len, gru_in).
+
+    Frames further than `halo` from a segment edge come from the clip
+    trunk.  Within `halo` of an edge the clip does not share, the segment's
+    zero padding shows, so those frames are recomputed from a strip of
+    2 * halo frames (at most the segment) flush against that edge.
+    """
+    n_t = data.shape[1]
+    strip = min(2 * halo, seg_len)
+    keep = min(halo, seg_len)
+    seg = np.stack([trunk[s:s + seg_len] for s in chunk])
+    jobs = []
+    for row, s in zip(seg, chunk):
+        if s > 0:
+            jobs.append((s, row[:keep], slice(0, keep)))
+        if s + seg_len < n_t:
+            jobs.append((s + seg_len - strip, row[seg_len - keep:], slice(strip - keep, strip)))
+    _trunk_into(branch, data, strip, MAX_BATCH * seg_len // strip, jobs)
+    return seg
+
+
+def _shared_trunk_inference(model, fs: FeatureStack, seg_len: int, shift: int) -> np.ndarray:
+    """`sliding_inference` of an eval-mode RD3NetLite or TwoStageNet, with
+    each frame sent through the conv trunk about once instead of about
+    seg_len / shift times.
+
+    In eval mode every trunk layer acts on time only through 3x3 convs
+    (NetDeconv is pointwise and pooling is over frequency), so a segment's
+    trunk output is the clip's except near its edges (`NetConfig.time_halo`).
+    The BiGRU head runs per segment, and outputs are averaged as there.
+    """
+    if model.training:
+        # batch statistics would make outputs depend on how segments are batched
+        raise ValueError("the network is in training mode; call .eval() before inference")
+    data = _pad_to_segment(fs.data, seg_len)
+    branches, combine = _network_parts(model)
+    halo = model.cfg.time_halo
+    trunks = [_clip_trunk(b, data, seg_len, halo) for b in branches]
+    starts = _segment_starts(data.shape[1], seg_len, shift)
+
+    def outputs():
+        for lo in range(0, len(starts), MAX_BATCH):
+            chunk = starts[lo:lo + MAX_BATCH]
+            yield from zip(chunk, combine(*(
+                b.forward_head(_segment_trunks(b, data, trunk, chunk, seg_len, halo))
+                for b, trunk in zip(branches, trunks)
+            )))
+
+    return _overlap_average(data.shape[1], seg_len, outputs())[:fs.data.shape[1]]
 
 
 def rotation_tta(predict_clip, clip: AmbisonicClip, patterns=ALL_PATTERNS) -> np.ndarray:
@@ -73,7 +194,9 @@ class Predictor:
     The model's `predict_batch` maps (B, 7, T, F) feature batches to
     (B, T, N, 3) sequences.  Produces 10-ms-rate (T, N, 3) sequences via
     overlapped segments, with optional rotation averaging, and label-rate
-    sequences for decoding.
+    sequences for decoding.  Networks (RD3NetLite, TwoStageNet) must be in
+    eval mode; they share one trunk pass over the clip between segments.
+    Other models go through `sliding_inference`.
     """
 
     def __init__(
@@ -83,12 +206,15 @@ class Predictor:
         seg_len: int = DEFAULT_SEG_LEN,
         shift: int = DEFAULT_SHIFT,
     ):
+        _check_geometry(seg_len, shift)
         self.model = model
         self.stft_cfg = stft_cfg
         self.seg_len = seg_len
         self.shift = shift
 
     def predict_features(self, fs: FeatureStack) -> np.ndarray:
+        if isinstance(self.model, Module):
+            return _shared_trunk_inference(self.model, fs, self.seg_len, self.shift)
         return sliding_inference(self.model.predict_batch, fs, self.seg_len, self.shift)
 
     def predict_clip(self, clip: AmbisonicClip) -> np.ndarray:

@@ -259,13 +259,16 @@ class Elu(Module):
     gradient checks are meaningful everywhere."""
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        one = x.dtype.type(1)
-        em1 = np.expm1(np.minimum(x, 0))
-        self._deriv = np.where(x > 0, one, em1 + one)
-        return np.maximum(x, 0) + em1
+        em1 = np.minimum(x, 0)
+        np.expm1(em1, out=em1)
+        self._em1 = em1
+        y = np.maximum(x, 0)
+        y += em1
+        return y
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
-        return dy * self._deriv
+        # d/dx = exp(min(x, 0)) = em1 + 1, which is 1 where x > 0 (em1 is 0 there)
+        return dy * (self._em1 + 1)
 
 
 class Tanh(Module):

@@ -58,6 +58,18 @@ class NetConfig:
     def gru_in(self) -> int:
         return self.trunk_channels * self.f_out
 
+    @property
+    def time_halo(self) -> int:
+        """Frames of context each trunk output frame depends on, per side.
+
+        The stem conv reaches 1 frame and a dense block's layers reach
+        1, 2, ..., 2**(layers_per_block - 1); no layer pools time.  A
+        segment's trunk output therefore differs from the whole-clip trunk
+        output only within this many frames of an edge it does not share
+        with the clip.
+        """
+        return 1 + self.n_blocks * (2 ** self.layers_per_block - 1)
+
     def to_dict(self) -> dict:
         return asdict(self)
 
@@ -116,6 +128,10 @@ class SeldBranch(Module):
             raise ValueError(f"expected F = {self.cfg.f_bins}, got {x.shape[3]}")
 
     def forward(self, x: np.ndarray) -> np.ndarray:
+        return self.forward_head(self.forward_trunk(x))
+
+    def forward_trunk(self, x: np.ndarray) -> np.ndarray:
+        """(B, in_channels, T, F) features -> (B, T, gru_in) trunk output."""
         self._check_input(x)
         cfg = self.cfg
         # channels-last, trimmed to a pool-divisible number of bins
@@ -124,10 +140,14 @@ class SeldBranch(Module):
         )
         y = self.trunk.forward(xcl)
         B, T = y.shape[:2]
-        y = self.gru.forward(y.reshape(B, T, cfg.gru_in))
-        y = self.head.forward(y)
+        return y.reshape(B, T, cfg.gru_in)
+
+    def forward_head(self, y: np.ndarray) -> np.ndarray:
+        """(B, T, gru_in) trunk output -> BiGRU -> linear head -> activation."""
+        B, T = y.shape[:2]
+        y = self.head.forward(self.gru.forward(y))
         if self.out_per_class > 1:
-            y = y.reshape(B, T, cfg.n_classes, self.out_per_class)
+            y = y.reshape(B, T, self.cfg.n_classes, self.out_per_class)
         return self.act.forward(y)
 
     def backward(self, dy: np.ndarray):

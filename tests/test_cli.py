@@ -177,6 +177,15 @@ class TestInferEval:
         assert "48000" in err and "24000" in err
         assert not (tmp_path / "pred.csv").exists()
 
+    @pytest.mark.parametrize("seg_len, shift", [("64", "0"), ("64", "65"), ("0", "1")])
+    def test_infer_rejects_bad_segment_geometry(self, tmp_path, capsys, seg_len, shift):
+        wav, _ = self.setup_scene(tmp_path)
+        code = main(["infer", "--ckpt", str(self.oracle_ckpt(tmp_path)), "--in", str(wav),
+                     "--seg-len", seg_len, "--shift", shift, "--out", str(tmp_path / "pred.csv")])
+        assert code == 2
+        assert f"seg_len {seg_len}, shift {shift}" in capsys.readouterr().err
+        assert not (tmp_path / "pred.csv").exists()
+
     def test_eval_identical_files_is_perfect(self, tmp_path):
         _, labels = self.setup_scene(tmp_path)
         out = tmp_path / "metrics.json"

@@ -62,6 +62,14 @@ class TestSlidingInference:
         assert out[30, 0, 0] == pytest.approx(10.0)
         assert out.shape[0] == 1064
 
+    @pytest.mark.parametrize("seg_len, shift", [(16, 40), (16, 17), (16, 0), (16, -3), (0, 1), (-1, 1)])
+    def test_bad_geometry_rejected(self, seg_len, shift):
+        # shift > seg_len leaves frames no segment covers; shift 0 never advances
+        with pytest.raises(ValueError, match=f"seg_len {seg_len}, shift {shift}"):
+            sliding_inference(segment_start_model(), features_with_index(100), seg_len, shift)
+        with pytest.raises(ValueError, match=f"seg_len {seg_len}, shift {shift}"):
+            Predictor(IntensityVectorModel(1, [np.arange(1, 8)]), STFT, seg_len=seg_len, shift=shift)
+
     def test_short_clip_zero_padded_and_cropped(self):
         fs = features_with_index(12)
         out = sliding_inference(segment_start_model(), fs, seg_len=32, shift=8)
@@ -106,18 +114,51 @@ class TestPredictorNetworks:
     def test_matches_segment_by_segment_average(self, kind, seg_len, shift):
         # 199 frames: (64, 24) and (48, 48) end on a ragged tail segment,
         # and 256 is longer than the whole clip
-        if kind == "rd3net":
-            model = RD3NetLite(NET, seed=1).eval()
-            forward = model.forward
-        else:
-            model = TwoStageNet(NET, seed=2).eval()
-            forward = lambda x: compose_accdoa(model.sed.forward(x), model.doa.forward(x))  # noqa: E731
+        model, forward = self.network(kind)
         clip, _ = make_clip(seed=4)
         predictor = Predictor(model, STFT, seg_len=seg_len, shift=shift)
         out = predictor.predict_clip(clip)
         data = extract_features(clip, STFT).data
         assert out.shape == (data.shape[1], 3, 3)
         np.testing.assert_allclose(out, segment_by_segment(forward, data, seg_len, shift), atol=1e-6)
+
+    @pytest.mark.parametrize("kind", ["rd3net", "two-stage"])
+    @pytest.mark.parametrize("seg_len, shift, n_t", [
+        pytest.param(64, 5, 199, id="shift-below-halo"),
+        pytest.param(64, 10, 199, id="shift-between-halo-and-twice"),
+        pytest.param(64, 64, 199, id="shift-equals-seg-len"),
+        pytest.param(20, 9, 100, id="edge-strips-overlap"),
+        pytest.param(14, 6, 100, id="seg-len-twice-halo"),
+        pytest.param(10, 3, 100, id="seg-len-below-twice-halo"),
+        pytest.param(40, 17, 150, id="ragged-tail"),
+        pytest.param(64, 20, 64, id="clip-is-one-segment"),
+        pytest.param(64, 20, 65, id="clip-one-frame-longer"),
+        pytest.param(64, 20, 40, id="clip-shorter-than-segment"),
+    ])
+    def test_shared_trunk_matrix(self, kind, seg_len, shift, n_t):
+        # NET has a time halo of 7 frames
+        model, forward = self.network(kind)
+        clip, _ = make_clip(seed=4)
+        data = extract_features(clip, STFT).data[:, :n_t]
+        out = Predictor(model, STFT, seg_len=seg_len, shift=shift).predict_features(FeatureStack(data))
+        assert out.shape == (n_t, 3, 3)
+        np.testing.assert_allclose(out, segment_by_segment(forward, data, seg_len, shift), atol=1e-6)
+
+    @pytest.mark.parametrize("kind", ["rd3net", "two-stage"])
+    def test_training_mode_rejected(self, kind):
+        model, _ = self.network(kind)
+        model.train()
+        clip, _ = make_clip(seed=4)
+        with pytest.raises(ValueError, match=r"\.eval\(\)"):
+            Predictor(model, STFT, seg_len=64, shift=24).predict_clip(clip)
+
+    @staticmethod
+    def network(kind):
+        if kind == "rd3net":
+            model = RD3NetLite(NET, seed=1).eval()
+            return model, model.forward
+        model = TwoStageNet(NET, seed=2).eval()
+        return model, lambda x: compose_accdoa(model.sed.forward(x), model.doa.forward(x))
 
 
 class TestRotationTta:

@@ -105,6 +105,21 @@ class TestActivationGradients:
         check_module(layer_cls(), x)
 
 
+class TestEluDerivative:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_matches_where_formula(self, dtype):
+        rng = np.random.default_rng(3)
+        special = [0.0, -0.0, np.inf, -np.inf, np.nan, 1e-30, -1e-30, 80.0, -80.0]
+        x = np.concatenate([3 * rng.standard_normal(4096), special]).astype(dtype)
+        elu = Elu()
+        elu.forward(x)
+        got = elu.backward(np.ones_like(x))
+        one = dtype(1)
+        expected = np.where(x > 0, one, np.expm1(np.minimum(x, 0)) + one)
+        assert got.dtype == expected.dtype
+        assert np.array_equal(got, expected, equal_nan=True)
+
+
 class TestLinearGradients:
     def test_linear(self):
         rng = np.random.default_rng(4)

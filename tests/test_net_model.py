@@ -71,6 +71,26 @@ class TestShapes:
         assert np.all(y == 0.0)
 
 
+class TestTimeHalo:
+    @pytest.mark.parametrize("cfg, halo", [
+        # desk shapes and the network of tests/test_infer.py
+        (NetConfig(n_classes=3, f_bins=129, stem_channels=12, growth=6), 15),
+        (NetConfig(n_classes=3, f_bins=129, stem_channels=4, growth=3, layers_per_block=2,
+                   n_blocks=2, freq_pool=2, gru_hidden=4), 7),
+    ])
+    def test_halo_is_the_trunk_receptive_field(self, cfg, halo):
+        assert cfg.time_halo == halo
+        branch = RD3NetLite(cfg, seed=0).eval().branch
+        rng = np.random.default_rng(0)
+        x = rng.standard_normal((1, 7, 64, cfg.f_bins)).astype(np.float32)
+        base = branch.forward_trunk(x).copy()
+        t0 = 32
+        x[:, :, t0] += 1.0
+        changed = np.flatnonzero(np.any(branch.forward_trunk(x) != base, axis=(0, 2)))
+        # every output frame within the halo of t0 changes, none beyond it
+        np.testing.assert_array_equal(changed, np.arange(t0 - halo, t0 + halo + 1))
+
+
 class TestDeterminism:
     def test_init_is_seed_deterministic(self):
         a = RD3NetLite(tiny_config(), seed=5).state_dict()
