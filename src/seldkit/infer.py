@@ -4,11 +4,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .accdoa import compose_accdoa, pool_to_label_rate
+from .accdoa import pool_to_label_rate
 from .augment import ALL_PATTERNS, rotate_accdoa, rotate_foa
 from .features import FeatureStack, StftConfig, extract_features
 from .net.layers import Module
-from .net.model import TwoStageNet
 from .scene import AmbisonicClip
 
 DEFAULT_SEG_LEN = 1024
@@ -65,9 +64,10 @@ def sliding_inference(
 
     `predict_batch` maps (B, 7, seg_len, F) to (B, seg_len, N, 3).  The
     clip is split into segments of `seg_len` frames every `shift` frames
-    (plus a final segment flush against the end); each output frame is the
-    mean over all segments covering it.  Clips shorter than one segment are
-    zero-padded and the padding frames dropped.
+    (plus a final segment flush against the end), handed to `predict_batch`
+    in order of their starts, at most MAX_BATCH at a time; each output
+    frame is the mean over all segments covering it.  Clips shorter than
+    one segment are zero-padded and the padding frames dropped.
     """
     _check_geometry(seg_len, shift)
     data = _pad_to_segment(fs.data, seg_len)
@@ -81,67 +81,80 @@ def sliding_inference(
     return _overlap_average(data.shape[1], seg_len, outputs())[:fs.data.shape[1]]
 
 
-def _network_parts(model):
-    """The branches of an RD3NetLite or TwoStageNet and the function that
-    merges their outputs, as their `predict_batch` does."""
-    if isinstance(model, TwoStageNet):
-        return (model.sed, model.doa), compose_accdoa
-    return (model.branch,), lambda y: y
+def _clip_trunk_pieces(branch, data: np.ndarray, seg_len: int, halo: int):
+    """Yield the branch's trunk output over the whole clip, (frames, gru_in),
+    in consecutive pieces from frame 0 on.
 
-
-def _trunk_into(branch, data: np.ndarray, length: int, per_call: int, jobs: list) -> None:
-    """Run the trunk on windows of `length` frames, `per_call` at a time.
-
-    Each job is (window start, destination, rows of the window's output
-    copied into the destination).
-    """
-    for lo in range(0, len(jobs), per_call):
-        part = jobs[lo:lo + per_call]
-        ys = branch.forward_trunk(np.stack([data[:, a:a + length] for a, _, _ in part]))
-        for (_, dest, rows), y in zip(part, ys):
-            dest[...] = y[rows]
-
-
-def _clip_trunk(branch, data: np.ndarray, seg_len: int, halo: int) -> np.ndarray:
-    """The branch's trunk output over the whole clip, (T, gru_in).
-
-    Windows overlap by 2 * halo frames; each contributes the frames at
-    least `halo` from any edge it does not share with the clip, where it
-    equals the whole-clip trunk.  A call holds at most MAX_BATCH * seg_len
-    frames, as a batch of segments does, unless one window of 2 * halo + 1
-    frames is longer.
+    Windows of `seg_len` frames overlap by 2 * halo; each contributes the
+    frames at least `halo` from any edge it does not share with the clip,
+    where it equals the whole-clip trunk.  MAX_BATCH windows go through
+    the trunk per call, as a batch of segments does.
     """
     n_t = data.shape[1]
-    win = min(max(seg_len, 2 * halo + 1), n_t)
-    out = np.empty((n_t, branch.cfg.gru_in), dtype=branch.dtype)
-    jobs = []
-    for s in _segment_starts(n_t, win, max(win - 2 * halo, 1)):
-        lo = s + halo if s > 0 else 0
-        hi = s + win - halo if s + win < n_t else n_t
-        jobs.append((s, out[lo:hi], slice(lo - s, hi - s)))
-    _trunk_into(branch, data, win, max(1, MAX_BATCH * seg_len // win), jobs)
-    return out
+    windows = _segment_starts(n_t, seg_len, seg_len - 2 * halo)
+    end = 0
+    for lo in range(0, len(windows), MAX_BATCH):
+        part = windows[lo:lo + MAX_BATCH]
+        ys = branch.forward_trunk(np.stack([data[:, s:s + seg_len] for s in part]))
+        for s, y in zip(part, ys):
+            hi = s + seg_len - halo if s + seg_len < n_t else n_t
+            yield y[end - s:hi - s]
+            end = hi
 
 
-def _segment_trunks(branch, data, trunk, chunk, seg_len, halo) -> np.ndarray:
-    """Each segment's own trunk output, (len(chunk), seg_len, gru_in).
+class _ClipTrunk:
+    """A branch's whole-clip trunk output, computed ahead of the segments
+    that need it and dropped behind them, so memory does not grow with the
+    clip."""
+
+    def __init__(self, branch, data: np.ndarray, seg_len: int, halo: int):
+        self._pieces = _clip_trunk_pieces(branch, data, seg_len, halo)
+        self._frames = np.empty((0, branch.cfg.gru_in), dtype=branch.dtype)
+        self._lo = 0  # clip frame of self._frames[0]
+
+    def span(self, a: int, b: int) -> np.ndarray:
+        """Frames [a, b); `a` never decreases and never passes the last `b`."""
+        kept = self._frames[a - self._lo:]
+        self._lo = a
+        pieces, have = [kept], a + len(kept)
+        while have < b:
+            pieces.append(next(self._pieces))
+            have += len(pieces[-1])
+        if len(pieces) > 1:
+            kept = np.concatenate(pieces)
+        self._frames = kept
+        return kept[:b - a]
+
+
+def _segment_trunks(branch, clip_trunk: _ClipTrunk, x: np.ndarray, chunk, n_t: int, halo: int):
+    """The trunk output of each segment of `x` (starts `chunk`) on its own,
+    (len(chunk), seg_len, gru_in).
 
     Frames further than `halo` from a segment edge come from the clip
     trunk.  Within `halo` of an edge the clip does not share, the segment's
-    zero padding shows, so those frames are recomputed from a strip of
-    2 * halo frames (at most the segment) flush against that edge.
+    zero padding shows, so those frames are recomputed from the strip of
+    2 * halo frames flush against that edge.  When such strips would cover
+    the whole segment, the segment goes through the trunk as it is.
     """
-    n_t = data.shape[1]
-    strip = min(2 * halo, seg_len)
-    keep = min(halo, seg_len)
-    seg = np.stack([trunk[s:s + seg_len] for s in chunk])
-    jobs = []
-    for row, s in zip(seg, chunk):
+    seg_len = x.shape[2]
+    strip = 2 * halo
+    if seg_len <= strip:
+        return branch.forward_trunk(x)
+    a = chunk[0]
+    span = clip_trunk.span(a, chunk[-1] + seg_len)
+    seg = np.stack([span[s - a:s - a + seg_len] for s in chunk])
+    jobs = []  # (input strip, destination, rows of the strip's output kept)
+    for i, s in enumerate(chunk):
         if s > 0:
-            jobs.append((s, row[:keep], slice(0, keep)))
+            jobs.append((x[i, :, :strip], seg[i, :halo], slice(0, halo)))
         if s + seg_len < n_t:
-            jobs.append((s + seg_len - strip, row[seg_len - keep:], slice(strip - keep, strip)))
-    _trunk_into(branch, data, strip, MAX_BATCH * seg_len // strip, jobs)
+            jobs.append((x[i, :, -strip:], seg[i, -halo:], slice(halo, strip)))
+    per_call = MAX_BATCH * seg_len // strip  # frames per call as for a batch of segments
+    for lo in range(0, len(jobs), per_call):
+        part = jobs[lo:lo + per_call]
+        ys = branch.forward_trunk(np.stack([strip_x for strip_x, _, _ in part]))
+        for (_, dest, rows), y in zip(part, ys):
+            dest[...] = y[rows]
     return seg
 
 
@@ -153,26 +166,27 @@ def _shared_trunk_inference(model, fs: FeatureStack, seg_len: int, shift: int) -
     In eval mode every trunk layer acts on time only through 3x3 convs
     (NetDeconv is pointwise and pooling is over frequency), so a segment's
     trunk output is the clip's except near its edges (`NetConfig.time_halo`).
-    The BiGRU head runs per segment, and outputs are averaged as there.
+    The `predict_batch` handed to `sliding_inference` splices each
+    segment's trunk output from the clip trunk and edge strips, then runs
+    the BiGRU head per segment; outputs are averaged as for any model.
     """
     if model.training:
         # batch statistics would make outputs depend on how segments are batched
         raise ValueError("the network is in training mode; call .eval() before inference")
     data = _pad_to_segment(fs.data, seg_len)
-    branches, combine = _network_parts(model)
+    n_t = data.shape[1]
     halo = model.cfg.time_halo
-    trunks = [_clip_trunk(b, data, seg_len, halo) for b in branches]
-    starts = _segment_starts(data.shape[1], seg_len, shift)
+    clip_trunks = [_ClipTrunk(b, data, seg_len, halo) for b in model.branches]
+    starts = iter(_segment_starts(n_t, seg_len, shift))
 
-    def outputs():
-        for lo in range(0, len(starts), MAX_BATCH):
-            chunk = starts[lo:lo + MAX_BATCH]
-            yield from zip(chunk, combine(*(
-                b.forward_head(_segment_trunks(b, data, trunk, chunk, seg_len, halo))
-                for b, trunk in zip(branches, trunks)
-            )))
+    def predict_batch(x):
+        chunk = [next(starts) for _ in range(len(x))]  # segments arrive in start order
+        return model.combine(*(
+            b.forward_head(_segment_trunks(b, t, x, chunk, n_t, halo))
+            for b, t in zip(model.branches, clip_trunks)
+        ))
 
-    return _overlap_average(data.shape[1], seg_len, outputs())[:fs.data.shape[1]]
+    return sliding_inference(predict_batch, fs, seg_len, shift)
 
 
 def rotation_tta(predict_clip, clip: AmbisonicClip, patterns=ALL_PATTERNS) -> np.ndarray:
@@ -194,9 +208,9 @@ class Predictor:
     The model's `predict_batch` maps (B, 7, T, F) feature batches to
     (B, T, N, 3) sequences.  Produces 10-ms-rate (T, N, 3) sequences via
     overlapped segments, with optional rotation averaging, and label-rate
-    sequences for decoding.  Networks (RD3NetLite, TwoStageNet) must be in
-    eval mode; they share one trunk pass over the clip between segments.
-    Other models go through `sliding_inference`.
+    sequences for decoding.  Every model goes through `sliding_inference`.
+    Networks (RD3NetLite, TwoStageNet) must be in eval mode; their segments
+    share one trunk pass over the clip.
     """
 
     def __init__(

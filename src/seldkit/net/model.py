@@ -172,9 +172,15 @@ class RD3NetLite(Module):
         self.cfg = cfg
         rng = np.random.default_rng(seed)
         self.branch = self.register_child("branch", SeldBranch(cfg, 3, "tanh", rng, dtype))
+        self.branches = (self.branch,)
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         return self.branch.forward(x)
+
+    @staticmethod
+    def combine(y: np.ndarray) -> np.ndarray:
+        """The network's output from its branch outputs: the one branch's."""
+        return y
 
     predict_batch = forward
 
@@ -196,10 +202,16 @@ class TwoStageNet(Module):
         rng = np.random.default_rng(seed)
         self.sed = self.register_child("sed", SeldBranch(cfg, 1, "sigmoid", rng, dtype))
         self.doa = self.register_child("doa", SeldBranch(cfg, 3, "tanh", rng, dtype))
+        self.branches = (self.sed, self.doa)
 
     def copy_trunk_to_doa(self) -> None:
         state = {k: v.copy() for k, v in self.sed.trunk.state_dict().items()}
         self.doa.trunk.load_state_dict(state)
 
+    @staticmethod
+    def combine(sed: np.ndarray, doa: np.ndarray) -> np.ndarray:
+        """The network's output from its branch outputs: activity-coupled vectors."""
+        return compose_accdoa(sed, doa)
+
     def predict_batch(self, x: np.ndarray) -> np.ndarray:
-        return compose_accdoa(self.sed.forward(x), self.doa.forward(x))
+        return self.combine(*(b.forward(x) for b in self.branches))

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from seldkit.accdoa import compose_accdoa, decode_accdoa, pool_to_label_rate
 from seldkit.augment import ALL_PATTERNS, RotationPattern
 from seldkit.features import FeatureStack, StftConfig, extract_features
+from seldkit import infer
 from seldkit.infer import Predictor, rotation_tta, sliding_inference
 from seldkit.intensity import IntensityVectorModel
 from seldkit.metrics import evaluate
@@ -151,6 +153,71 @@ class TestPredictorNetworks:
         clip, _ = make_clip(seed=4)
         with pytest.raises(ValueError, match=r"\.eval\(\)"):
             Predictor(model, STFT, seg_len=64, shift=24).predict_clip(clip)
+
+    @pytest.mark.parametrize("kind", ["rd3net", "two-stage"])
+    def test_networks_go_through_sliding_inference(self, kind, monkeypatch):
+        # the segments reach sliding_inference's predict_batch as for any model
+        seen = []
+
+        def counting(predict_batch, fs, seg_len, shift):
+            def counted(x):
+                seen.append(x.shape)
+                return predict_batch(x)
+            return sliding_inference(counted, fs, seg_len, shift)
+
+        monkeypatch.setattr(infer, "sliding_inference", counting)
+        model, _ = self.network(kind)
+        data = np.random.default_rng(0).standard_normal((7, 170, NET.f_bins))
+        Predictor(model, STFT, seg_len=40, shift=17).predict_features(FeatureStack(data))
+        assert [shape[0] for shape in seen] == [infer.MAX_BATCH, 1]  # starts 0, 17, ..., 119 and 130
+        assert all(shape[1:] == (7, 40, NET.f_bins) for shape in seen)
+
+    @pytest.mark.parametrize("seg_len, shift, n_t, segment_frames", [
+        pytest.param(40, 4, 300, 0, id="clip-trunk-and-strips"),
+        pytest.param(14, 4, 300, 1, id="strips-cover-segments"),
+    ])
+    def test_trunk_work_and_call_size(self, seg_len, shift, n_t, segment_frames):
+        # every trunk call holds at most a segment batch's frames; with room
+        # between the edge strips each frame goes through the trunk about
+        # once plus 2 * halo per segment edge, otherwise each segment once
+        model, _ = self.network("rd3net")
+        calls = []
+        trunk = model.branch.forward_trunk
+
+        def recorded(x):
+            calls.append(x.shape[0] * x.shape[2])
+            return trunk(x)
+
+        model.branch.forward_trunk = recorded
+        data = np.random.default_rng(0).standard_normal((7, n_t, NET.f_bins))
+        Predictor(model, STFT, seg_len=seg_len, shift=shift).predict_features(FeatureStack(data))
+        n_seg = len(range(0, n_t - seg_len + 1, shift)) + ((n_t - seg_len) % shift > 0)
+        halo = NET.time_halo
+        assert max(calls) <= infer.MAX_BATCH * seg_len
+        if segment_frames:
+            assert sum(calls) == n_seg * seg_len
+        else:
+            windows = math.ceil((n_t - seg_len) / (seg_len - 2 * halo)) + 1
+            assert sum(calls) == windows * seg_len + (2 * n_seg - 2) * 2 * halo
+
+    def test_memory_does_not_grow_with_the_clip(self):
+        # the clip trunk is kept only around the current segments: four
+        # times the clip adds about its output, not its trunk (gru_in floats a frame)
+        model, _ = self.network("rd3net")
+        rng = np.random.default_rng(0)
+
+        def peak(n_t):
+            fs = FeatureStack(rng.standard_normal((7, n_t, NET.f_bins)))
+            predictor = Predictor(model, STFT, seg_len=32, shift=8)
+            tracemalloc.start()
+            predictor.predict_features(fs)
+            top = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+            return top
+
+        peak(200)  # allocates the layers' workspaces
+        growth = peak(1600) - peak(400)
+        assert growth < 1200 * NET.gru_in * 4 / 4
 
     @staticmethod
     def network(kind):
