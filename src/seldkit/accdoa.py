@@ -138,9 +138,9 @@ def compose_accdoa(activity: np.ndarray, doa: np.ndarray) -> np.ndarray:
     return np.asarray(activity)[..., None] * unit
 
 
-def expand_to_frame_rate(seq: np.ndarray, n_frames: int, factor: int = LABEL_FRAME_FACTOR) -> np.ndarray:
+def expand_to_frame_rate(seq: np.ndarray, n_frames: int) -> np.ndarray:
     """Repeat label-rate values onto the 10 ms frame grid, trimmed to n_frames."""
-    out = np.repeat(np.asarray(seq), factor, axis=0)
+    out = np.repeat(np.asarray(seq), LABEL_FRAME_FACTOR, axis=0)
     if out.shape[0] < n_frames:
         raise ValueError("label sequence too short for requested frame count")
     return out[:n_frames]
@@ -163,10 +163,11 @@ def load_accdoa(path) -> np.ndarray:
     return data.astype(np.float64)
 
 
-def pool_to_label_rate(seq: np.ndarray, factor: int = LABEL_FRAME_FACTOR) -> np.ndarray:
+def pool_to_label_rate(seq: np.ndarray) -> np.ndarray:
     """Mean-pool 10 ms frames to 100 ms label frames (partial last group kept)."""
     seq = np.asarray(seq)
     n = seq.shape[0]
+    factor = LABEL_FRAME_FACTOR
     n_full = n // factor
     full = seq[: n_full * factor].reshape(n_full, factor, *seq.shape[1:]).mean(axis=1)
     if n_full * factor == n:

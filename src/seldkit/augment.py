@@ -17,6 +17,7 @@ from scipy import signal as sps
 from .scene import AmbisonicClip, DoaAngles, Event, EventList, LABEL_FRAME_SAMPLES, wrap_azimuth
 
 _TWO_PI = 2.0 * math.pi
+MAX_SECONDARIES = 2  # secondaries `emda_mix` adds to one primary
 
 
 @dataclass(frozen=True)
@@ -118,8 +119,8 @@ def emda_mix(
     `max_tries` times and then dropped.  Output length equals the primary.
     """
     clip, events = primary
-    if len(secondaries) > 2:
-        raise ValueError("at most two secondaries are mixed")
+    if len(secondaries) > MAX_SECONDARIES:
+        raise ValueError(f"at most {MAX_SECONDARIES} secondaries are mixed")
     sr = clip.sample_rate
     out = clip.samples.copy()
     n_frames = events.n_frames

@@ -17,7 +17,7 @@ from .ensemble import combine, ensemble_mse, fit_weights, read_weights_csv, writ
 from .features import StftConfig
 from .infer import DEFAULT_SEG_LEN, DEFAULT_SHIFT, Predictor
 from .metrics import DEFAULT_THRESHOLD_DEG, MetricsAccumulator, metrics_csv_header, metrics_csv_row
-from .net.checkpoint import KIND_ACCDOA, KIND_TWO_STAGE, load_model, save_model
+from .net.checkpoint import KIND_ACCDOA, KIND_TWO_STAGE, config_section, load_model, save_model
 from .net.model import NetConfig, RD3NetLite, TwoStageNet
 from .net.optim import TrainConfig
 from .net.train import AugmentOptions, SceneBatchStream, train_single_stage, train_two_stage
@@ -81,17 +81,12 @@ def read_config(path=None) -> dict:
     return merged
 
 
-def _section(merged: dict, section: str) -> dict:
-    prefix = section + "."
-    return {key[len(prefix):]: value for key, value in merged.items() if key.startswith(prefix)}
-
-
 def _configs_from(merged: dict, seed: int):
-    scene_cfg = SceneConfig(rng_seed=seed, **_section(merged, "scene"))
-    stft_cfg = StftConfig(**_section(merged, "stft"))
+    scene_cfg = SceneConfig(rng_seed=seed, **config_section(merged, "scene"))
+    stft_cfg = StftConfig(**config_section(merged, "stft"))
     net_cfg = NetConfig(n_classes=scene_cfg.n_classes, f_bins=stft_cfg.n_bins,
-                        **_section(merged, "net"))
-    train_cfg = TrainConfig(**_section(merged, "train"))
+                        **config_section(merged, "net"))
+    train_cfg = TrainConfig(**config_section(merged, "train"))
     return scene_cfg, stft_cfg, net_cfg, train_cfg
 
 
@@ -136,7 +131,7 @@ def cmd_train(args) -> int:
     augment = AugmentOptions(emda=args.emda, rotate=args.rotate, specaug=args.specaug)
     stream = SceneBatchStream(
         scene_cfg, stft_cfg, train_cfg.batch_size, train_cfg.input_frames,
-        seed=args.seed, augment=augment, workers=args.workers, **_section(merged, "data"),
+        seed=args.seed, augment=augment, workers=args.workers, **config_section(merged, "data"),
     )
     extra = {**merged, "train.seed": args.seed, "train.iters": args.iters, "train.mode": args.mode}
     if args.mode == "accdoa":

@@ -14,14 +14,16 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.signal import get_window
 
-from .scene import AmbisonicClip
+from .accdoa import LABEL_FRAME_FACTOR
+from .scene import LABEL_FRAME_SAMPLES, AmbisonicClip
 
 _TWO_PI = 2.0 * np.pi
+FEATURE_CHANNELS = 7  # amplitudes of [W, Y, Z, X], then 3 phase differences
 
 
 @dataclass(frozen=True)
 class StftConfig:
-    """STFT framing; defaults are 20 ms windows with 10 ms hop at 24 kHz."""
+    """STFT framing: 20 ms windows by default; the hop is the 10 ms target frame grid."""
 
     win_len: int = 480
     hop: int = 240
@@ -31,6 +33,9 @@ class StftConfig:
     def __post_init__(self):
         if not (0 < self.hop <= self.win_len <= self.fft_size):
             raise ValueError("require 0 < hop <= win_len <= fft_size")
+        if self.hop * LABEL_FRAME_FACTOR != LABEL_FRAME_SAMPLES:
+            raise ValueError(f"hop {self.hop}: the label grid needs a 10 ms hop, "
+                             f"{LABEL_FRAME_SAMPLES // LABEL_FRAME_FACTOR} samples")
 
     @property
     def n_bins(self) -> int:
@@ -54,8 +59,8 @@ class FeatureStack:
 
     def __post_init__(self):
         self.data = np.asarray(self.data)
-        if self.data.ndim != 3 or self.data.shape[0] != 7:
-            raise ValueError(f"expected (7, T, F), got {self.data.shape}")
+        if self.data.ndim != 3 or self.data.shape[0] != FEATURE_CHANNELS:
+            raise ValueError(f"expected ({FEATURE_CHANNELS}, T, F), got {self.data.shape}")
 
     @property
     def n_frames(self) -> int:

@@ -16,31 +16,30 @@ import math
 import numpy as np
 
 from .features import FeatureStack, StftConfig
-from .scene import class_center_frequencies
+from .scene import SAMPLE_RATE, class_center_frequencies
+
+_BAND_OCTAVES = 1.0 / 3.0    # width of each class band, as in the class signatures
+_ACTIVITY_FLOOR = 1e-12      # intensity norm below which a band has no direction
 
 
 class IntensityVectorModel:
     """ACCDOA-style predictions from time-frequency intensity vectors."""
 
-    def __init__(self, n_classes: int, band_bins: list, activity_floor: float = 1e-12):
+    def __init__(self, n_classes: int, band_bins: list):
         self.n_classes = n_classes
         self.band_bins = [np.asarray(b, dtype=int) for b in band_bins]
         if len(self.band_bins) != n_classes:
             raise ValueError("one bin set per class required")
-        self.activity_floor = activity_floor
 
     @classmethod
-    def for_scene_classes(
-        cls, n_classes: int, stft_cfg: StftConfig, sample_rate: int = 24000,
-        band_octaves: float = 1.0 / 3.0,
-    ) -> "IntensityVectorModel":
-        """Bands matching the synthetic class signatures (1/3-octave default)."""
+    def for_scene_classes(cls, n_classes: int, stft_cfg: StftConfig) -> "IntensityVectorModel":
+        """1/3-octave bands matching the synthetic class signatures."""
         centers = class_center_frequencies(n_classes)
-        hz_per_bin = sample_rate / stft_cfg.fft_size
+        hz_per_bin = SAMPLE_RATE / stft_cfg.fft_size
         bands = []
         for fc in centers:
-            lo = int(math.floor(fc * 2.0 ** (-band_octaves / 2.0) / hz_per_bin))
-            hi = int(math.ceil(fc * 2.0 ** (band_octaves / 2.0) / hz_per_bin))
+            lo = int(math.floor(fc * 2.0 ** (-_BAND_OCTAVES / 2.0) / hz_per_bin))
+            hi = int(math.ceil(fc * 2.0 ** (_BAND_OCTAVES / 2.0) / hz_per_bin))
             bands.append(np.arange(max(lo, 1), min(hi + 1, stft_cfg.n_bins)))
         return cls(n_classes, bands)
 
@@ -61,7 +60,7 @@ class IntensityVectorModel:
                 axis=1,
             )
             norms = np.linalg.norm(vec, axis=1, keepdims=True)
-            direction = np.divide(vec, norms, out=np.zeros_like(vec), where=norms > self.activity_floor)
+            direction = np.divide(vec, norms, out=np.zeros_like(vec), where=norms > _ACTIVITY_FLOOR)
             band_power = power[:, bins].sum(axis=1)
             peak = band_power.max()
             activity = band_power / peak if peak > 0 else band_power

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..features import StftConfig
+from ..features import FEATURE_CHANNELS, StftConfig
 from ..intensity import IntensityVectorModel
 from .model import NetConfig, RD3NetLite, TwoStageNet
 
@@ -32,6 +32,9 @@ _DATA_MARK = b"[data]\n"
 KIND_ACCDOA = "accdoa"
 KIND_TWO_STAGE = "two-stage"
 KIND_INTENSITY = "intensity"
+
+# keys that older checkpoints record for what is now fixed, with the one value they held
+_FIXED_NET_KEYS = {"net.in_channels": FEATURE_CHANNELS, "net.output_activation": "tanh"}
 
 
 @dataclass
@@ -88,6 +91,8 @@ def load_checkpoint(path) -> Checkpoint:
             shape = () if shape_s == "scalar" else tuple(int(d) for d in shape_s.split("x"))
             count = int(np.prod(shape)) if shape else 1
             start = int(offset_s)
+            if start + 4 * count > len(payload):
+                raise ValueError(f"{path}: tensor {name} runs past the end of the data (truncated file?)")
             arr = np.frombuffer(payload, dtype="<f4", count=count, offset=start)
             tensors[name] = arr.reshape(shape).astype(np.float32)
         else:
@@ -109,51 +114,57 @@ def _scalar(value: str):
     return value
 
 
-def _sub_config(config: dict, prefix: str) -> dict:
-    out = {}
-    for key, value in config.items():
-        if key.startswith(prefix + "."):
-            out[key[len(prefix) + 1:]] = _scalar(value)
-    return out
+def config_section(config: dict, section: str) -> dict:
+    """The `section.name` entries of a flat config, keyed by `name`."""
+    prefix = section + "."
+    return {key[len(prefix):]: value for key, value in config.items() if key.startswith(prefix)}
 
 
-def build_config_dict(net_cfg: NetConfig | None, stft_cfg: StftConfig, extra: dict | None = None) -> dict:
-    config = {f"stft.{k}": v for k, v in vars(stft_cfg).items()}
-    if net_cfg is not None:
-        config.update({f"net.{k}": v for k, v in net_cfg.to_dict().items()})
-    if extra:
-        config.update(extra)
-    return config
+def _keyed(section: str, cfg) -> dict:
+    return {f"{section}.{name}": value for name, value in vars(cfg).items()}
 
 
-def save_model(path, kind: str, model, net_cfg: NetConfig | None, stft_cfg: StftConfig,
+def _rebuild(cls, config: dict, section: str, path):
+    """`cls` from one config section; any bad entry raises a ValueError naming the file."""
+    try:
+        return cls(**config_section(config, section))
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: bad {section}.* entries: {exc}") from None
+
+
+def save_model(path, kind: str, model, net_cfg: NetConfig, stft_cfg: StftConfig,
                extra: dict | None = None) -> None:
-    tensors = model.state_dict() if model is not None and kind != KIND_INTENSITY else {}
-    save_checkpoint(path, kind, build_config_dict(net_cfg, stft_cfg, extra), tensors)
+    config = {**_keyed("stft", stft_cfg), **_keyed("net", net_cfg), **(extra or {})}
+    save_checkpoint(path, kind, config, model.state_dict())
 
 
 def save_intensity_checkpoint(path, n_classes: int, stft_cfg: StftConfig,
                               extra: dict | None = None) -> None:
-    config = build_config_dict(None, stft_cfg, extra)
-    config["net.n_classes"] = n_classes
+    config = {**_keyed("stft", stft_cfg), **(extra or {}), "net.n_classes": n_classes}
     save_checkpoint(path, KIND_INTENSITY, config, {})
 
 
 def load_model(path):
     """Rebuild (kind, model, net_cfg or None, stft_cfg, config) from a file."""
     ckpt = load_checkpoint(path)
-    stft_cfg = StftConfig(**_sub_config(ckpt.config, "stft"))
-    net_entries = _sub_config(ckpt.config, "net")
+    config = {key: _scalar(value) for key, value in ckpt.config.items()}
+    stft_cfg = _rebuild(StftConfig, config, "stft", path)
     if ckpt.kind == KIND_INTENSITY:
-        model = IntensityVectorModel.for_scene_classes(net_entries["n_classes"], stft_cfg)
+        model = IntensityVectorModel.for_scene_classes(config["net.n_classes"], stft_cfg)
         return ckpt.kind, model, None, stft_cfg, ckpt.config
-    net_cfg = NetConfig(**net_entries)
+    for key, fixed in _FIXED_NET_KEYS.items():
+        if config.pop(key, fixed) != fixed:
+            raise ValueError(f"{path}: {key} can only be {fixed}")
+    net_cfg = _rebuild(NetConfig, config, "net", path)
     if ckpt.kind == KIND_ACCDOA:
         model = RD3NetLite(net_cfg)
     elif ckpt.kind == KIND_TWO_STAGE:
         model = TwoStageNet(net_cfg)
     else:
-        raise ValueError(f"unknown checkpoint kind {ckpt.kind!r}")
-    model.load_state_dict(ckpt.tensors)
+        raise ValueError(f"{path}: unknown checkpoint kind {ckpt.kind!r}")
+    try:
+        model.load_state_dict(ckpt.tensors)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     model.eval()
     return ckpt.kind, model, net_cfg, stft_cfg, ckpt.config

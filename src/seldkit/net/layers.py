@@ -12,6 +12,9 @@ from __future__ import annotations
 import numpy as np
 from scipy.linalg import get_blas_funcs
 
+WHITEN_EPS = 1e-5          # added to the channel covariance's diagonal before whitening
+_RUNNING_MOMENTUM = 0.1    # weight of each training batch in NetDeconv's running statistics
+
 
 def _gemm_acc(out2d: np.ndarray, a2d: np.ndarray, b2d: np.ndarray) -> np.ndarray:
     """out += a @ b without temporaries.
@@ -92,9 +95,9 @@ class Module:
     def load_state_dict(self, state: dict):
         own = dict(self.named_parameters())
         own.update(dict(self.named_buffers()))
-        missing = set(own) - set(state)
-        if missing:
-            raise ValueError(f"missing tensors: {sorted(missing)}")
+        missing, unexpected = sorted(set(own) - set(state)), sorted(set(state) - set(own))
+        if missing or unexpected:
+            raise ValueError(f"missing tensors {missing}, unexpected tensors {unexpected}")
         for name, arr in own.items():
             src = np.asarray(state[name])
             if src.shape != arr.shape:
@@ -190,10 +193,10 @@ class Conv2d(Module):
         return dx2.reshape(B, T, F, C)
 
 
-def _inv_sqrt_psd(cov: np.ndarray, eps: float) -> np.ndarray:
-    """(cov + eps*I)^(-1/2) via symmetric eigendecomposition (float64)."""
+def _inv_sqrt_psd(cov: np.ndarray) -> np.ndarray:
+    """(cov + WHITEN_EPS*I)^(-1/2) via symmetric eigendecomposition (float64)."""
     c = cov.astype(np.float64)
-    c[np.diag_indices_from(c)] += eps
+    c[np.diag_indices_from(c)] += WHITEN_EPS
     w, v = np.linalg.eigh(c)
     return (v * (1.0 / np.sqrt(w))) @ v.T
 
@@ -202,17 +205,15 @@ class NetDeconv(Module):
     """Channel-whitening normalization replacing batch norm.
 
     Training mode subtracts the per-channel mean and multiplies by the
-    inverse square root of the (eps-regularized) channel covariance, both
-    computed over all batch/time/freq locations and treated as constants in
-    the backward pass.  Running statistics (momentum 0.1) are used in eval
-    mode.
+    inverse square root of the (WHITEN_EPS-regularized) channel covariance,
+    both computed over all batch/time/freq locations and treated as
+    constants in the backward pass.  Running statistics (momentum 0.1) are
+    used in eval mode.
     """
 
-    def __init__(self, channels: int, eps: float = 1e-5, momentum: float = 0.1, dtype=np.float32):
+    def __init__(self, channels: int, dtype=np.float32):
         super().__init__()
         self.channels = channels
-        self.eps = eps
-        self.momentum = momentum
         self.dtype = dtype
         self.register_buffer("running_mean", np.zeros(channels, dtype=dtype))
         self.register_buffer("running_cov", np.eye(channels, dtype=dtype))
@@ -233,14 +234,14 @@ class NetDeconv(Module):
                 cov = (xc.T @ xc) / x2.shape[0]
             if not np.all(np.isfinite(cov)):
                 raise FloatingPointError("non-finite channel covariance")
-            m = self.momentum
+            m = _RUNNING_MOMENTUM
             self.buffers["running_mean"][...] = (1 - m) * self.buffers["running_mean"] + m * mu
             self.buffers["running_cov"][...] = (1 - m) * self.buffers["running_cov"] + m * cov
         else:
             mu = self.buffers["running_mean"]
             cov = self.buffers["running_cov"]
             np.subtract(x2, mu, out=xc)
-        self._whiten = _inv_sqrt_psd(cov, self.eps).astype(self.dtype)
+        self._whiten = _inv_sqrt_psd(cov).astype(self.dtype)
         y = self._ws("y", x2.shape, self.dtype)
         np.matmul(xc, self._whiten, out=y)
         return y.reshape(shape)

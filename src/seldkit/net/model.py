@@ -10,11 +10,12 @@ share the trunk architecture.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 
 import numpy as np
 
 from ..accdoa import compose_accdoa
+from ..features import FEATURE_CHANNELS
 from .layers import BiGru, ConvUnit, DenseBlock, FreqPool, Linear, Module, Sigmoid, Tanh
 
 
@@ -22,18 +23,14 @@ from .layers import BiGru, ConvUnit, DenseBlock, FreqPool, Linear, Module, Sigmo
 class NetConfig:
     n_classes: int
     f_bins: int = 257
-    in_channels: int = 7
     stem_channels: int = 16
     growth: int = 8
     layers_per_block: int = 3
     n_blocks: int = 2
     freq_pool: int = 4
     gru_hidden: int = 64
-    output_activation: str = "tanh"
 
     def __post_init__(self):
-        if self.output_activation != "tanh":
-            raise ValueError("only the tanh output activation is supported")
         if self.f_trimmed < self.total_pool:
             raise ValueError(f"f_bins {self.f_bins} too small for pooling {self.total_pool}")
 
@@ -70,9 +67,6 @@ class NetConfig:
         """
         return 1 + self.n_blocks * (2 ** self.layers_per_block - 1)
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 class ConvTrunk(Module):
     """Stem conv unit, then alternating dense blocks and frequency pooling."""
@@ -81,7 +75,7 @@ class ConvTrunk(Module):
         super().__init__()
         self.cfg = cfg
         self.stem = self.register_child(
-            "stem", ConvUnit(cfg.in_channels, cfg.stem_channels, 1, rng, dtype)
+            "stem", ConvUnit(FEATURE_CHANNELS, cfg.stem_channels, 1, rng, dtype)
         )
         self.stem.conv.needs_input_grad = False  # nothing upstream to train
         ch = cfg.stem_channels
@@ -122,8 +116,8 @@ class SeldBranch(Module):
         self.dtype = dtype
 
     def _check_input(self, x: np.ndarray):
-        if x.ndim != 4 or x.shape[1] != self.cfg.in_channels:
-            raise ValueError(f"expected (B, {self.cfg.in_channels}, T, F), got {x.shape}")
+        if x.ndim != 4 or x.shape[1] != FEATURE_CHANNELS:
+            raise ValueError(f"expected (B, {FEATURE_CHANNELS}, T, F), got {x.shape}")
         if x.shape[3] != self.cfg.f_bins:
             raise ValueError(f"expected F = {self.cfg.f_bins}, got {x.shape[3]}")
 
@@ -131,7 +125,7 @@ class SeldBranch(Module):
         return self.forward_head(self.forward_trunk(x))
 
     def forward_trunk(self, x: np.ndarray) -> np.ndarray:
-        """(B, in_channels, T, F) features -> (B, T, gru_in) trunk output."""
+        """(B, 7, T, F) features -> (B, T, gru_in) trunk output."""
         self._check_input(x)
         cfg = self.cfg
         # channels-last, trimmed to a pool-divisible number of bins

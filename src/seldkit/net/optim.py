@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 
 import numpy as np
+
+_BETA1 = 0.9     # decay of the first-moment estimate
+_BETA2 = 0.999   # decay of the second-moment estimate
+_EPS = 1e-8      # added to the root of the second moment
 
 
 @dataclass(frozen=True)
@@ -15,17 +19,11 @@ class TrainConfig:
     weight_decay: float = 1e-6
     batch_size: int = 32
     input_frames: int = 1024
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     def __post_init__(self):
         for name in ("lr", "lr_decay", "decay_interval", "batch_size", "input_frames"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def learning_rate(cfg: TrainConfig, iteration: int) -> float:
@@ -48,17 +46,17 @@ class Adam:
         cfg = self.cfg
         self.t += 1
         lr = learning_rate(cfg, iteration)
-        b1c = 1.0 - cfg.beta1 ** self.t
-        b2c = 1.0 - cfg.beta2 ** self.t
+        b1c = 1.0 - _BETA1 ** self.t
+        b2c = 1.0 - _BETA2 ** self.t
         for name, p in self.params.items():
             g = grads[name]
             m = self.m[name]
             v = self.v[name]
-            m *= cfg.beta1
-            m += (1.0 - cfg.beta1) * g
-            v *= cfg.beta2
-            v += (1.0 - cfg.beta2) * (g * g)
-            update = (m / b1c) / (np.sqrt(v / b2c) + cfg.eps)
+            m *= _BETA1
+            m += (1.0 - _BETA1) * g
+            v *= _BETA2
+            v += (1.0 - _BETA2) * (g * g)
+            update = (m / b1c) / (np.sqrt(v / b2c) + _EPS)
             p -= lr * update
             if cfg.weight_decay:
                 p -= lr * cfg.weight_decay * p

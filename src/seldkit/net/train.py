@@ -10,6 +10,7 @@ import numpy as np
 from ..accdoa import encode_accdoa, expand_to_frame_rate
 from ..augment import (
     ALL_PATTERNS,
+    MAX_SECONDARIES,
     SpecAugmentConfig,
     emda_mix,
     rotate_events,
@@ -17,7 +18,7 @@ from ..augment import (
     spec_augment,
 )
 from ..features import StftConfig, extract_features
-from ..scene import AmbisonicClip, SceneConfig, synth_scene
+from ..scene import LABEL_FRAME_SAMPLES, AmbisonicClip, SceneConfig, synth_scene
 from .losses import loss_bce, loss_masked_mse, loss_mse
 from .model import RD3NetLite, TwoStageNet
 from .optim import Adam, TrainConfig
@@ -31,18 +32,17 @@ class AugmentOptions:
     rotate: bool = True
     specaug: bool = True
     spec_cfg: SpecAugmentConfig = field(default_factory=SpecAugmentConfig)
-    max_secondaries: int = 2
 
 
 class SceneBatchStream:
     """Generates (features, targets) batches from synthetic scenes.
 
     A pool of rendered scenes plus a bank of single-event scenes is drawn
-    once at construction; each training sample then picks a pool scene,
-    optionally mixes in secondaries, rotates, crops a random window of
-    `input_frames` STFT frames, and masks features.  `pool_scenes=0`
-    synthesizes a fresh scene per sample instead.  Batches are a pure
-    function of (seed, iteration), whatever the worker count.
+    once at construction (both read-only afterwards); each training sample
+    then picks a pool scene, optionally mixes in secondaries from the bank,
+    rotates, crops a random window of `input_frames` STFT frames, and masks
+    features.  Batches are a pure function of (seed, iteration), whatever
+    the worker count.
     """
 
     def __init__(
@@ -64,38 +64,29 @@ class SceneBatchStream:
         self.seed = seed
         self.augment = augment
         self.workers = max(1, workers)
-        total_samples = scene_cfg.n_label_frames * (scene_cfg.sample_rate // 10)
+        for key, value in (("pool_scenes", pool_scenes), ("secondary_bank", secondary_bank)):
+            if value < 1:
+                raise ValueError(f"data.{key} must be >= 1, got {value}")
+        total_samples = scene_cfg.n_label_frames * LABEL_FRAME_SAMPLES
         if stft_cfg.n_frames(total_samples) < input_frames:
             raise ValueError("scene too short for the requested input_frames")
 
         pool_rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, 0)))
-        self.pool = []
-        for _ in range(pool_scenes):
-            self.pool.append(synth_scene(scene_cfg, pool_rng))
-        self._secondary_cfg = replace(scene_cfg, n_events=1, max_polyphony=1)
-        self.bank = []
-        if augment.emda:
-            for _ in range(secondary_bank):
-                self.bank.append(synth_scene(self._secondary_cfg, pool_rng))
+        self.pool = [synth_scene(scene_cfg, pool_rng) for _ in range(pool_scenes)]
+        secondary_cfg = replace(scene_cfg, n_events=1, max_polyphony=1)
+        n_bank = secondary_bank if augment.emda else 0
+        self.bank = [synth_scene(secondary_cfg, pool_rng) for _ in range(n_bank)]
+        # samples are shared by every batch: augmentations must copy, never write
+        for clip, _events in self.pool + self.bank:
+            clip.samples.flags.writeable = False
 
     def _sample(self, rng: np.random.Generator):
-        cfg = self.scene_cfg
-        if self.pool:
-            clip, events = self.pool[int(rng.integers(len(self.pool)))]
-        else:
-            clip, events = synth_scene(cfg, rng)
-        mixed = False
+        clip, events = self.pool[int(rng.integers(len(self.pool)))]
         if self.augment.emda:
-            n_sec = int(rng.integers(0, self.augment.max_secondaries + 1))
+            n_sec = int(rng.integers(0, MAX_SECONDARIES + 1))
             if n_sec:
-                if self.bank:
-                    secs = [self.bank[int(rng.integers(len(self.bank)))] for _ in range(n_sec)]
-                else:
-                    secs = [synth_scene(self._secondary_cfg, rng) for _ in range(n_sec)]
+                secs = [self.bank[int(rng.integers(len(self.bank)))] for _ in range(n_sec)]
                 clip, events = emda_mix((clip, events), secs, rng)
-                mixed = True
-        if self.pool and not mixed:
-            clip = clip.copy()
         if self.augment.rotate:
             r = ALL_PATTERNS[int(rng.integers(len(ALL_PATTERNS)))]
             clip = rotate_foa(clip, r)
@@ -112,7 +103,7 @@ class SceneBatchStream:
         if self.augment.specaug:
             fs = spec_augment(fs, self.augment.spec_cfg, rng)
 
-        seq = expand_to_frame_rate(encode_accdoa(events, cfg.n_classes), t0 + self.input_frames)
+        seq = expand_to_frame_rate(encode_accdoa(events, self.scene_cfg.n_classes), t0 + self.input_frames)
         doa = seq[t0:].astype(np.float32)
         activity = (np.linalg.norm(doa, axis=-1) > 0).astype(np.float32)
         return fs.data.astype(np.float32), activity, doa

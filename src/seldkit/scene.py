@@ -26,6 +26,8 @@ LABEL_FRAMES_PER_SECOND = 10          # 100 ms label frames
 LABEL_FRAME_SAMPLES = SAMPLE_RATE // LABEL_FRAMES_PER_SECOND
 
 _TWO_PI = 2.0 * math.pi
+_EVENT_GAIN_RANGE = (0.5, 1.0)          # linear gain drawn per event
+_FADE_SAMPLES = SAMPLE_RATE // 100      # 10 ms fade-in and fade-out per event
 
 
 def wrap_azimuth(phi: float) -> float:
@@ -130,9 +132,6 @@ class AmbisonicClip:
     def duration_s(self) -> float:
         return self.n_samples / self.sample_rate
 
-    def copy(self) -> "AmbisonicClip":
-        return AmbisonicClip(self.samples.copy(), self.sample_rate)
-
 
 @dataclass
 class Event:
@@ -194,10 +193,8 @@ class SceneConfig:
     max_polyphony: int = 2
     n_events: int = 3
     rng_seed: int = 0
-    sample_rate: int = SAMPLE_RATE
     min_event_frames: int = 5      # label frames (100 ms each)
     max_event_frames: int = 15
-    gain_range: tuple = (0.5, 1.0)
     elevation_range: tuple = (-math.pi / 4, math.pi / 4)
 
     def __post_init__(self):
@@ -243,7 +240,6 @@ def class_signature(
     duration_s: float,
     rng: np.random.Generator,
     n_classes: int = 14,
-    sample_rate: int = SAMPLE_RATE,
 ) -> np.ndarray:
     """Deterministic class-specific mono signal.
 
@@ -253,16 +249,16 @@ def class_signature(
     """
     if not 0 <= class_id < n_classes:
         raise ValueError(f"class_id {class_id} outside [0, {n_classes})")
-    n = int(round(duration_s * sample_rate))
+    n = int(round(duration_s * SAMPLE_RATE))
     fc = class_center_frequencies(n_classes)[class_id]
     lo = fc * 2.0 ** (-1.0 / 6.0)
-    hi = min(fc * 2.0 ** (1.0 / 6.0), 0.499 * sample_rate)
+    hi = fc * 2.0 ** (1.0 / 6.0)  # at most 10.1 kHz, below Nyquist at 24 kHz
     noise = rng.standard_normal(n)
-    sos = sps.butter(4, [lo, hi], btype="bandpass", fs=sample_rate, output="sos")
+    sos = sps.butter(4, [lo, hi], btype="bandpass", fs=SAMPLE_RATE, output="sos")
     band = sps.sosfiltfilt(sos, noise)
     am_rate = 0.5 + class_id * 0.35
     phase = rng.uniform(0.0, _TWO_PI)
-    t = np.arange(n) / sample_rate
+    t = np.arange(n) / SAMPLE_RATE
     env = 0.6 + 0.4 * np.sin(_TWO_PI * am_rate * t + phase)
     out = band * env
     peak = np.max(np.abs(out))
@@ -271,18 +267,16 @@ def class_signature(
     return out
 
 
-def _fade_edges(signal: np.ndarray, sample_rate: int, fade_ms: float = 10.0) -> np.ndarray:
-    n = min(int(fade_ms * 1e-3 * sample_rate), signal.shape[0] // 2)
-    if n == 0:
-        return signal
-    ramp = np.linspace(0.0, 1.0, n)
+def _fade_edges(signal: np.ndarray) -> np.ndarray:
+    # every event spans whole 100 ms label frames, far longer than two fades
+    ramp = np.linspace(0.0, 1.0, _FADE_SAMPLES)
     signal = signal.copy()
-    signal[:n] *= ramp
-    signal[-n:] *= ramp[::-1]
+    signal[:_FADE_SAMPLES] *= ramp
+    signal[-_FADE_SAMPLES:] *= ramp[::-1]
     return signal
 
 
-def render_events(placed, n_label_frames: int, sample_rate: int = SAMPLE_RATE) -> AmbisonicClip:
+def render_events(placed, n_label_frames: int) -> AmbisonicClip:
     """Sum plane-wave encodings of (Event, mono signal) pairs, no normalization."""
     total = n_label_frames * LABEL_FRAME_SAMPLES
     mix = np.zeros((4, total))
@@ -294,7 +288,7 @@ def render_events(placed, n_label_frames: int, sample_rate: int = SAMPLE_RATE) -
         # static-per-frame trajectories: all frames share one DOA in this generator
         clip = encode_plane_wave(sig, ev.trajectory[0])
         mix[:, start:stop] += clip.samples
-    return AmbisonicClip(mix, sample_rate)
+    return AmbisonicClip(mix)
 
 
 def synth_scene(cfg: SceneConfig, rng: np.random.Generator | None = None):
@@ -323,15 +317,15 @@ def synth_scene(cfg: SceneConfig, rng: np.random.Generator | None = None):
             az = rng.uniform(-math.pi, math.pi)
             el = rng.uniform(*cfg.elevation_range)
             d = DoaAngles(az, el)
-            gain = rng.uniform(*cfg.gain_range)
-            sig = class_signature(class_id, dur * 0.1, rng, cfg.n_classes, cfg.sample_rate)
-            sig = _fade_edges(sig * gain, cfg.sample_rate)
+            gain = rng.uniform(*_EVENT_GAIN_RANGE)
+            sig = class_signature(class_id, dur * 0.1, rng, cfg.n_classes)
+            sig = _fade_edges(sig * gain)
             ev = Event(class_id, onset, onset + dur, [d] * dur)
             placed.append((ev, sig))
             poly[span] += 1
             class_busy[span, class_id] = True
             break
-    clip = render_events(placed, n_frames, cfg.sample_rate)
+    clip = render_events(placed, n_frames)
     peak = np.max(np.abs(clip.samples))
     if peak > 0:
         clip.samples *= 0.5 / peak
@@ -391,27 +385,36 @@ def read_label_csv(path, n_frames: int | None = None) -> EventList:
     """Read the label CSV back into an EventList.
 
     Rows of one (class, track) pair are grouped; contiguous label frames
-    form one event.  `n_frames` defaults to the highest frame + 1.
+    form one event.  `n_frames` defaults to the highest frame + 1.  Line 1
+    may be a header; a malformed or repeated row raises `ValueError("path:line: ...")`.
     """
     per_track: dict = {}
-    max_frame = -1
     with open(path, newline="") as f:
-        for row in csv.reader(f):
-            if not row:
-                continue
+        reader = csv.reader(f)
+        for row in reader:
+            if not row or (reader.line_num == 1 and not row[0].strip().lstrip("-").isdigit()):
+                continue  # blank line, or a header on line 1
+            where = f"{path}:{reader.line_num}"
+            if len(row) != 5:
+                raise ValueError(f"{where}: expected 5 fields "
+                                 f"(frame,class,track,azimuth,elevation), got {len(row)}")
             try:
-                frame = int(row[0])
-            except ValueError:
-                continue  # tolerate a header line
-            class_id, track = int(row[1]), int(row[2])
-            az, el = math.radians(float(row[3])), math.radians(float(row[4]))
-            per_track.setdefault((class_id, track), []).append((frame, DoaAngles(az, el)))
-            max_frame = max(max_frame, frame)
+                frame, class_id, track = (int(v) for v in row[:3])
+                az, el = float(row[3]), float(row[4])
+                if min(frame, class_id, track) < 0 or not (math.isfinite(az) and math.isfinite(el)):
+                    raise ValueError("negative frame, class or track, or non-finite angle")
+                d = DoaAngles(math.radians(az), math.radians(el))
+            except ValueError as exc:
+                raise ValueError(f"{where}: bad row {','.join(row)!r}: {exc}") from None
+            frames = per_track.setdefault((class_id, track), {})
+            if frame in frames:
+                raise ValueError(f"{where}: class {class_id} track {track} frame {frame} listed twice")
+            frames[frame] = d
     if n_frames is None:
-        n_frames = max_frame + 1
+        n_frames = 1 + max((f for track in per_track.values() for f in track), default=-1)
     events = []
-    for (class_id, _track), entries in sorted(per_track.items()):
-        entries.sort(key=lambda e: e[0])
+    for (class_id, _track), frames in sorted(per_track.items()):
+        entries = sorted(frames.items())
         run_start = 0
         for i in range(1, len(entries) + 1):
             if i == len(entries) or entries[i][0] != entries[i - 1][0] + 1:

@@ -9,9 +9,9 @@ from scipy.io import wavfile
 from seldkit.accdoa import dump_accdoa, load_accdoa, encode_accdoa
 from seldkit.cli import _configs_from, main, read_config
 from seldkit.features import StftConfig
-from seldkit.net.checkpoint import load_checkpoint, save_intensity_checkpoint
+from seldkit.net.checkpoint import KIND_ACCDOA, load_checkpoint, save_intensity_checkpoint, save_model
 from seldkit.net.model import NetConfig, RD3NetLite
-from seldkit.scene import DoaAngles, Event, EventList, read_label_csv, write_label_csv
+from seldkit.scene import SAMPLE_RATE, DoaAngles, Event, EventList, read_label_csv, write_label_csv
 
 TINY_CONFIG = """
 # desk-scale test configuration
@@ -31,6 +31,9 @@ train.input_frames = 32
 data.pool_scenes = 4
 data.secondary_bank = 4
 """
+
+TINY_NET = NetConfig(n_classes=3, f_bins=129, stem_channels=4, growth=3,
+                     layers_per_block=2, n_blocks=2, freq_pool=2, gru_hidden=4)
 
 
 @pytest.fixture
@@ -116,8 +119,18 @@ class TestTrain:
 
     def test_default_scene_holds_one_input(self):
         scene_cfg, stft_cfg, _, train_cfg = _configs_from(read_config(None), 0)
-        n_samples = int(round(scene_cfg.duration_s * scene_cfg.sample_rate))
+        n_samples = int(round(scene_cfg.duration_s * SAMPLE_RATE))
         assert stft_cfg.n_frames(n_samples) >= train_cfg.input_frames
+
+    def test_coarse_hop_rejected(self, tmp_path, tiny_config, capsys):
+        config = Path(tiny_config)
+        text = config.read_text().replace("stft.hop = 240", "stft.hop = 480")
+        config.write_text(text.replace("win_len = 256", "win_len = 480").replace("fft_size = 256", "fft_size = 512"))
+        code = main(["train", "--config", str(config), "--iters", "0",
+                     "--out", str(tmp_path / "model.ckpt")])
+        assert code == 2
+        assert "hop 480" in capsys.readouterr().err
+        assert not (tmp_path / "model.ckpt").exists()
 
     def test_checkpoint_records_effective_config(self, tmp_path, tiny_config):
         ckpt = tmp_path / "model.ckpt"
@@ -185,6 +198,25 @@ class TestInferEval:
         assert code == 2
         assert f"seg_len {seg_len}, shift {shift}" in capsys.readouterr().err
         assert not (tmp_path / "pred.csv").exists()
+
+    def test_eval_rejects_short_label_row(self, tmp_path, capsys):
+        _, labels = self.setup_scene(tmp_path)
+        pred = tmp_path / "pred.csv"
+        pred.write_text(labels.read_text() + "5,1,0,10\n")
+        code = main(["eval", "--pred", str(pred), "--ref", str(labels), "--classes", "3"])
+        assert code == 2
+        assert "pred.csv:" in capsys.readouterr().err
+
+    def test_infer_rejects_unknown_checkpoint_key(self, tmp_path, capsys):
+        wav, _ = self.setup_scene(tmp_path)
+        ckpt = tmp_path / "model.ckpt"
+        save_model(ckpt, KIND_ACCDOA, RD3NetLite(TINY_NET), TINY_NET,
+                   StftConfig(win_len=256, hop=240, fft_size=256), {"net.dropout": 0.5})
+        code = main(["infer", "--ckpt", str(ckpt), "--in", str(wav),
+                     "--out", str(tmp_path / "pred.csv")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "model.ckpt: bad net.* entries" in err and "'dropout'" in err
 
     def test_eval_identical_files_is_perfect(self, tmp_path):
         _, labels = self.setup_scene(tmp_path)

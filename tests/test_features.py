@@ -46,6 +46,12 @@ class TestStft:
         with pytest.raises(ValueError):
             StftConfig(win_len=480, hop=240, fft_size=256)
 
+    @pytest.mark.parametrize("hop", [120, 480])
+    def test_hop_must_match_label_grid(self, hop):
+        # targets and label-rate outputs assume ten 10 ms frames per 100 ms label
+        with pytest.raises(ValueError, match=f"hop {hop}"):
+            StftConfig(win_len=480, hop=hop, fft_size=512)
+
 
 class TestFeatureStack:
     def test_identical_channels_zero_ipd(self):

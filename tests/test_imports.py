@@ -1,4 +1,5 @@
-"""Every name a `src/seldkit` module imports is used in that module."""
+"""Every name a `src/seldkit` module imports is used in that module, and
+every private module-level name it defines is read in that module."""
 
 import ast
 from pathlib import Path
@@ -23,10 +24,49 @@ def unused_imports(source: str) -> list:
     return sorted((line, name) for name, line in imported.items() if name not in used)
 
 
+def unreferenced_private_names(source: str) -> list:
+    """Module-level `_name` functions, classes and constants never read in the module."""
+    tree = ast.parse(source)
+    defined = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, ast.Assign):
+            names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names = [node.target.id]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                defined[name] = node.lineno
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return sorted((line, name) for name, line in defined.items() if name not in read)
+
+
 def test_detects_unused_import():
     assert unused_imports("import os\nfrom a import b, c as d\nd()\n") == [(1, "os"), (2, "b")]
+
+
+def test_detects_unreferenced_private_names():
+    source = (
+        "def _a(): pass\n"
+        "def _b(): return _c\n"
+        "_c = 1\n"
+        "class _D: pass\n"
+        "_e: int = 2\n"
+        "__all__ = ['_a']\n"
+        "def public(): return _e\n"
+    )
+    assert unreferenced_private_names(source) == [(1, "_a"), (2, "_b"), (4, "_D")]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(SRC)))
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(SRC)))
+def test_no_unreferenced_private_names(path):
+    assert unreferenced_private_names(path.read_text()) == []

@@ -20,6 +20,7 @@ from seldkit.net.layers import (
     NetDeconv,
     Sigmoid,
     Tanh,
+    WHITEN_EPS,
 )
 from seldkit.net.losses import loss_bce, loss_masked_mse, loss_mse
 
@@ -206,7 +207,7 @@ class TestDeconvSemantics:
         layer = NetDeconv(1, dtype=np.float64).train()
         y = layer.forward(x)
         flat = x.reshape(-1)
-        expected = (flat - flat.mean()) / np.sqrt(flat.var() + layer.eps)
+        expected = (flat - flat.mean()) / np.sqrt(flat.var() + WHITEN_EPS)
         np.testing.assert_allclose(y.reshape(-1), expected, rtol=1e-9)
 
     def test_eval_uses_running_statistics(self):

@@ -177,6 +177,53 @@ class TestCheckpoint:
         x = np.random.default_rng(4).standard_normal((1, 7, 8, 16)).astype(np.float32)
         assert loaded.predict_batch(x).shape == (1, 8, 3, 3)
 
+    def saved_model(self, tmp_path):
+        model = RD3NetLite(tiny_config(), seed=5).eval()
+        path = tmp_path / "model.ckpt"
+        save_model(path, KIND_ACCDOA, model, tiny_config(), StftConfig())
+        return model, path
+
+    @staticmethod
+    def add_header_lines(path, *lines):
+        raw = path.read_bytes()
+        head, sep, rest = raw.partition(b"[tensors]\n")
+        path.write_bytes(head + "".join(f"{line}\n" for line in lines).encode() + sep + rest)
+
+    def test_fixed_keys_of_older_checkpoints_load(self, tmp_path):
+        # headers written before these values became constants carry them
+        model, path = self.saved_model(tmp_path)
+        self.add_header_lines(path, "net.in_channels = 7", "net.output_activation = tanh")
+        _kind, loaded, net_cfg, _stft, _config = load_model(path)
+        assert net_cfg == tiny_config()
+        x = np.random.default_rng(6).standard_normal((1, 7, 8, 16)).astype(np.float32)
+        np.testing.assert_array_equal(loaded.forward(x), model.forward(x))
+
+    @pytest.mark.parametrize("line, key", [
+        ("net.in_channels = 5", "net.in_channels"),
+        ("net.output_activation = sigmoid", "net.output_activation"),
+        ("net.dropout = 0.5", r"net\.\* entries: .*'dropout'"),
+        ("stft.center = 1", r"stft\.\* entries: .*'center'"),
+    ])
+    def test_other_header_values_rejected(self, tmp_path, line, key):
+        _model, path = self.saved_model(tmp_path)
+        self.add_header_lines(path, line)
+        with pytest.raises(ValueError, match=f"model.ckpt: .*{key}"):
+            load_model(path)
+
+    def test_truncated_payload_rejected(self, tmp_path):
+        _model, path = self.saved_model(tmp_path)
+        path.write_bytes(path.read_bytes()[:-10])
+        with pytest.raises(ValueError, match=r"model.ckpt: tensor \S+ runs past the end"):
+            load_model(path)
+
+    def test_unexpected_tensor_rejected(self, tmp_path):
+        _model, path = self.saved_model(tmp_path)
+        ckpt = load_checkpoint(path)
+        ckpt.tensors["branch.extra.W"] = np.zeros(3, dtype=np.float32)
+        save_checkpoint(path, ckpt.kind, ckpt.config, ckpt.tensors)
+        with pytest.raises(ValueError, match=r"model.ckpt: missing tensors \[\], unexpected tensors \['branch.extra.W'\]"):
+            load_model(path)
+
 
 class TestTwoStageSemantics:
     def test_trunk_copy_bit_identical(self):

@@ -57,10 +57,26 @@ class TestStream:
         for key in b1:
             assert np.array_equal(b1[key], b2[key]), key
 
-    def test_fresh_synthesis_mode(self):
-        stream = make_stream(seed=1, pool_scenes=0, secondary_bank=2)
-        batch = stream.batch(0)
-        assert batch["x"].shape[0] == 2
+    @pytest.mark.parametrize("key", ["pool_scenes", "secondary_bank"])
+    def test_empty_pool_or_bank_rejected(self, key):
+        with pytest.raises(ValueError, match=f"data.{key} must be >= 1, got 0"):
+            make_stream(**{key: 0})
+
+    @pytest.mark.parametrize("emda", [False, True])
+    @pytest.mark.parametrize("rotate", [False, True])
+    def test_pool_and_bank_are_read_only(self, emda, rotate):
+        stream = SceneBatchStream(
+            SCENE, STFT, 4, TRAIN.input_frames, seed=2, pool_scenes=2, secondary_bank=2,
+            augment=AugmentOptions(emda=emda, rotate=rotate, specaug=False),
+        )
+        shared = stream.pool + stream.bank
+        assert len(shared) == (4 if emda else 2)
+        assert not any(clip.samples.flags.writeable for clip, _events in shared)
+        before = [clip.samples.copy() for clip, _events in shared]
+        for it in range(3):
+            stream.batch(it)
+        for (clip, _events), samples in zip(shared, before):
+            assert np.array_equal(clip.samples, samples)
 
     def test_scene_too_short_rejected(self):
         with pytest.raises(ValueError, match="input_frames"):

@@ -222,3 +222,36 @@ class TestFileFormats:
         loaded = read_label_csv(path, n_frames=6)
         spans = sorted((ev.onset, ev.offset) for ev in loaded.events)
         assert spans == [(0, 2), (4, 5)]
+
+
+class TestLabelCsvRejects:
+    GOOD = "0,1,0,10,0\n1,1,0,10,0\n"
+
+    def read(self, tmp_path, text):
+        path = tmp_path / "labels.csv"
+        path.write_text(text)
+        return read_label_csv(path)
+
+    def test_header_allowed_on_line_one(self, tmp_path):
+        loaded = self.read(tmp_path, "frame,class,track,azimuth,elevation\n" + self.GOOD)
+        assert [(ev.class_id, ev.onset, ev.offset) for ev in loaded.events] == [(1, 0, 2)]
+
+    @pytest.mark.parametrize("text, line, message", [
+        # a mistyped frame between two good rows used to split one event in two
+        ("0,1,0,10,0\n1O,1,0,10,0\n2,1,0,10,0\n", 2, "bad row"),
+        ("0,1,0,10,0\nframe,class,track,azimuth,elevation\n", 2, "bad row"),
+        ("0,1,0,10,0\n1,1,0,10\n", 2, "expected 5 fields"),
+        ("0,1,0,10,0,3\n", 1, "expected 5 fields"),
+        ("0,1,0,east,0\n", 1, "bad row"),
+        ("0,1,0,nan,0\n", 1, "non-finite angle"),
+        ("-1,1,0,10,0\n", 1, "negative frame"),
+        ("0,1,0,10,95\n", 1, "elevation"),
+        ("0,1,0,10,0\n0,1,0,20,0\n", 2, "listed twice"),
+    ])
+    def test_bad_rows_rejected_with_path_and_line(self, tmp_path, text, line, message):
+        with pytest.raises(ValueError, match=f"labels.csv:{line}: .*{message}"):
+            self.read(tmp_path, text)
+
+    def test_same_frame_on_two_tracks_allowed(self, tmp_path):
+        loaded = self.read(tmp_path, "0,1,0,10,0\n0,1,1,-90,0\n")
+        assert len(loaded.events) == 2
