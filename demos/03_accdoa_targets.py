@@ -3,15 +3,14 @@
 Each (label frame, class) cell holds a 3-vector whose norm is the event
 activity and whose direction is the source direction.  Encoding ground
 truth and decoding a thresholded sequence are exact inverses, and the
-detection-then-localization variant factors the same information into an
-activity mask plus masked unit vectors.
+detection-then-localization variant reads the same target: its activity
+is where the vector norms are nonzero, as the training batch stream
+derives it.
 """
 
 import numpy as np
 
-from seldkit.accdoa import (
-    angular_distance, decode_accdoa, encode_accdoa, make_two_stage_targets,
-)
+from seldkit.accdoa import angular_distance, decode_accdoa, encode_accdoa
 from seldkit.scene import SceneConfig, synth_scene
 
 cfg = SceneConfig(n_classes=3, duration_s=3.0, n_events=3, rng_seed=21)
@@ -40,8 +39,8 @@ print(f"scaled to norm 0.8, threshold 0.5 -> {len(decode_accdoa(0.8 * seq).event
       "(direction is scale-invariant)")
 
 # --- the two-stage factorization ---------------------------------------------
-targets = make_two_stage_targets(events, cfg.n_classes)
-recomposed = targets.activity[..., None] * targets.doa
-print(f"\ntwo-stage targets: activity {targets.activity.shape}, doa {targets.doa.shape}")
+activity = (norms > 0).astype(float)
+recomposed = activity[..., None] * seq
+print(f"\ntwo-stage targets: activity {activity.shape} from the norms, doa {seq.shape}")
 print(f"activity * doa reproduces the coupled target exactly: "
       f"{np.array_equal(recomposed, seq)}")

@@ -13,7 +13,6 @@ from .accdoa import (
     compose_accdoa,
     decode_accdoa,
     encode_accdoa,
-    make_two_stage_targets,
     pool_to_label_rate,
 )
 from .augment import ALL_PATTERNS, RotationPattern, SpecAugmentConfig, emda_mix, rotate_accdoa, rotate_angles, rotate_foa, spec_augment
@@ -27,7 +26,6 @@ from .scene import (
     Event,
     EventList,
     SceneConfig,
-    doa_to_unit_vec,
     encode_plane_wave,
     class_signature,
     synth_scene,

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -105,25 +104,6 @@ def pairwise_angular_distance(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     ub = b / np.linalg.norm(b, axis=1, keepdims=True)
     dots = np.clip(ua @ ub.T, -1.0, 1.0)
     return np.degrees(np.arccos(dots))
-
-
-@dataclass
-class TwoStageTargets:
-    """Targets for the detection-then-localization training scheme."""
-
-    activity: np.ndarray   # (T, N) in {0, 1}
-    doa: np.ndarray        # (T, N, 3) unit vectors where active, else 0
-
-    @property
-    def mask(self) -> np.ndarray:
-        return self.activity
-
-
-def make_two_stage_targets(events: EventList, n_classes: int, n_frames: int | None = None) -> TwoStageTargets:
-    """Split ground truth into an activity indicator and masked DOA vectors."""
-    seq = encode_accdoa(events, n_classes, n_frames)
-    activity = (np.linalg.norm(seq, axis=2) > 0).astype(float)
-    return TwoStageTargets(activity=activity, doa=seq)
 
 
 def compose_accdoa(activity: np.ndarray, doa: np.ndarray) -> np.ndarray:

@@ -14,10 +14,13 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import signal as sps
 
-from .scene import AmbisonicClip, DoaAngles, Event, EventList, LABEL_FRAME_SAMPLES, wrap_azimuth
+from .scene import (
+    LABEL_FRAME_SAMPLES, SAMPLE_RATE, AmbisonicClip, DoaAngles, Event, EventList, wrap_azimuth,
+)
 
 _TWO_PI = 2.0 * math.pi
 MAX_SECONDARIES = 2  # secondaries `emda_mix` adds to one primary
+_EMDA_MAX_TRIES = 10  # draws per secondary before `emda_mix` drops it
 
 
 @dataclass(frozen=True)
@@ -31,18 +34,6 @@ class RotationPattern:
     def __post_init__(self):
         if self.azimuth_sign not in (1, -1) or self.elevation_sign not in (1, -1):
             raise ValueError("signs must be +1 or -1")
-
-    @classmethod
-    def identity(cls) -> "RotationPattern":
-        return cls()
-
-    def compose(self, other: "RotationPattern") -> "RotationPattern":
-        """Pattern equivalent to applying `self` first, then `other`."""
-        return RotationPattern(
-            azimuth_sign=self.azimuth_sign * other.azimuth_sign,
-            add_pi=self.add_pi != other.add_pi,
-            elevation_sign=self.elevation_sign * other.elevation_sign,
-        )
 
     @property
     def vector_signs(self) -> tuple:
@@ -71,7 +62,7 @@ def rotate_foa(clip: AmbisonicClip, r: RotationPattern) -> AmbisonicClip:
     """Rotate a FOA clip; W is untouched, Y/Z/X flip sign per pattern."""
     fx, fy, fz = r.vector_signs
     s = clip.samples
-    return AmbisonicClip(np.stack([s[0], fy * s[1], fz * s[2], fx * s[3]]), clip.sample_rate)
+    return AmbisonicClip(np.stack([s[0], fy * s[1], fz * s[2], fx * s[3]]))
 
 
 def rotate_accdoa(seq: np.ndarray, r: RotationPattern) -> np.ndarray:
@@ -88,10 +79,10 @@ def rotate_events(events: EventList, r: RotationPattern) -> EventList:
     return EventList(out, events.n_frames)
 
 
-def _peaking_eq_coeffs(center_hz: float, gain_db: float, q: float, sample_rate: int):
-    """RBJ peaking equalizer biquad, normalized so a0 = 1."""
+def _peaking_eq_coeffs(center_hz: float, gain_db: float, q: float):
+    """RBJ peaking equalizer biquad at SAMPLE_RATE, normalized so a0 = 1."""
     a = 10.0 ** (gain_db / 40.0)
-    w0 = _TWO_PI * center_hz / sample_rate
+    w0 = _TWO_PI * center_hz / SAMPLE_RATE
     alpha = math.sin(w0) / (2.0 * q)
     b = np.array([1.0 + alpha * a, -2.0 * math.cos(w0), 1.0 - alpha * a])
     den = np.array([1.0 + alpha / a, -2.0 * math.cos(w0), 1.0 - alpha / a])
@@ -108,7 +99,6 @@ def emda_mix(
     eq_center_hz_range=(200.0, 8000.0),
     eq_gain_db_range=(-6.0, 6.0),
     eq_q_range=(0.5, 2.0),
-    max_tries: int = 10,
 ):
     """Equalized mixture augmentation.
 
@@ -116,12 +106,11 @@ def emda_mix(
     random peaking equalizer, and summed onto the primary.  Labels are the
     union with delays applied; a secondary whose events would collide with
     an already-active instance of the same class is re-randomized up to
-    `max_tries` times and then dropped.  Output length equals the primary.
+    `_EMDA_MAX_TRIES` times and then dropped.  Output length equals the primary.
     """
     clip, events = primary
     if len(secondaries) > MAX_SECONDARIES:
         raise ValueError(f"at most {MAX_SECONDARIES} secondaries are mixed")
-    sr = clip.sample_rate
     out = clip.samples.copy()
     n_frames = events.n_frames
     total = out.shape[1]
@@ -133,16 +122,14 @@ def emda_mix(
     ))
 
     for sec_clip, sec_events in secondaries:
-        if sec_clip.sample_rate != sr:
-            raise ValueError("sample rates must match")
         accepted = None
-        for _try in range(max_tries):
+        for _try in range(_EMDA_MAX_TRIES):
             gain_db = rng.uniform(*gain_db_range)
             delay_ms = rng.uniform(*delay_ms_range)
             center = math.exp(rng.uniform(math.log(eq_center_hz_range[0]), math.log(eq_center_hz_range[1])))
             eq_gain = rng.uniform(*eq_gain_db_range)
             q = rng.uniform(*eq_q_range)
-            delay = int(round(delay_ms * 1e-3 * sr))
+            delay = int(round(delay_ms * 1e-3 * SAMPLE_RATE))
             shifted = []
             ok = True
             for ev in sec_events.events:
@@ -163,7 +150,7 @@ def emda_mix(
         if accepted is None:
             continue
         gain_db, delay, center, eq_gain, q, shifted = accepted
-        b, a = _peaking_eq_coeffs(center, eq_gain, q, sr)
+        b, a = _peaking_eq_coeffs(center, eq_gain, q)
         filtered = sps.lfilter(b, a, sec_clip.samples, axis=1)
         gain = 10.0 ** (gain_db / 20.0)
         n = min(sec_clip.n_samples, total - delay)
@@ -174,7 +161,7 @@ def emda_mix(
             merged.append(ev)
 
     merged.sort(key=lambda e: (e.onset, e.class_id))
-    return AmbisonicClip(out, sr), EventList(merged, n_frames)
+    return AmbisonicClip(out), EventList(merged, n_frames)
 
 
 @dataclass(frozen=True)

@@ -17,13 +17,15 @@ from .ensemble import combine, ensemble_mse, fit_weights, read_weights_csv, writ
 from .features import StftConfig
 from .infer import DEFAULT_SEG_LEN, DEFAULT_SHIFT, Predictor
 from .metrics import DEFAULT_THRESHOLD_DEG, MetricsAccumulator, metrics_csv_header, metrics_csv_row
-from .net.checkpoint import KIND_ACCDOA, KIND_TWO_STAGE, config_section, load_model, save_model
+from .net.checkpoint import (
+    KIND_ACCDOA, KIND_TWO_STAGE, config_section, load_model, parse_value, save_model,
+)
 from .net.model import NetConfig, RD3NetLite, TwoStageNet
 from .net.optim import TrainConfig
 from .net.train import AugmentOptions, SceneBatchStream, train_single_stage, train_two_stage
 from .plot import write_timeline
 from .scene import (
-    SAMPLE_RATE, SceneConfig, read_label_csv, read_wav, synth_scene, write_label_csv, write_wav,
+    EventList, SceneConfig, read_label_csv, read_wav, synth_scene, write_label_csv, write_wav,
 )
 
 FORMAT_VERSION = 1
@@ -53,7 +55,8 @@ _CONFIG_DEFAULTS = {
 
 
 def read_config(path=None) -> dict:
-    """Flat `key = value` file merged over the built-in defaults."""
+    """Flat `key = value` file merged over the built-in defaults, each value
+    typed like its default by `parse_value`."""
     merged = dict(_CONFIG_DEFAULTS)
     if path:
         for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
@@ -66,18 +69,10 @@ def read_config(path=None) -> dict:
             key, value = key.strip(), value.strip()
             if key not in merged:
                 raise SystemExit(f"{path}:{lineno}: unknown key {key!r}")
-            if isinstance(merged[key], str):
-                merged[key] = value
-                continue
             try:
-                number = float(value)
-            except ValueError:
-                raise SystemExit(f"{path}:{lineno}: {key} needs a number, got {value!r}") from None
-            if isinstance(merged[key], int):
-                if not number.is_integer():
-                    raise SystemExit(f"{path}:{lineno}: {key} needs an integer, got {value!r}")
-                number = int(number)
-            merged[key] = number
+                merged[key] = parse_value(key, value, type(_CONFIG_DEFAULTS[key]))
+            except ValueError as exc:
+                raise SystemExit(f"{path}:{lineno}: {exc}") from None
     return merged
 
 
@@ -161,10 +156,6 @@ def cmd_train(args) -> int:
 def cmd_infer(args) -> int:
     kind, model, _net_cfg, stft_cfg, _cfg = load_model(args.ckpt)
     clip = read_wav(args.wav)
-    if clip.sample_rate != SAMPLE_RATE:
-        raise ValueError(
-            f"{args.wav}: sample rate {clip.sample_rate} Hz, but models run at {SAMPLE_RATE} Hz"
-        )
     predictor = Predictor(model, stft_cfg, seg_len=args.seg_len, shift=args.shift)
     seq = predictor.label_rate_sequence(clip, tta=args.tta)
     if args.dump_accdoa:
@@ -190,8 +181,11 @@ def _eval_one(pred_spec: str, ref: Path, n_classes: int, threshold: float):
         pairs = [(pred / name, ref / name) for name in names]
     acc = MetricsAccumulator(n_classes=n_classes, threshold_deg=threshold)
     for pred_path, ref_path in pairs:
-        ref_events = read_label_csv(ref_path)
-        acc.update(read_label_csv(pred_path, n_frames=ref_events.n_frames), ref_events)
+        pred_events, ref_events = read_label_csv(pred_path), read_label_csv(ref_path)
+        # one timeline through the last frame of either file; frames where
+        # neither has an event add no counts
+        n_frames = max(pred_events.n_frames, ref_events.n_frames)
+        acc.update(EventList(pred_events.events, n_frames), EventList(ref_events.events, n_frames))
     return acc.finalize()
 
 

@@ -234,8 +234,8 @@ class Predictor:
     def predict_clip(self, clip: AmbisonicClip) -> np.ndarray:
         return self.predict_features(extract_features(clip, self.stft_cfg))
 
-    def predict_clip_tta(self, clip: AmbisonicClip, patterns=ALL_PATTERNS) -> np.ndarray:
-        return rotation_tta(self.predict_clip, clip, patterns)
+    def predict_clip_tta(self, clip: AmbisonicClip) -> np.ndarray:
+        return rotation_tta(self.predict_clip, clip)
 
     def label_rate_sequence(self, clip: AmbisonicClip, tta: bool = False) -> np.ndarray:
         seq = self.predict_clip_tta(clip) if tta else self.predict_clip(clip)

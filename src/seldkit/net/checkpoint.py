@@ -19,6 +19,7 @@ no tensors; the model is rebuilt from its config alone.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import get_type_hints
 
 import numpy as np
 
@@ -105,13 +106,24 @@ def load_checkpoint(path) -> Checkpoint:
     return Checkpoint(kind=kind, config=config, tensors=tensors)
 
 
-def _scalar(value: str):
-    for cast in (int, float):
-        try:
-            return cast(value)
-        except ValueError:
-            continue
-    return value
+def parse_value(key: str, text: str, kind: type):
+    """`text` as a `kind` (str, int or float) value of config key `key`.
+
+    The one rule for typing `key = value` text, in config files and in
+    checkpoint headers: numbers must parse, and an int must be integral
+    ("3.0" is 3, "2.5" is rejected).
+    """
+    if kind is str:
+        return text
+    try:
+        number = float(text)
+    except ValueError:
+        raise ValueError(f"{key} needs a number, got {text!r}") from None
+    if kind is int:
+        if not number.is_integer():
+            raise ValueError(f"{key} needs an integer, got {text!r}")
+        return int(number)
+    return number
 
 
 def config_section(config: dict, section: str) -> dict:
@@ -124,10 +136,24 @@ def _keyed(section: str, cfg) -> dict:
     return {f"{section}.{name}": value for name, value in vars(cfg).items()}
 
 
-def _rebuild(cls, config: dict, section: str, path):
-    """`cls` from one config section; any bad entry raises a ValueError naming the file."""
+def _header_value(path, config: dict, key: str, kind: type):
+    """A header value typed by `parse_value`; errors name the file and the key."""
+    if key not in config:
+        raise ValueError(f"{path}: missing {key}")
     try:
-        return cls(**config_section(config, section))
+        return parse_value(key, config[key], kind)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
+def _rebuild(cls, config: dict, section: str, path):
+    """`cls` from one header section, each value typed by its field's
+    annotation; any bad entry raises a ValueError naming the file."""
+    types = get_type_hints(cls)
+    kwargs = {name: _header_value(path, config, f"{section}.{name}", types.get(name, str))
+              for name in config_section(config, section)}
+    try:
+        return cls(**kwargs)
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{path}: bad {section}.* entries: {exc}") from None
 
@@ -147,14 +173,16 @@ def save_intensity_checkpoint(path, n_classes: int, stft_cfg: StftConfig,
 def load_model(path):
     """Rebuild (kind, model, net_cfg or None, stft_cfg, config) from a file."""
     ckpt = load_checkpoint(path)
-    config = {key: _scalar(value) for key, value in ckpt.config.items()}
+    config = dict(ckpt.config)
     stft_cfg = _rebuild(StftConfig, config, "stft", path)
     if ckpt.kind == KIND_INTENSITY:
-        model = IntensityVectorModel.for_scene_classes(config["net.n_classes"], stft_cfg)
+        n_classes = _header_value(path, config, "net.n_classes", int)
+        model = IntensityVectorModel.for_scene_classes(n_classes, stft_cfg)
         return ckpt.kind, model, None, stft_cfg, ckpt.config
     for key, fixed in _FIXED_NET_KEYS.items():
-        if config.pop(key, fixed) != fixed:
+        if key in config and _header_value(path, config, key, type(fixed)) != fixed:
             raise ValueError(f"{path}: {key} can only be {fixed}")
+        config.pop(key, None)
     net_cfg = _rebuild(NetConfig, config, "net", path)
     if ckpt.kind == KIND_ACCDOA:
         model = RD3NetLite(net_cfg)

@@ -96,17 +96,15 @@ class SceneBatchStream:
         total_frames = stft_cfg.n_frames(clip.n_samples)
         t0 = int(rng.integers(0, total_frames - self.input_frames + 1))
         span = stft_cfg.frame_span(self.input_frames)
-        cropped = AmbisonicClip(
-            clip.samples[:, t0 * stft_cfg.hop: t0 * stft_cfg.hop + span], clip.sample_rate
-        )
+        cropped = AmbisonicClip(clip.samples[:, t0 * stft_cfg.hop: t0 * stft_cfg.hop + span])
         fs = extract_features(cropped, stft_cfg)
         if self.augment.specaug:
             fs = spec_augment(fs, self.augment.spec_cfg, rng)
 
         seq = expand_to_frame_rate(encode_accdoa(events, self.scene_cfg.n_classes), t0 + self.input_frames)
-        doa = seq[t0:].astype(np.float32)
-        activity = (np.linalg.norm(doa, axis=-1) > 0).astype(np.float32)
-        return fs.data.astype(np.float32), activity, doa
+        accdoa = seq[t0:].astype(np.float32)
+        activity = (np.linalg.norm(accdoa, axis=-1) > 0).astype(np.float32)
+        return fs.data.astype(np.float32), activity, accdoa
 
     def batch(self, iteration: int) -> dict:
         ss = np.random.SeedSequence(entropy=(self.seed, 1, iteration))
@@ -118,8 +116,8 @@ class SceneBatchStream:
             samples = [self._sample(rng) for rng in rngs]
         x = np.stack([s[0] for s in samples])
         activity = np.stack([s[1] for s in samples])
-        doa = np.stack([s[2] for s in samples])
-        return {"x": x, "activity": activity, "doa": doa, "accdoa": doa}
+        accdoa = np.stack([s[2] for s in samples])
+        return {"x": x, "activity": activity, "accdoa": accdoa}
 
 
 def _train(phases, stream: SceneBatchStream, cfg: TrainConfig, log_every: int) -> list:
@@ -189,7 +187,7 @@ def train_two_stage(
         return loss_bce(pred, batch["activity"])
 
     def doa_loss(batch, pred):
-        return loss_masked_mse(pred, batch["doa"], batch["activity"])
+        return loss_masked_mse(pred, batch["accdoa"], batch["activity"])
 
     def phases():
         yield "sed", model.sed, sed_loss, iters_sed

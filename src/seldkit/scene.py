@@ -105,17 +105,11 @@ class DoaAngles:
         return hash((self.azimuth, self.elevation))
 
 
-def doa_to_unit_vec(d: DoaAngles) -> np.ndarray:
-    """Cartesian unit vector (cos az cos el, sin az cos el, sin el)."""
-    return d.unit_vec
-
-
 @dataclass
 class AmbisonicClip:
     """4-channel FOA waveform, ACN order [W, Y, Z, X], SN3D gains."""
 
     samples: np.ndarray
-    sample_rate: int = SAMPLE_RATE
 
     def __post_init__(self):
         self.samples = np.asarray(self.samples, dtype=float)
@@ -130,7 +124,7 @@ class AmbisonicClip:
 
     @property
     def duration_s(self) -> float:
-        return self.n_samples / self.sample_rate
+        return self.n_samples / SAMPLE_RATE
 
 
 @dataclass
@@ -339,12 +333,14 @@ def synth_scene(cfg: SceneConfig, rng: np.random.Generator | None = None):
 
 def write_wav(path, clip: AmbisonicClip) -> None:
     """Write a 32-bit float WAV, channels as columns."""
-    wavfile.write(str(path), clip.sample_rate, clip.samples.T.astype(np.float32))
+    wavfile.write(str(path), SAMPLE_RATE, clip.samples.T.astype(np.float32))
 
 
 def read_wav(path) -> AmbisonicClip:
-    """Read a 4-channel WAV; integer PCM is scaled to [-1, 1) by its full scale."""
+    """Read a 4-channel 24 kHz WAV; integer PCM is scaled to [-1, 1) by its full scale."""
     rate, data = wavfile.read(str(path))
+    if rate != SAMPLE_RATE:
+        raise ValueError(f"{path}: sample rate {rate} Hz, but seldkit runs at {SAMPLE_RATE} Hz")
     if data.ndim != 2 or data.shape[1] != 4:
         raise ValueError(f"{path}: expected 4-channel WAV")
     samples = data.T.astype(float)
@@ -353,7 +349,7 @@ def read_wav(path) -> AmbisonicClip:
         half = (float(info.max) - float(info.min) + 1.0) / 2.0
         # the midpoint is 0 for signed PCM and 128 for unsigned 8-bit PCM
         samples = (samples - (info.min + half)) / half
-    return AmbisonicClip(samples, rate)
+    return AmbisonicClip(samples)
 
 
 def write_label_csv(path, events: EventList) -> None:

@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from oracles import random_event_list
+from strategies import event_lists
 from seldkit.accdoa import (
     angular_distance,
     compose_accdoa,
@@ -12,7 +15,6 @@ from seldkit.accdoa import (
     encode_accdoa,
     expand_to_frame_rate,
     load_accdoa,
-    make_two_stage_targets,
     pool_to_label_rate,
 )
 from seldkit.scene import DoaAngles, Event, EventList
@@ -84,6 +86,12 @@ class TestDecode:
             decoded = decode_accdoa(encode_accdoa(ev, 5), threshold=0.5)
             assert events_equal(ev, decoded, tol_deg=0.0)
 
+    @given(data=st.data(), n_classes=st.integers(1, 4))
+    def test_decode_inverts_encode(self, data, n_classes):
+        events = data.draw(event_lists(n_classes))
+        decoded = decode_accdoa(encode_accdoa(events, n_classes))
+        assert events_equal(events, decoded, tol_deg=0.0)
+
     def test_round_trip_any_threshold(self):
         rng = np.random.default_rng(43)
         ev = random_event_list(rng, 3, 12, max_events=3)
@@ -126,42 +134,42 @@ class TestAngularDistance:
         assert angular_distance(u, v) == pytest.approx(angular_distance(5 * u, 0.1 * v), abs=1e-9)
 
 
+def activity_of(seq: np.ndarray) -> np.ndarray:
+    """Two-stage activity targets as the batch stream derives them."""
+    return (np.linalg.norm(seq, axis=-1) > 0).astype(float)
+
+
 class TestTwoStageTargets:
     def test_single_event(self):
         ev = EventList([Event(2, 3, 6, [DoaAngles(math.pi / 2, 0)] * 3)], 8)
-        targets = make_two_stage_targets(ev, 4)
-        assert targets.activity.shape == (8, 4)
-        assert np.all(targets.activity[3:6, 2] == 1)
-        assert targets.activity.sum() == 3
-        np.testing.assert_allclose(targets.doa[3, 2], [0, 1, 0], atol=1e-15)
-        assert np.array_equal(targets.mask, targets.activity)
+        seq = encode_accdoa(ev, 4)
+        activity = activity_of(seq)
+        assert activity.shape == (8, 4)
+        assert np.all(activity[3:6, 2] == 1)
+        assert activity.sum() == 3
+        np.testing.assert_allclose(seq[3, 2], [0, 1, 0], atol=1e-15)
 
     def test_empty(self):
-        targets = make_two_stage_targets(EventList([], 4), 2)
-        assert np.all(targets.activity == 0)
-        assert np.all(targets.doa == 0)
+        seq = encode_accdoa(EventList([], 4), 2)
+        assert np.all(activity_of(seq) == 0)
+        assert np.all(seq == 0)
 
     def test_activity_times_doa_is_encoding(self):
         rng = np.random.default_rng(9)
-        ev = random_event_list(rng, 4, 15)
-        targets = make_two_stage_targets(ev, 4)
-        np.testing.assert_array_equal(
-            targets.activity[..., None] * targets.doa, encode_accdoa(ev, 4)
-        )
+        seq = encode_accdoa(random_event_list(rng, 4, 15), 4)
+        np.testing.assert_array_equal(activity_of(seq)[..., None] * seq, seq)
 
     def test_doa_zero_where_inactive(self):
         rng = np.random.default_rng(10)
-        targets = make_two_stage_targets(random_event_list(rng, 3, 12), 3)
-        inactive = targets.activity == 0
-        assert np.all(targets.doa[inactive] == 0)
+        seq = encode_accdoa(random_event_list(rng, 3, 12), 3)
+        assert np.all(seq[activity_of(seq) == 0] == 0)
 
 
 class TestCompose:
     def test_compose_matches_encode(self):
         rng = np.random.default_rng(11)
-        ev = random_event_list(rng, 3, 10)
-        t = make_two_stage_targets(ev, 3)
-        np.testing.assert_allclose(compose_accdoa(t.activity, t.doa), encode_accdoa(ev, 3), atol=1e-12)
+        seq = encode_accdoa(random_event_list(rng, 3, 10), 3)
+        np.testing.assert_allclose(compose_accdoa(activity_of(seq), seq), seq, atol=1e-12)
 
     def test_compose_normalizes_direction(self):
         activity = np.array([[1.0]])

@@ -218,6 +218,39 @@ class TestInferEval:
         err = capsys.readouterr().err
         assert "model.ckpt: bad net.* entries" in err and "'dropout'" in err
 
+    def test_infer_rejects_non_integral_checkpoint_value(self, tmp_path, capsys):
+        wav, _ = self.setup_scene(tmp_path)
+        ckpt = tmp_path / "model.ckpt"
+        save_model(ckpt, KIND_ACCDOA, RD3NetLite(TINY_NET), TINY_NET,
+                   StftConfig(win_len=256, hop=240, fft_size=256), {"net.growth": 2.5})
+        code = main(["infer", "--ckpt", str(ckpt), "--in", str(wav),
+                     "--out", str(tmp_path / "pred.csv")])
+        assert code == 2
+        assert "model.ckpt: net.growth needs an integer, got '2.5'" in capsys.readouterr().err
+        assert not (tmp_path / "pred.csv").exists()
+
+    def test_infer_rejects_intensity_checkpoint_without_classes(self, tmp_path, capsys):
+        wav, _ = self.setup_scene(tmp_path)
+        ckpt = self.oracle_ckpt(tmp_path)
+        header, sep, rest = ckpt.read_bytes().partition(b"[tensors]\n")
+        lines = [line for line in header.split(b"\n") if not line.startswith(b"net.n_classes")]
+        ckpt.write_bytes(b"\n".join(lines) + sep + rest)
+        code = main(["infer", "--ckpt", str(ckpt), "--in", str(wav),
+                     "--out", str(tmp_path / "pred.csv")])
+        assert code == 2
+        assert "oracle.ckpt: missing net.n_classes" in capsys.readouterr().err
+        assert not (tmp_path / "pred.csv").exists()
+
+    def test_eval_counts_prediction_past_reference_end(self, tmp_path):
+        ref, pred = tmp_path / "ref.csv", tmp_path / "pred.csv"
+        ref.write_text("0,0,0,10,0\n1,0,0,10,0\n")
+        pred.write_text("0,0,0,10,0\n1,0,0,10,0\n5,1,0,-40,0\n")
+        out = tmp_path / "metrics.json"
+        assert main(["eval", "--pred", str(pred), "--ref", str(ref),
+                     "--classes", "2", "--out", str(out)]) == 0
+        counts = json.loads(out.read_text())["counts"]
+        assert (counts["TP"], counts["FP"], counts["FN"], counts["N_ref"]) == (2, 1, 0, 2)
+
     def test_eval_identical_files_is_perfect(self, tmp_path):
         _, labels = self.setup_scene(tmp_path)
         out = tmp_path / "metrics.json"

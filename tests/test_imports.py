@@ -1,13 +1,19 @@
-"""Every name a `src/seldkit` module imports is used in that module, and
-every private module-level name it defines is read in that module."""
+"""Every name a `src/seldkit` module imports is used in that module, every
+private module-level name it defines is read in that module, and every
+seldkit name the demos and the benchmark scripts take still exists."""
 
 import ast
+import importlib
+import inspect
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "seldkit"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "seldkit"
 MODULES = sorted(p for p in SRC.rglob("*.py") if p.name != "__init__.py")
+# read as text only: the demos are slow to run and bench/ is not imported here
+CLIENTS = sorted([*ROOT.glob("demos/*.py"), *ROOT.glob("bench/*.py")])
 
 
 def unused_imports(source: str) -> list:
@@ -45,6 +51,65 @@ def unreferenced_private_names(source: str) -> list:
     return sorted((line, name) for name, line in defined.items() if name not in read)
 
 
+def _is_seldkit(module) -> bool:
+    return isinstance(module, str) and module.split(".")[0] == "seldkit"
+
+
+def seldkit_uses(source: str) -> list:
+    """(line, owner, name) for each seldkit name a script uses: `from
+    seldkit... import name`, `alias.name` where `alias` was imported from
+    seldkit, and ("seldkit.module", "name") string pairs in a tuple or a call."""
+    tree = ast.parse(source)
+    uses, aliases = [], {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 0 and _is_seldkit(node.module):
+            for alias in node.names:
+                uses.append((node.lineno, node.module, alias.name))
+                aliases[alias.asname or alias.name] = f"{node.module}.{alias.name}"
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.asname and _is_seldkit(alias.name):
+                    aliases[alias.asname] = alias.name
+                elif _is_seldkit(alias.name):
+                    aliases["seldkit"] = "seldkit"  # `import seldkit.x` binds the package
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in aliases:
+            uses.append((node.lineno, aliases[node.value.id], node.attr))
+        elif isinstance(node, (ast.Tuple, ast.Call)):
+            items = node.elts if isinstance(node, ast.Tuple) else node.args
+            values = [n.value if isinstance(n, ast.Constant) else None for n in items]
+            for owner, name in zip(values, values[1:]):
+                if _is_seldkit(owner) and isinstance(name, str) and name.isidentifier():
+                    uses.append((node.lineno, owner, name))
+    return sorted(set(uses))
+
+
+def _resolve(dotted: str):
+    """The object a dotted seldkit path names, importing submodules as needed; None if missing."""
+    parts = dotted.split(".")
+    obj = importlib.import_module(parts[0])
+    for i in range(1, len(parts)):
+        if hasattr(obj, parts[i]):
+            obj = getattr(obj, parts[i])
+            continue
+        try:
+            obj = importlib.import_module(".".join(parts[:i + 1]))
+        except ImportError:
+            return None
+    return obj
+
+
+def unresolved(uses: list) -> list:
+    """The uses whose name is missing from its seldkit module; attributes of
+    non-module objects (e.g. `Predictor.x`) are not checked."""
+    missing = []
+    for line, owner, name in uses:
+        base = _resolve(owner)
+        if base is None or (inspect.ismodule(base) and _resolve(f"{owner}.{name}") is None):
+            missing.append((line, owner, name))
+    return missing
+
+
 def test_detects_unused_import():
     assert unused_imports("import os\nfrom a import b, c as d\nd()\n") == [(1, "os"), (2, "b")]
 
@@ -70,3 +135,28 @@ def test_no_unused_imports(path):
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(SRC)))
 def test_no_unreferenced_private_names(path):
     assert unreferenced_private_names(path.read_text()) == []
+
+
+def test_detects_missing_seldkit_names():
+    source = (
+        "import seldkit\n"
+        "from seldkit import cli, gone_a\n"
+        "from seldkit.net import checkpoint\n"
+        "from seldkit.infer import Predictor\n"
+        "seldkit.synth_scene, seldkit.gone_b\n"
+        "checkpoint.load_model, checkpoint.gone_c, cli.main, Predictor.whatever\n"
+        "PATCHED = [('seldkit.scene', 'read_wav', 'x'), ('seldkit.scene', 'gone_d', 'x')]\n"
+        "patch('seldkit.features', 'gone_e')\n"
+    )
+    assert unresolved(seldkit_uses(source)) == [
+        (2, "seldkit", "gone_a"),
+        (5, "seldkit", "gone_b"),
+        (6, "seldkit.net.checkpoint", "gone_c"),
+        (7, "seldkit.scene", "gone_d"),
+        (8, "seldkit.features", "gone_e"),
+    ]
+
+
+@pytest.mark.parametrize("path", CLIENTS, ids=lambda p: str(p.relative_to(ROOT)))
+def test_demo_and_bench_names_exist(path):
+    assert unresolved(seldkit_uses(path.read_text())) == []

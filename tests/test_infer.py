@@ -256,7 +256,7 @@ class TestRotationTta:
         model = IntensityVectorModel.for_scene_classes(3, STFT)
         predictor = Predictor(model, STFT, seg_len=64, shift=16)
         plain = predictor.predict_clip(clip)
-        tta = rotation_tta(predictor.predict_clip, clip, patterns=(RotationPattern.identity(),))
+        tta = rotation_tta(predictor.predict_clip, clip, patterns=(RotationPattern(),))
         np.testing.assert_array_equal(tta, plain)
 
 

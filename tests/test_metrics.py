@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from oracles import exhaustive_metrics, great_circle_deg, random_event_list
+from strategies import event_lists
 from seldkit.metrics import MetricsAccumulator, evaluate, match_frame_class
 from seldkit.augment import ALL_PATTERNS, rotate_events
 from seldkit.scene import DoaAngles, Event, EventList
@@ -144,6 +147,28 @@ class TestEvaluate:
         final = acc.finalize()
         for key, value in totals.items():
             assert final.counts[key] == value
+
+
+class TestProperties:
+    @given(data=st.data(), n_classes=st.integers(1, 4))
+    def test_perfect_prediction_scores(self, data, n_classes):
+        ref = data.draw(event_lists(n_classes, min_events=1))
+        m = evaluate(ref, ref, n_classes)
+        assert m.er_20 == 0.0
+        assert m.f_20 == 100.0
+        assert m.le_cd == pytest.approx(0.0, abs=1e-5)  # arccos of a rounded unit dot
+
+    @given(data=st.data(), n_classes=st.integers(1, 4))
+    def test_scores_do_not_depend_on_event_order(self, data, n_classes):
+        ref = data.draw(event_lists(n_classes))
+        pred = data.draw(event_lists(n_classes, n_frames=ref.n_frames))
+        shuffled = [
+            EventList(data.draw(st.permutations(ev.events)), ev.n_frames) for ev in (pred, ref)
+        ]
+        a = evaluate(pred, ref, n_classes).to_dict()
+        b = evaluate(*shuffled, n_classes).to_dict()
+        assert a.pop("counts") == pytest.approx(b.pop("counts"))
+        assert a == pytest.approx(b, nan_ok=True)
 
 
 class TestGreatCircleAgreement:

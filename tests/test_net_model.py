@@ -203,12 +203,26 @@ class TestCheckpoint:
         ("net.output_activation = sigmoid", "net.output_activation"),
         ("net.dropout = 0.5", r"net\.\* entries: .*'dropout'"),
         ("stft.center = 1", r"stft\.\* entries: .*'center'"),
+        ("net.growth = 2.5", "net.growth needs an integer, got '2.5'"),
+        ("net.n_blocks = two", "net.n_blocks needs a number, got 'two'"),
+        ("stft.win_len = 256.5", "stft.win_len needs an integer, got '256.5'"),
+        ("net.in_channels = 7.5", "net.in_channels needs an integer, got '7.5'"),
     ])
     def test_other_header_values_rejected(self, tmp_path, line, key):
         _model, path = self.saved_model(tmp_path)
         self.add_header_lines(path, line)
         with pytest.raises(ValueError, match=f"model.ckpt: .*{key}"):
             load_model(path)
+
+    def test_integral_header_values_load_as_integers(self, tmp_path):
+        # the same rule as `cli.read_config`: "2.0" is the integer 2
+        model, path = self.saved_model(tmp_path)
+        self.add_header_lines(path, "net.n_blocks = 2.0", "stft.win_len = 480.0")
+        _kind, loaded, net_cfg, stft_cfg, _config = load_model(path)
+        assert net_cfg == tiny_config() and stft_cfg == StftConfig()
+        assert type(net_cfg.n_blocks) is int and type(stft_cfg.win_len) is int
+        x = np.random.default_rng(7).standard_normal((1, 7, 8, 16)).astype(np.float32)
+        np.testing.assert_array_equal(loaded.forward(x), model.forward(x))
 
     def test_truncated_payload_rejected(self, tmp_path):
         _model, path = self.saved_model(tmp_path)

@@ -31,12 +31,11 @@ class TestStream:
         batch = make_stream().batch(0)
         assert batch["x"].shape == (2, 7, 32, 129)
         assert batch["activity"].shape == (2, 32, 3)
-        assert batch["doa"].shape == (2, 32, 3, 3)
         assert batch["accdoa"].shape == (2, 32, 3, 3)
 
     def test_targets_consistent(self):
         batch = make_stream().batch(3)
-        norms = np.linalg.norm(batch["doa"], axis=-1)
+        norms = np.linalg.norm(batch["accdoa"], axis=-1)
         active = batch["activity"] > 0
         assert np.allclose(norms[active], 1.0, atol=1e-6)
         assert np.all(norms[~active] == 0.0)

@@ -11,7 +11,6 @@ from seldkit.scene import (
     EventList,
     SceneConfig,
     class_signature,
-    doa_to_unit_vec,
     encode_plane_wave,
     read_label_csv,
     read_wav,
@@ -24,9 +23,9 @@ from seldkit.scene import (
 
 class TestDoaAngles:
     def test_axis_conventions(self):
-        np.testing.assert_allclose(doa_to_unit_vec(DoaAngles(0, 0)), [1, 0, 0], atol=1e-15)
-        np.testing.assert_allclose(doa_to_unit_vec(DoaAngles(math.pi / 2, 0)), [0, 1, 0], atol=1e-15)
-        np.testing.assert_allclose(doa_to_unit_vec(DoaAngles(0, math.pi / 2)), [0, 0, 1], atol=1e-15)
+        np.testing.assert_allclose(DoaAngles(0, 0).unit_vec, [1, 0, 0], atol=1e-15)
+        np.testing.assert_allclose(DoaAngles(math.pi / 2, 0).unit_vec, [0, 1, 0], atol=1e-15)
+        np.testing.assert_allclose(DoaAngles(0, math.pi / 2).unit_vec, [0, 0, 1], atol=1e-15)
 
     def test_unit_norm(self):
         rng = np.random.default_rng(0)
@@ -172,8 +171,14 @@ class TestFileFormats:
         path = tmp_path / "clip.wav"
         write_wav(path, clip)
         loaded = read_wav(path)
-        assert loaded.sample_rate == clip.sample_rate
+        assert wavfile.read(str(path))[0] == 24000
         np.testing.assert_allclose(loaded.samples, clip.samples, atol=1e-7)
+
+    def test_wav_at_other_rate_rejected(self, tmp_path):
+        path = tmp_path / "48k.wav"
+        wavfile.write(str(path), 48000, np.zeros((480, 4), dtype=np.float32))
+        with pytest.raises(ValueError, match=r"48k\.wav: sample rate 48000 Hz, but seldkit runs at 24000 Hz"):
+            read_wav(path)
 
     def test_int16_wav_scaled_by_full_scale(self, tmp_path):
         path = tmp_path / "pcm16.wav"
