@@ -11,8 +11,6 @@ This demo uses a deliberately small configuration and a short run.
 
 import time
 
-import numpy as np
-
 from seldkit.accdoa import decode_accdoa, pool_to_label_rate
 from seldkit.augment import SpecAugmentConfig
 from seldkit.features import StftConfig

@@ -12,7 +12,7 @@ import numpy as np
 
 from seldkit.accdoa import decode_accdoa, pool_to_label_rate
 from seldkit.features import StftConfig
-from seldkit.infer import Predictor, sliding_inference
+from seldkit.infer import Predictor
 from seldkit.intensity import IntensityVectorModel
 from seldkit.metrics import evaluate
 from seldkit.scene import SceneConfig, synth_scene

@@ -41,6 +41,12 @@ class RotationPattern:
         fx = -1.0 if self.add_pi else 1.0
         return (fx, self.azimuth_sign * fx, float(self.elevation_sign))
 
+    @property
+    def channel_signs(self) -> np.ndarray:
+        """(1, fy, fz, fx) sign flips applied to the FOA channels [W, Y, Z, X]."""
+        fx, fy, fz = self.vector_signs
+        return np.array([1.0, fy, fz, fx])
+
 
 # paper order: (az,el), (-az,el), (az+pi,el), (-az+pi,el), then same with -el
 ALL_PATTERNS = tuple(
@@ -60,9 +66,36 @@ def rotate_angles(d: DoaAngles, r: RotationPattern) -> DoaAngles:
 
 def rotate_foa(clip: AmbisonicClip, r: RotationPattern) -> AmbisonicClip:
     """Rotate a FOA clip; W is untouched, Y/Z/X flip sign per pattern."""
-    fx, fy, fz = r.vector_signs
-    s = clip.samples
-    return AmbisonicClip(np.stack([s[0], fy * s[1], fz * s[2], fx * s[3]]))
+    return AmbisonicClip(r.channel_signs[:, None] * clip.samples)
+
+
+def rotate_stft(spec: np.ndarray, r: RotationPattern, flipped: np.ndarray | None = None) -> np.ndarray:
+    """The (4, T, F) STFT of `rotate_foa(clip, r)`, from the clip's STFT `spec`.
+
+    The STFT is linear and negating a nonzero float is exact, so negating
+    the channels `r` flips gives the rotated clip's STFT except in the sign
+    of exact zeros.  Where that sign can change the features
+    (`zero_signs_matter`), pass `flipped`, the STFT of the clip with Y, Z
+    and X negated: the flipped channels are then taken from it.
+    """
+    signs = r.channel_signs[:, None, None]
+    return signs * spec if flipped is None else np.where(signs < 0, flipped, spec)
+
+
+def zero_signs_matter(spec: np.ndarray) -> bool:
+    """Whether negating Y, Z or X of the STFT `spec` can give other features
+    than the STFT of the negated audio.
+
+    The two differ only in the sign of exact zeros, which reaches the
+    features only through the phase of a bin whose imaginary part is zero:
+    pi or -pi, or 0 or pi where the bin is zero.  The phase difference to W
+    still agrees when W is zero, or when W's phase is 0 or pi as well and
+    the bin is not zero.
+    """
+    w = spec[0]
+    im_zero = spec[1:].imag == 0
+    return bool(np.any(im_zero & (w.imag != 0))
+                or np.any(im_zero & (spec[1:].real == 0) & (w != 0)))
 
 
 def rotate_accdoa(seq: np.ndarray, r: RotationPattern) -> np.ndarray:

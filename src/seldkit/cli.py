@@ -64,15 +64,15 @@ def read_config(path=None) -> dict:
             if not line:
                 continue
             if "=" not in line:
-                raise SystemExit(f"{path}:{lineno}: expected 'key = value'")
+                raise ValueError(f"{path}:{lineno}: expected 'key = value'")
             key, _, value = line.partition("=")
             key, value = key.strip(), value.strip()
             if key not in merged:
-                raise SystemExit(f"{path}:{lineno}: unknown key {key!r}")
+                raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
             try:
                 merged[key] = parse_value(key, value, type(_CONFIG_DEFAULTS[key]))
             except ValueError as exc:
-                raise SystemExit(f"{path}:{lineno}: {exc}") from None
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
     return merged
 
 

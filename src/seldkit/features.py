@@ -3,8 +3,10 @@
 The network input for a 4-channel clip is a (7, T, F) stack: amplitude
 spectrograms of the four channels followed by the phase differences of
 channels 1..3 relative to channel 0.  Phase differences are wrapped into
-[0, 2pi) so that the SpecAugment replacement distribution matches the
-feature range.
+[0, 2pi] so that the SpecAugment replacement distribution matches the
+feature range.  The interval is closed: a difference d a hair below 0
+wraps to 2pi + d, which rounds to exactly 2pi, and synthesized scenes
+hold such values.
 """
 
 from __future__ import annotations
@@ -88,16 +90,26 @@ def make_feature_stack(spec: np.ndarray) -> FeatureStack:
     """Build the (7, T, F) feature stack from a 4-channel complex STFT.
 
     Phase differences are angle(channel q) - angle(channel 0), wrapped to
-    [0, 2pi); bins where the reference channel has zero magnitude get 0.
+    [0, 2pi] as `np.mod(d, 2pi)` wraps them (see the module docstring);
+    bins where the reference channel has zero magnitude get 0.
     """
     spec = np.asarray(spec)
     if spec.ndim != 3 or spec.shape[0] != 4:
         raise ValueError(f"expected (4, T, F) STFT, got {spec.shape}")
-    amp = np.abs(spec)
-    phase = np.angle(spec)
-    ipd = np.mod(phase[1:] - phase[0], _TWO_PI)
-    ipd[:, amp[0] == 0] = 0.0
-    return FeatureStack(np.concatenate([amp, ipd], axis=0))
+    out = np.empty((FEATURE_CHANNELS,) + spec.shape[1:])
+    amp, ipd = out[:4], out[4:]
+    np.abs(spec, out=amp)
+    ref_phase = np.arctan2(spec[0].imag, spec[0].real)
+    for q in range(3):
+        np.arctan2(spec[q + 1].imag, spec[q + 1].real, out=ipd[q])
+        np.subtract(ipd[q], ref_phase, out=ipd[q])
+    # d lies in [-2pi, 2pi]; np.mod maps d = 2pi to 0 and adds 2pi to d < 0
+    # in that order, so a sum that rounds up to 2pi stays 2pi
+    np.copyto(ipd, 0.0, where=ipd >= _TWO_PI)
+    np.add(ipd, _TWO_PI, out=ipd, where=ipd < 0)
+    ipd += 0.0  # -0.0 becomes 0.0, as in np.mod
+    np.copyto(ipd, 0.0, where=amp[0] == 0)
+    return FeatureStack(out)
 
 
 def extract_features(clip: AmbisonicClip, cfg: StftConfig = StftConfig()) -> FeatureStack:

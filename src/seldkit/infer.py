@@ -5,14 +5,15 @@ from __future__ import annotations
 import numpy as np
 
 from .accdoa import pool_to_label_rate
-from .augment import ALL_PATTERNS, rotate_accdoa, rotate_foa
-from .features import FeatureStack, StftConfig, extract_features
+from .augment import ALL_PATTERNS, RotationPattern, rotate_accdoa, rotate_foa, rotate_stft, zero_signs_matter
+from .features import FeatureStack, StftConfig, extract_features, make_feature_stack, stft
 from .net.layers import Module
 from .scene import AmbisonicClip
 
 DEFAULT_SEG_LEN = 1024
 DEFAULT_SHIFT = 20
 MAX_BATCH = 8  # segments per predict_batch call
+_FLIP_YZX = RotationPattern(add_pi=True, elevation_sign=-1)  # negates Y, Z and X
 
 
 def _check_geometry(seg_len: int, shift: int) -> None:
@@ -189,15 +190,18 @@ def _shared_trunk_inference(model, fs: FeatureStack, seg_len: int, shift: int) -
     return sliding_inference(predict_batch, fs, seg_len, shift)
 
 
-def rotation_tta(predict_clip, clip: AmbisonicClip, patterns=ALL_PATTERNS) -> np.ndarray:
-    """Average predictions over FOA rotations.
+def rotation_tta(predict_features, spec: np.ndarray, patterns=ALL_PATTERNS, flipped=None) -> np.ndarray:
+    """Average predictions over FOA rotations of one clip, from its (4, T, F) STFT.
 
+    Each pattern's features come from `rotate_stft(spec, r, flipped)`;
+    pass `flipped`, the STFT of the clip with Y, Z and X negated, where
+    `zero_signs_matter(spec)`, as `Predictor.predict_clip_tta` does.
     Each pattern is its own inverse, so the prediction on the rotated clip
     is mapped back with the same pattern before averaging.
     """
     total = None
     for r in patterns:
-        out = rotate_accdoa(predict_clip(rotate_foa(clip, r)), r)
+        out = rotate_accdoa(predict_features(make_feature_stack(rotate_stft(spec, r, flipped))), r)
         total = out if total is None else total + out
     return total / len(patterns)
 
@@ -235,7 +239,11 @@ class Predictor:
         return self.predict_features(extract_features(clip, self.stft_cfg))
 
     def predict_clip_tta(self, clip: AmbisonicClip) -> np.ndarray:
-        return rotation_tta(self.predict_clip, clip)
+        """`rotation_tta` from one STFT of the clip, and a second of the
+        clip with Y, Z and X negated only where `zero_signs_matter`."""
+        spec = stft(clip, self.stft_cfg)
+        flipped = stft(rotate_foa(clip, _FLIP_YZX), self.stft_cfg) if zero_signs_matter(spec) else None
+        return rotation_tta(self.predict_features, spec, flipped=flipped)
 
     def label_rate_sequence(self, clip: AmbisonicClip, tta: bool = False) -> np.ndarray:
         seq = self.predict_clip_tta(clip) if tta else self.predict_clip(clip)

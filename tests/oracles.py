@@ -163,3 +163,19 @@ def brute_force_masked_mse(pred, target, mask) -> float:
         total += m * (pred[idx] - target[idx]) ** 2
         count += m
     return total / max(count, 1.0)
+
+
+def feature_stack_by_mod(spec: np.ndarray) -> np.ndarray:
+    """(7, T, F) features the direct way: amplitudes, then each channel's
+    `np.angle` minus W's wrapped by `np.mod`, zeroed where W is zero."""
+    amp = np.abs(spec)
+    phase = np.angle(spec)
+    ipd = np.mod(phase[1:] - phase[0], 2.0 * math.pi)
+    ipd[:, amp[0] == 0] = 0.0
+    return np.concatenate([amp, ipd], axis=0)
+
+
+def same_bits(a, b) -> bool:
+    """Equal shapes, dtypes and bit patterns; unlike ==, tells -0.0 from 0.0."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()

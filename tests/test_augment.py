@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import random_event_list
-from strategies import doas
+from oracles import random_event_list, same_bits
+from strategies import doas, foa_clips
 from seldkit.accdoa import encode_accdoa
 from seldkit.augment import (
     ALL_PATTERNS,
@@ -17,9 +17,11 @@ from seldkit.augment import (
     rotate_angles,
     rotate_events,
     rotate_foa,
+    rotate_stft,
     spec_augment,
+    zero_signs_matter,
 )
-from seldkit.features import extract_features
+from seldkit.features import StftConfig, extract_features, make_feature_stack, stft
 from seldkit.scene import AmbisonicClip, DoaAngles, Event, EventList, encode_plane_wave, synth_scene, SceneConfig
 
 
@@ -103,6 +105,69 @@ class TestRotateFoa:
         for r in ALL_PATTERNS:
             out = rotate_foa(clip, r)
             assert np.array_equal((out.samples ** 2).sum(0), (clip.samples ** 2).sum(0))
+
+
+STFT = StftConfig(win_len=256, hop=240, fft_size=256)
+FLIP_YZX = RotationPattern(add_pi=True, elevation_sign=-1)
+
+
+class TestRotateStft:
+    @given(clip=foa_clips())
+    def test_features_equal_rotated_audio_features(self, clip):
+        # the flipped channels come from `flipped` exactly where zero signs matter
+        spec = stft(clip, STFT)
+        flipped = stft(rotate_foa(clip, FLIP_YZX), STFT) if zero_signs_matter(spec) else None
+        for r in ALL_PATTERNS:
+            direct = extract_features(rotate_foa(clip, r), STFT).data
+            assert same_bits(make_feature_stack(rotate_stft(spec, r, flipped)).data, direct)
+
+    @given(clip=foa_clips())
+    def test_flipped_channels_give_rotated_stft(self, clip):
+        spec, flipped = stft(clip, STFT), stft(rotate_foa(clip, FLIP_YZX), STFT)
+        for r in ALL_PATTERNS:
+            assert same_bits(rotate_stft(spec, r, flipped), stft(rotate_foa(clip, r), STFT))
+
+    def test_channel_signs(self):
+        for r in ALL_PATTERNS:
+            fx, fy, fz = r.vector_signs
+            assert np.array_equal(r.channel_signs, [1.0, fy, fz, fx])
+
+    def test_zero_signs_matter_wherever_they_change_features(self):
+        # one bin per (W, Y) pair: whenever -Y with some zero part's sign
+        # toggled gives other features than -Y, the predicate must say so
+        # (a W phase near pi, where pi - theta and -pi - theta wrap 1 ulp apart)
+        values = [complex(re, im) for re in (-1.5, -0.0, 0.0, 2.0) for im in (-1.0, -0.0, 0.0, 0.5)]
+        flagged = 0
+        for w in values + [complex(-1.5, 1e-5)]:
+            for y in values:
+                spec = np.array([w, y, 1.0 + 1.0j, 1.0 + 1.0j]).reshape(4, 1, 1)
+                features = make_feature_stack(spec * [[[1]], [[-1]], [[1]], [[1]]]).data
+                for re_sign in (1.0, -1.0) if y.real == 0 else (1.0,):
+                    for im_sign in (1.0, -1.0) if y.imag == 0 else (1.0,):
+                        other = spec.copy()
+                        other[1] = complex(-re_sign * y.real, -im_sign * y.imag)
+                        if not same_bits(make_feature_stack(other).data, features):
+                            assert zero_signs_matter(spec), (w, y)
+                flagged += zero_signs_matter(spec)
+        # bins with no zero part never need the flipped STFT
+        assert not zero_signs_matter(np.full((4, 1, 1), 2.0 + 0.5j))
+        assert flagged < len(values) ** 2 / 2
+
+    def test_silent_channel_needs_flipped_stft(self):
+        # a negated zero bin has phase +-pi where the STFT of the negated
+        # (silent) audio mostly has 0, so its phase difference moves by pi
+        samples = np.random.default_rng(0).standard_normal((4, 2416))
+        spec = stft(AmbisonicClip(samples), STFT)
+        assert not zero_signs_matter(spec)
+        samples[1] = 0.0
+        clip = AmbisonicClip(samples)
+        spec = stft(clip, STFT)
+        assert zero_signs_matter(spec)
+        r = RotationPattern(azimuth_sign=-1)
+        direct = extract_features(rotate_foa(clip, r), STFT).data
+        plain = make_feature_stack(rotate_stft(spec, r)).data
+        assert np.array_equal(plain[:4], direct[:4])
+        assert np.abs(plain[4] - direct[4]).max() == pytest.approx(math.pi)
 
 
 class TestRotateAccdoa:

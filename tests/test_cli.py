@@ -103,19 +103,27 @@ class TestTrain:
     def test_unknown_config_key_rejected(self, tmp_path):
         bad = tmp_path / "bad.cfg"
         bad.write_text("scene.bogus = 1\n")
-        with pytest.raises(SystemExit):
+        with pytest.raises(ValueError, match="bad.cfg:1: unknown key 'scene.bogus'"):
             read_config(bad)
 
     def test_malformed_numeric_value_rejected(self, tmp_path):
         bad = tmp_path / "bad.cfg"
         bad.write_text("# comment\ntrain.batch_size = 2.7\n")
-        with pytest.raises(SystemExit, match="bad.cfg:2: train.batch_size"):
+        with pytest.raises(ValueError, match="bad.cfg:2: train.batch_size"):
             read_config(bad)
         bad.write_text("train.lr = fast\n")
-        with pytest.raises(SystemExit, match="bad.cfg:1: train.lr"):
+        with pytest.raises(ValueError, match="bad.cfg:1: train.lr"):
             read_config(bad)
         bad.write_text("train.batch_size = 3.0\n")
         assert read_config(bad)["train.batch_size"] == 3
+
+    def test_bad_config_exits_2_naming_the_line(self, tmp_path, capsys):
+        # the exit code of a typing error in a checkpoint header
+        bad = tmp_path / "bad.cfg"
+        bad.write_text("train.batch_size = 2.5\n")
+        code = main(["train", "--config", str(bad), "--iters", "0", "--out", str(tmp_path / "m.ckpt")])
+        assert code == 2
+        assert "bad.cfg:1: train.batch_size" in capsys.readouterr().err
 
     def test_default_scene_holds_one_input(self):
         scene_cfg, stft_cfg, _, train_cfg = _configs_from(read_config(None), 0)

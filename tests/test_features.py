@@ -3,13 +3,14 @@ import math
 import numpy as np
 import pytest
 
+from oracles import feature_stack_by_mod, same_bits
 from seldkit.features import (
     StftConfig,
     extract_features,
     make_feature_stack,
     stft,
 )
-from seldkit.scene import AmbisonicClip
+from seldkit.scene import AmbisonicClip, SceneConfig, synth_scene
 
 TWO_PI = 2.0 * math.pi
 
@@ -112,3 +113,34 @@ class TestFeatureStack:
         assert fs.data.shape[0] == 7
         assert np.all(fs.data[:4] >= 0.0)
 
+    def test_ipd_range_on_a_scene_is_closed(self):
+        # a difference a hair below 0 wraps to 2pi + d, which rounds to 2pi
+        clip, _ = synth_scene(SceneConfig(n_classes=3, duration_s=2.0, rng_seed=0))
+        ipd = extract_features(clip).data[4:]
+        assert ipd.min() >= 0.0
+        assert ipd.max() <= TWO_PI
+        assert np.any(ipd == TWO_PI)
+
+
+class TestFeatureStackOracle:
+    def test_scene_matches_mod_formula(self):
+        clip, _ = synth_scene(SceneConfig(n_classes=3, duration_s=2.0, rng_seed=1))
+        spec = stft(clip)
+        assert same_bits(make_feature_stack(spec).data, feature_stack_by_mod(spec))
+
+    def test_signed_zeros_match_mod_formula(self):
+        # every pairing of W and a channel over values whose phase is +-0
+        # or +-pi (exact reals with +-0 imaginary parts), 0 or pi for zero
+        # bins, or a hair off +-pi, so that differences reach exactly +-2pi,
+        # +-0, and sums that round up to 2pi
+        parts = [-2.0, -0.5, -0.0, 0.0, 0.5, 2.0]
+        values = np.array([complex(re, im) for re in parts for im in (-0.0, 0.0, -1e-17, 1e-17, 1.0)])
+        spec = np.empty((4, values.size, values.size), dtype=complex)
+        spec[0] = values[:, None]
+        spec[1] = values[None, :]
+        spec[2] = -values[None, :]
+        spec[3] = np.conj(values)[None, :]
+        assert same_bits(make_feature_stack(spec).data, feature_stack_by_mod(spec))
+        spec[2] = 0.0
+        spec[3] = complex(-0.0, -0.0)
+        assert same_bits(make_feature_stack(spec).data, feature_stack_by_mod(spec))

@@ -1,6 +1,7 @@
-"""Every name a `src/seldkit` module imports is used in that module, every
-private module-level name it defines is read in that module, and every
-seldkit name the demos and the benchmark scripts take still exists."""
+"""Every name a `src/seldkit` module, a test or a demo imports is used in
+that file, every private module-level name a `src/seldkit` module defines
+is read in that module, and every seldkit name the demos and the benchmark
+scripts take still exists."""
 
 import ast
 import importlib
@@ -14,6 +15,12 @@ SRC = ROOT / "src" / "seldkit"
 MODULES = sorted(p for p in SRC.rglob("*.py") if p.name != "__init__.py")
 # read as text only: the demos are slow to run and bench/ is not imported here
 CLIENTS = sorted([*ROOT.glob("demos/*.py"), *ROOT.glob("bench/*.py")])
+SCRIPTS = sorted([*ROOT.glob("tests/*.py"), *ROOT.glob("demos/*.py")])
+
+
+def _path_id(path: Path) -> str:
+    """Package modules by their path in the package, other files by their path in the repo."""
+    return str(path.relative_to(SRC if SRC in path.parents else ROOT))
 
 
 def unused_imports(source: str) -> list:
@@ -127,7 +134,7 @@ def test_detects_unreferenced_private_names():
     assert unreferenced_private_names(source) == [(1, "_a"), (2, "_b"), (4, "_D")]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(SRC)))
+@pytest.mark.parametrize("path", MODULES + SCRIPTS, ids=_path_id)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 

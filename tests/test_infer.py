@@ -4,15 +4,16 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from oracles import feature_stack_by_mod, same_bits
 from seldkit.accdoa import compose_accdoa, decode_accdoa, pool_to_label_rate
-from seldkit.augment import ALL_PATTERNS, RotationPattern
-from seldkit.features import FeatureStack, StftConfig, extract_features
+from seldkit.augment import ALL_PATTERNS, RotationPattern, rotate_accdoa, rotate_foa
+from seldkit.features import FeatureStack, StftConfig, extract_features, stft
 from seldkit import infer
 from seldkit.infer import Predictor, rotation_tta, sliding_inference
 from seldkit.intensity import IntensityVectorModel
 from seldkit.metrics import evaluate
 from seldkit.net.model import NetConfig, RD3NetLite, TwoStageNet
-from seldkit.scene import SceneConfig, synth_scene
+from seldkit.scene import AmbisonicClip, SceneConfig, synth_scene
 
 STFT = StftConfig(win_len=256, hop=240, fft_size=256)
 
@@ -234,7 +235,7 @@ class TestRotationTta:
         model = IntensityVectorModel.for_scene_classes(3, STFT)
         predictor = Predictor(model, STFT, seg_len=64, shift=16)
         plain = predictor.predict_clip(clip)
-        tta = rotation_tta(predictor.predict_clip, clip)
+        tta = rotation_tta(predictor.predict_features, stft(clip, STFT))
         assert np.abs(tta - plain).max() < 1e-9
 
     def test_constant_model_averages_to_zero(self):
@@ -256,8 +257,42 @@ class TestRotationTta:
         model = IntensityVectorModel.for_scene_classes(3, STFT)
         predictor = Predictor(model, STFT, seg_len=64, shift=16)
         plain = predictor.predict_clip(clip)
-        tta = rotation_tta(predictor.predict_clip, clip, patterns=(RotationPattern(),))
+        tta = rotation_tta(predictor.predict_features, stft(clip, STFT), patterns=(RotationPattern(),))
         np.testing.assert_array_equal(tta, plain)
+
+    @staticmethod
+    def audio_rotation_tta(predictor, clip):
+        """Rotation averaging the direct way: each pattern's audio through
+        its own STFT and the np.mod feature formula."""
+        total = None
+        for r in ALL_PATTERNS:
+            fs = FeatureStack(feature_stack_by_mod(stft(rotate_foa(clip, r), STFT)))
+            out = rotate_accdoa(predictor.predict_features(fs), r)
+            total = out if total is None else total + out
+        return total / len(ALL_PATTERNS)
+
+    @staticmethod
+    def predictor(kind):
+        if kind == "intensity":
+            return Predictor(IntensityVectorModel.for_scene_classes(3, STFT), STFT, seg_len=64, shift=16)
+        model, _ = TestPredictorNetworks.network(kind)
+        return Predictor(model, STFT, seg_len=64, shift=64)
+
+    @pytest.mark.parametrize("kind", ["intensity", "rd3net", "two-stage"])
+    @pytest.mark.parametrize("silent_y", [False, True], ids=["scene", "silent-y"])
+    def test_equals_audio_rotation(self, kind, silent_y, monkeypatch):
+        samples = make_clip(seed=6)[0].samples[:, :24000].copy()
+        if silent_y:
+            # W stays active, so the zero signs of Y's bins decide its phases
+            samples[1, 4800:16800] = 0.0
+        clip = AmbisonicClip(samples)
+        predictor = self.predictor(kind)
+        expected = self.audio_rotation_tta(predictor, clip)
+        calls = []
+        monkeypatch.setattr(infer, "stft", lambda *a: calls.append(1) or stft(*a))
+        assert same_bits(predictor.predict_clip_tta(clip), expected)
+        # a second STFT, of the clip with Y, Z and X negated, only for the silent Y
+        assert len(calls) == 1 + silent_y
 
 
 class TestIntensityOracle:

@@ -5,7 +5,6 @@ import pytest
 from scipy.io import wavfile
 
 from seldkit.scene import (
-    AmbisonicClip,
     DoaAngles,
     Event,
     EventList,
