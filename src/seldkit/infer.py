@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .accdoa import pool_to_label_rate
 from .augment import ALL_PATTERNS, RotationPattern, rotate_accdoa, rotate_foa, rotate_stft, zero_signs_matter
@@ -12,7 +13,8 @@ from .scene import AmbisonicClip
 
 DEFAULT_SEG_LEN = 1024
 DEFAULT_SHIFT = 20
-MAX_BATCH = 8  # segments per predict_batch call
+MAX_BATCH = 32  # segments per predict_batch call
+TRUNK_BATCH = 8  # a network's trunk takes at most this many segments' frames per call
 _FLIP_YZX = RotationPattern(add_pi=True, elevation_sign=-1)  # negates Y, Z and X
 
 
@@ -55,6 +57,24 @@ def _overlap_average(n_t: int, seg_len: int, outputs) -> np.ndarray:
     return total / count[:, None, None]
 
 
+def _segment_batches(data: np.ndarray, seg_len: int, shift: int):
+    """Yield (starts, segments) in start order, at most MAX_BATCH segments
+    at a time, for `_segment_starts(data.shape[1], seg_len, shift)`.
+
+    `segments` is a read-only strided view of `data`,
+    (len(starts), 7, seg_len, F), not a copy: each run of starts on the
+    `shift` grid is one view, and the segment flush against the end, when
+    off that grid, comes in a batch of its own.
+    """
+    windows = sliding_window_view(data, seg_len, axis=1).transpose(1, 0, 3, 2)
+    grid = range(0, len(windows), shift)
+    for lo in range(0, len(grid), MAX_BATCH):
+        starts = grid[lo:lo + MAX_BATCH]
+        yield starts, windows[starts.start:starts.stop:shift]
+    if grid[-1] != len(windows) - 1:
+        yield [len(windows) - 1], windows[-1:]
+
+
 def sliding_inference(
     predict_batch,
     fs: FeatureStack,
@@ -66,51 +86,54 @@ def sliding_inference(
     `predict_batch` maps (B, 7, seg_len, F) to (B, seg_len, N, 3).  The
     clip is split into segments of `seg_len` frames every `shift` frames
     (plus a final segment flush against the end), handed to `predict_batch`
-    in order of their starts, at most MAX_BATCH at a time; each output
-    frame is the mean over all segments covering it.  Clips shorter than
-    one segment are zero-padded and the padding frames dropped.
+    in order of their starts, at most MAX_BATCH at a time, as read-only
+    views of the clip; each output frame is the mean over all segments
+    covering it.  Clips shorter than one segment are zero-padded and the
+    padding frames dropped.
     """
     _check_geometry(seg_len, shift)
     data = _pad_to_segment(fs.data, seg_len)
-    starts = _segment_starts(data.shape[1], seg_len, shift)
 
     def outputs():
-        for lo in range(0, len(starts), MAX_BATCH):
-            chunk = starts[lo:lo + MAX_BATCH]
-            yield from zip(chunk, predict_batch(np.stack([data[:, s:s + seg_len] for s in chunk])))
+        for starts, segments in _segment_batches(data, seg_len, shift):
+            yield from zip(starts, predict_batch(segments))
 
     return _overlap_average(data.shape[1], seg_len, outputs())[:fs.data.shape[1]]
 
 
-def _clip_trunk_pieces(branch, data: np.ndarray, seg_len: int, halo: int):
-    """Yield the branch's trunk output over the whole clip, (frames, gru_in),
-    in consecutive pieces from frame 0 on.
+def _clip_gate_pieces(branch, data: np.ndarray, seg_len: int, halo: int):
+    """Yield the BiGRU input projections of the branch's trunk output over
+    the whole clip, (frames, 6 * gru_hidden), in consecutive pieces from
+    frame 0 on.
 
     Windows of `seg_len` frames overlap by 2 * halo; each contributes the
     frames at least `halo` from any edge it does not share with the clip,
-    where it equals the whole-clip trunk.  MAX_BATCH windows go through
-    the trunk per call, as a batch of segments does.
+    where it equals the whole-clip trunk.  TRUNK_BATCH windows go through
+    the trunk per call, and the frames they contribute are projected
+    together.
     """
     n_t = data.shape[1]
     windows = _segment_starts(n_t, seg_len, seg_len - 2 * halo)
     end = 0
-    for lo in range(0, len(windows), MAX_BATCH):
-        part = windows[lo:lo + MAX_BATCH]
+    for lo in range(0, len(windows), TRUNK_BATCH):
+        part = windows[lo:lo + TRUNK_BATCH]
         ys = branch.forward_trunk(np.stack([data[:, s:s + seg_len] for s in part]))
+        kept = []
         for s, y in zip(part, ys):
             hi = s + seg_len - halo if s + seg_len < n_t else n_t
-            yield y[end - s:hi - s]
+            kept.append(y[end - s:hi - s])
             end = hi
+        yield branch.gru.project(np.concatenate(kept))
 
 
-class _ClipTrunk:
-    """A branch's whole-clip trunk output, computed ahead of the segments
-    that need it and dropped behind them, so memory does not grow with the
-    clip."""
+class _ClipGates:
+    """A branch's whole-clip BiGRU input projections, computed ahead of the
+    segments that need them and dropped behind them, so memory does not
+    grow with the clip."""
 
     def __init__(self, branch, data: np.ndarray, seg_len: int, halo: int):
-        self._pieces = _clip_trunk_pieces(branch, data, seg_len, halo)
-        self._frames = np.empty((0, branch.cfg.gru_in), dtype=branch.dtype)
+        self._pieces = _clip_gate_pieces(branch, data, seg_len, halo)
+        self._frames = np.empty((0, 6 * branch.cfg.gru_hidden), dtype=branch.dtype)
         self._lo = 0  # clip frame of self._frames[0]
 
     def span(self, a: int, b: int) -> np.ndarray:
@@ -127,35 +150,40 @@ class _ClipTrunk:
         return kept[:b - a]
 
 
-def _segment_trunks(branch, clip_trunk: _ClipTrunk, x: np.ndarray, chunk, n_t: int, halo: int):
-    """The trunk output of each segment of `x` (starts `chunk`) on its own,
-    (len(chunk), seg_len, gru_in).
+def _segment_gates(branch, clip_gates: _ClipGates, x: np.ndarray, starts, n_t: int, halo: int):
+    """The BiGRU input projections of each segment of `x` (at `starts`)
+    on its own, (len(starts), seg_len, 6 * gru_hidden).
 
-    Frames further than `halo` from a segment edge come from the clip
-    trunk.  Within `halo` of an edge the clip does not share, the segment's
-    zero padding shows, so those frames are recomputed from the strip of
-    2 * halo frames flush against that edge.  When such strips would cover
-    the whole segment, the segment goes through the trunk as it is.
+    Frames further than `halo` from a segment edge come from the clip.
+    Within `halo` of an edge the clip does not share, the segment's zero
+    padding shows, so those frames are recomputed from the strip of
+    2 * halo frames flush against that edge, and projected.  When such
+    strips would cover the whole segment, the segment goes through the
+    trunk as it is, TRUNK_BATCH segments per call.
     """
     seg_len = x.shape[2]
     strip = 2 * halo
     if seg_len <= strip:
-        return branch.forward_trunk(x)
-    a = chunk[0]
-    span = clip_trunk.span(a, chunk[-1] + seg_len)
-    seg = np.stack([span[s - a:s - a + seg_len] for s in chunk])
+        return np.concatenate([
+            branch.gru.project(branch.forward_trunk(x[lo:lo + TRUNK_BATCH]))
+            for lo in range(0, len(x), TRUNK_BATCH)
+        ])
+    a = starts[0]
+    span = clip_gates.span(a, starts[-1] + seg_len)
+    seg = np.stack([span[s - a:s - a + seg_len] for s in starts])
     jobs = []  # (input strip, destination, rows of the strip's output kept)
-    for i, s in enumerate(chunk):
+    for i, s in enumerate(starts):
         if s > 0:
             jobs.append((x[i, :, :strip], seg[i, :halo], slice(0, halo)))
         if s + seg_len < n_t:
             jobs.append((x[i, :, -strip:], seg[i, -halo:], slice(halo, strip)))
-    per_call = MAX_BATCH * seg_len // strip  # frames per call as for a batch of segments
+    per_call = TRUNK_BATCH * seg_len // strip  # frames per call as for TRUNK_BATCH segments
     for lo in range(0, len(jobs), per_call):
         part = jobs[lo:lo + per_call]
         ys = branch.forward_trunk(np.stack([strip_x for strip_x, _, _ in part]))
-        for (_, dest, rows), y in zip(part, ys):
-            dest[...] = y[rows]
+        gates = branch.gru.project(np.stack([y[rows] for (_, _, rows), y in zip(part, ys)]))
+        for (_, dest, _), g in zip(part, gates):
+            dest[...] = g
     return seg
 
 
@@ -167,9 +195,11 @@ def _shared_trunk_inference(model, fs: FeatureStack, seg_len: int, shift: int) -
     In eval mode every trunk layer acts on time only through 3x3 convs
     (NetDeconv is pointwise and pooling is over frequency), so a segment's
     trunk output is the clip's except near its edges (`NetConfig.time_halo`).
-    The `predict_batch` handed to `sliding_inference` splices each
-    segment's trunk output from the clip trunk and edge strips, then runs
-    the BiGRU head per segment; outputs are averaged as for any model.
+    The BiGRU's input projection is per frame too, so it is computed once
+    over the clip and edge strips.  The `predict_batch` handed to
+    `sliding_inference` splices each segment's projections from the clip
+    and the strips, then runs the recurrence and head on the whole batch
+    of segments; outputs are averaged as for any model.
     """
     if model.training:
         # batch statistics would make outputs depend on how segments are batched
@@ -177,14 +207,14 @@ def _shared_trunk_inference(model, fs: FeatureStack, seg_len: int, shift: int) -
     data = _pad_to_segment(fs.data, seg_len)
     n_t = data.shape[1]
     halo = model.cfg.time_halo
-    clip_trunks = [_ClipTrunk(b, data, seg_len, halo) for b in model.branches]
+    clip_gates = [_ClipGates(b, data, seg_len, halo) for b in model.branches]
     starts = iter(_segment_starts(n_t, seg_len, shift))
 
     def predict_batch(x):
-        chunk = [next(starts) for _ in range(len(x))]  # segments arrive in start order
+        batch = [next(starts) for _ in range(len(x))]  # segments arrive in start order
         return model.combine(*(
-            b.forward_head(_segment_trunks(b, t, x, chunk, n_t, halo))
-            for b, t in zip(model.branches, clip_trunks)
+            b.forward_head(_segment_gates(b, g, x, batch, n_t, halo))
+            for b, g in zip(model.branches, clip_gates)
         ))
 
     return sliding_inference(predict_batch, fs, seg_len, shift)

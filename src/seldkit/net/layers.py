@@ -120,6 +120,14 @@ class Conv2d(Module):
     forward/backward return views into reused workspaces: consume or copy
     them before the next call on the same instance.  `needs_input_grad`
     False skips the input-gradient half of backward (for the first layer).
+
+    The forward pass works on the padded grid (B, T + 2d, F + 2d) flattened
+    to rows: tap (i, j) of every output row reads the input row a fixed
+    offset away, so each tap is one GEMM on a contiguous row slice, with no
+    copy.  Rows on the padding compute values that are never read; the
+    output is a view of the valid region of the padded output.  While
+    `folded` holds (W, b), forward uses them in place of the parameters
+    (see `ConvUnit`).
     """
 
     def __init__(self, in_ch: int, out_ch: int, dilation: int, rng, dtype=np.float32):
@@ -132,6 +140,7 @@ class Conv2d(Module):
         self.register_param("W", (rng.standard_normal((9, in_ch, out_ch)) * std).astype(dtype))
         self.register_param("b", np.zeros(out_ch, dtype=dtype))
         self.dtype = dtype
+        self.folded = None
 
     def _offsets(self):
         d = self.dilation
@@ -151,25 +160,30 @@ class Conv2d(Module):
         B, T, F, C = x.shape
         if C != self.in_ch:
             raise ValueError(f"expected {self.in_ch} channels, got {C}")
+        W, b = self.folded or (self.params["W"], self.params["b"])
         p = self.dilation
         xp = self._padded("xp", B, T, F, C)
         xp[:, p:p + T, p:p + F, :] = x
-        buf = self._ws("buf", (B, T, F, C), self.dtype)
-        y2 = self._ws("y2", (B * T * F, self.out_ch), self.dtype)
-        y2[...] = self.params["b"]
-        W = self.params["W"]
+        yp = self._ws("yp", xp.shape[:3] + (self.out_ch,), self.dtype)
+        xf, yf = xp.reshape(-1, C), yp.reshape(-1, self.out_ch)
+        # rows [lo, hi) span every valid output, and every tap of them stays inside xf
+        Fp = F + 2 * p
+        lo = p * Fp + p
+        hi = len(yf) - lo
+        y = yf[lo:hi]
+        y[...] = b
         for idx, (i, j) in enumerate(self._offsets()):
-            np.copyto(buf, xp[:, i:i + T, j:j + F, :])
-            y2 = _gemm_acc(y2, buf.reshape(-1, C), W[idx])
+            off = (i - p) * Fp + (j - p)
+            _gemm_acc(y, xf[lo + off:hi + off], W[idx])
         self._shape = (B, T, F)
-        return y2.reshape(B, T, F, self.out_ch)
+        return yp[:, p:p + T, p:p + F, :]
 
     def backward(self, dy: np.ndarray):
         B, T, F = self._shape
         C, Co = self.in_ch, self.out_ch
         p = self.dilation
         xp = self._ws_store["xp"]
-        buf = self._ws_store["buf"]
+        buf = self._ws("buf", (B, T, F, C), self.dtype)
         dy2 = np.ascontiguousarray(dy, dtype=self.dtype).reshape(-1, Co)
         self.grads["b"] += dy2.sum(axis=0)
         W = self.params["W"]
@@ -223,15 +237,16 @@ class NetDeconv(Module):
         c = shape[-1]
         if c != self.channels:
             raise ValueError(f"expected {self.channels} channels, got {c}")
-        x2 = np.ascontiguousarray(x, dtype=self.dtype).reshape(-1, c)
-        xc = self._ws("xc", x2.shape, self.dtype)
+        n = x.size // c
+        xc = self._ws("xc", (n, c), self.dtype)
         if self.training:
-            if x2.shape[0] < 2:
+            if n < 2:
                 raise ValueError("need at least 2 locations for batch statistics")
+            xc.reshape(shape)[...] = x  # x may be a strided view
             with np.errstate(invalid="ignore", over="ignore"):
-                mu = x2.mean(axis=0)
-                np.subtract(x2, mu, out=xc)
-                cov = (xc.T @ xc) / x2.shape[0]
+                mu = xc.mean(axis=0)
+                xc -= mu
+                cov = (xc.T @ xc) / n
             if not np.all(np.isfinite(cov)):
                 raise FloatingPointError("non-finite channel covariance")
             m = _RUNNING_MOMENTUM
@@ -240,9 +255,9 @@ class NetDeconv(Module):
         else:
             mu = self.buffers["running_mean"]
             cov = self.buffers["running_cov"]
-            np.subtract(x2, mu, out=xc)
+            np.subtract(x, mu, out=xc.reshape(shape))
         self._whiten = _inv_sqrt_psd(cov).astype(self.dtype)
-        y = self._ws("y", x2.shape, self.dtype)
+        y = self._ws("y", xc.shape, self.dtype)
         np.matmul(xc, self._whiten, out=y)
         return y.reshape(shape)
 
@@ -321,10 +336,16 @@ class FreqPool(Module):
         self.factor = factor
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        B, T, F, C = x.shape
-        if F % self.factor:
-            raise ValueError(f"frequency size {F} not divisible by {self.factor}")
-        return x.reshape(B, T, F // self.factor, self.factor, C).mean(axis=3)
+        k = self.factor
+        if x.shape[2] % k:
+            raise ValueError(f"frequency size {x.shape[2]} not divisible by {k}")
+        # the k strided views added in order onto 0.0, then divided by k:
+        # what reshape(B, T, F // k, k, C).mean(axis=3) computes, bit for bit
+        y = x[:, :, ::k] + 0.0
+        for j in range(1, k):
+            y += x[:, :, j::k]
+        y /= k
+        return y
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
         return np.repeat(dy, self.factor, axis=2) * (1.0 / self.factor)
@@ -352,10 +373,22 @@ class Gru(Module):
         self.dtype = dtype
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        B, T, D = x.shape
+        """The recurrence applied to the projection of x."""
+        self._shape = x.shape
+        self._x2 = np.ascontiguousarray(x).reshape(-1, x.shape[-1])
+        return self.recur(self.project(self._x2.reshape(x.shape)))
+
+    def project(self, x: np.ndarray) -> np.ndarray:
+        """(..., D) -> (..., 3H): x @ Wx + bx, the gates' input half, which
+        depends on each frame alone."""
+        x2 = np.ascontiguousarray(x).reshape(-1, self.in_dim)
+        return (x2 @ self.params["Wx"] + self.params["bx"]).reshape(*x.shape[:-1], 3 * self.hidden)
+
+    def recur(self, gx: np.ndarray) -> np.ndarray:
+        """(B, T, 3H) projected input -> (B, T, H) hidden states, run in
+        this layer's direction; keeps what backward needs."""
+        B, T = gx.shape[:2]
         H = self.hidden
-        self._x2 = np.ascontiguousarray(x).reshape(-1, D)
-        gx = (self._x2 @ self.params["Wx"] + self.params["bx"]).reshape(B, T, 3 * H)
         order = range(T - 1, -1, -1) if self.reverse else range(T)
         h = np.zeros((B, H), dtype=self.dtype)
         out = np.empty((B, T, H), dtype=self.dtype)
@@ -370,7 +403,6 @@ class Gru(Module):
             self._cache[t] = (r, z, n, ghn, h)
             h = (1.0 - z) * n + z * h
             out[:, t] = h
-        self._shape = (B, T, D)
         return out
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
@@ -422,13 +454,30 @@ class BiGru(Module):
     def forward(self, x: np.ndarray) -> np.ndarray:
         return np.concatenate([self.fwd.forward(x), self.bwd.forward(x)], axis=-1)
 
+    def project(self, x: np.ndarray) -> np.ndarray:
+        """(..., D) -> (..., 6H): both directions' input projections."""
+        return np.concatenate([self.fwd.project(x), self.bwd.project(x)], axis=-1)
+
+    def recur(self, g: np.ndarray) -> np.ndarray:
+        """(B, T, 6H) projections -> (B, T, 2H), as forward gives from the input."""
+        h3 = 3 * self.hidden
+        return np.concatenate([self.fwd.recur(g[..., :h3]), self.bwd.recur(g[..., h3:])], axis=-1)
+
     def backward(self, dy: np.ndarray) -> np.ndarray:
         H = self.hidden
         return self.fwd.backward(dy[..., :H]) + self.bwd.backward(dy[..., H:])
 
 
 class ConvUnit(Module):
-    """conv -> channel whitening -> ELU."""
+    """conv -> channel whitening -> ELU.
+
+    In eval mode NetDeconv is the affine map (y - mu) W_h at every
+    location, so forward folds it into the conv, as batch norm is folded:
+    W'[tap] = W[tap] W_h and b' = (b - mu) W_h, formed in float64 on every
+    call.  Nothing is cached, so train(), load_state_dict and in-place
+    weight edits need no invalidation.  The norm's own pass is skipped;
+    its whitening matrix is still set, so backward stays exact.
+    """
 
     def __init__(self, in_ch: int, out_ch: int, dilation: int, rng, dtype=np.float32):
         super().__init__()
@@ -437,7 +486,19 @@ class ConvUnit(Module):
         self.act = self.register_child("act", Elu())
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        return self.act.forward(self.norm.forward(self.conv.forward(x)))
+        if self.training:
+            return self.act.forward(self.norm.forward(self.conv.forward(x)))
+        conv, norm = self.conv, self.norm
+        wh = _inv_sqrt_psd(norm.buffers["running_cov"])
+        norm._whiten = wh.astype(norm.dtype)
+        W = conv.params["W"].astype(np.float64) @ wh
+        b = (conv.params["b"].astype(np.float64) - norm.buffers["running_mean"]) @ wh
+        conv.folded = (W.astype(conv.dtype), b.astype(conv.dtype))
+        try:
+            y = conv.forward(x)
+        finally:
+            conv.folded = None
+        return self.act.forward(y)
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
         return self.conv.backward(self.norm.backward(self.act.backward(dy)))
@@ -445,7 +506,11 @@ class ConvUnit(Module):
 
 class DenseBlock(Module):
     """Densely connected dilated conv units; layer l sees the block input
-    plus all previous layer outputs and uses dilation 2**l."""
+    plus all previous layer outputs and uses dilation 2**l.
+
+    forward returns a reused workspace: consume or copy it before the next
+    call on the same instance.
+    """
 
     def __init__(self, in_ch: int, growth: int, n_layers: int, rng, dtype=np.float32):
         super().__init__()
@@ -471,7 +536,7 @@ class DenseBlock(Module):
             lo = self.in_ch + layer * self.growth
             y = self._children[f"layer{layer}"].forward(out[..., :lo])
             out[..., lo:lo + self.growth] = y
-        return out.copy()
+        return out
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
         grad = np.array(dy, copy=True)

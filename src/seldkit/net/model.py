@@ -122,7 +122,7 @@ class SeldBranch(Module):
             raise ValueError(f"expected F = {self.cfg.f_bins}, got {x.shape[3]}")
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        return self.forward_head(self.forward_trunk(x))
+        return self._output(self.gru.forward(self.forward_trunk(x)))
 
     def forward_trunk(self, x: np.ndarray) -> np.ndarray:
         """(B, 7, T, F) features -> (B, T, gru_in) trunk output."""
@@ -136,10 +136,14 @@ class SeldBranch(Module):
         B, T = y.shape[:2]
         return y.reshape(B, T, cfg.gru_in)
 
-    def forward_head(self, y: np.ndarray) -> np.ndarray:
-        """(B, T, gru_in) trunk output -> BiGRU -> linear head -> activation."""
-        B, T = y.shape[:2]
-        y = self.head.forward(self.gru.forward(y))
+    def forward_head(self, g: np.ndarray) -> np.ndarray:
+        """(B, T, 6 * gru_hidden) BiGRU input projections (`gru.project` of
+        the trunk output) -> recurrence -> linear head -> activation."""
+        return self._output(self.gru.recur(g))
+
+    def _output(self, h: np.ndarray) -> np.ndarray:
+        B, T = h.shape[:2]
+        y = self.head.forward(h)
         if self.out_per_class > 1:
             y = y.reshape(B, T, self.cfg.n_classes, self.out_per_class)
         return self.act.forward(y)

@@ -10,6 +10,7 @@ import itertools
 import math
 
 import numpy as np
+from scipy.linalg import get_blas_funcs
 
 from seldkit.scene import DoaAngles, Event, EventList
 
@@ -179,3 +180,27 @@ def same_bits(a, b) -> bool:
     """Equal shapes, dtypes and bit patterns; unlike ==, tells -0.0 from 0.0."""
     a, b = np.asarray(a), np.asarray(b)
     return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def conv2d_by_tap_copies(x: np.ndarray, W: np.ndarray, b: np.ndarray, dilation: int) -> np.ndarray:
+    """3x3 same-padded conv of (B, T, F, C) the per-tap-copy way: each
+    tap's shifted window copied out of the zero-padded input, then one
+    accumulating BLAS GEMM per tap in tap order, onto the bias."""
+    B, T, F, C = x.shape
+    p = dilation
+    xp = np.zeros((B, T + 2 * p, F + 2 * p, C), dtype=x.dtype)
+    xp[:, p:p + T, p:p + F] = x
+    y = np.empty((B * T * F, W.shape[2]), dtype=x.dtype)
+    y[...] = b
+    gemm = get_blas_funcs("gemm", (y,))
+    for idx, (i, j) in enumerate(itertools.product(range(3), range(3))):
+        tap = np.ascontiguousarray(xp[:, i * p:i * p + T, j * p:j * p + F]).reshape(-1, C)
+        # y.T = W.T @ tap.T + y.T, in place on the Fortran-ordered transpose
+        y = gemm(1.0, W[idx].T, tap.T, 1.0, y.T, overwrite_c=1).T
+    return y.reshape(B, T, F, W.shape[2])
+
+
+def freq_pool_by_mean(x: np.ndarray, factor: int) -> np.ndarray:
+    """Mean over each run of `factor` neighbouring frequency bins of (B, T, F, C)."""
+    B, T, F, C = x.shape
+    return x.reshape(B, T, F // factor, factor, C).mean(axis=3)

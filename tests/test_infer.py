@@ -12,6 +12,7 @@ from seldkit import infer
 from seldkit.infer import Predictor, rotation_tta, sliding_inference
 from seldkit.intensity import IntensityVectorModel
 from seldkit.metrics import evaluate
+from seldkit.net.layers import ConvUnit
 from seldkit.net.model import NetConfig, RD3NetLite, TwoStageNet
 from seldkit.scene import AmbisonicClip, SceneConfig, synth_scene
 
@@ -169,8 +170,10 @@ class TestPredictorNetworks:
         monkeypatch.setattr(infer, "sliding_inference", counting)
         model, _ = self.network(kind)
         data = np.random.default_rng(0).standard_normal((7, 170, NET.f_bins))
-        Predictor(model, STFT, seg_len=40, shift=17).predict_features(FeatureStack(data))
-        assert [shape[0] for shape in seen] == [infer.MAX_BATCH, 1]  # starts 0, 17, ..., 119 and 130
+        Predictor(model, STFT, seg_len=40, shift=3).predict_features(FeatureStack(data))
+        # 44 starts 0, 3, ..., 129 in head batches of 32, then the end segment at 130
+        assert infer.MAX_BATCH == 32
+        assert [shape[0] for shape in seen] == [32, 12, 1]
         assert all(shape[1:] == (7, 40, NET.f_bins) for shape in seen)
 
     @pytest.mark.parametrize("seg_len, shift, n_t, segment_frames", [
@@ -178,7 +181,7 @@ class TestPredictorNetworks:
         pytest.param(14, 4, 300, 1, id="strips-cover-segments"),
     ])
     def test_trunk_work_and_call_size(self, seg_len, shift, n_t, segment_frames):
-        # every trunk call holds at most a segment batch's frames; with room
+        # every trunk call holds at most TRUNK_BATCH segments' frames; with room
         # between the edge strips each frame goes through the trunk about
         # once plus 2 * halo per segment edge, otherwise each segment once
         model, _ = self.network("rd3net")
@@ -194,7 +197,8 @@ class TestPredictorNetworks:
         Predictor(model, STFT, seg_len=seg_len, shift=shift).predict_features(FeatureStack(data))
         n_seg = len(range(0, n_t - seg_len + 1, shift)) + ((n_t - seg_len) % shift > 0)
         halo = NET.time_halo
-        assert max(calls) <= infer.MAX_BATCH * seg_len
+        assert infer.TRUNK_BATCH == 8
+        assert max(calls) <= infer.TRUNK_BATCH * seg_len
         if segment_frames:
             assert sum(calls) == n_seg * seg_len
         else:
@@ -227,6 +231,94 @@ class TestPredictorNetworks:
             return model, model.forward
         model = TwoStageNet(NET, seed=2).eval()
         return model, lambda x: compose_accdoa(model.sed.forward(x), model.doa.forward(x))
+
+
+class TestFoldedNetworks:
+    """Eval-mode conv units fold NetDeconv into their convs; compared here
+    against the conv -> NetDeconv -> ELU chain run as in training."""
+
+    @staticmethod
+    def moved_network(kind):
+        # a few train-mode forwards move every NetDeconv's running
+        # statistics away from (0, I); condition numbers 1.5-1.8 at the stem
+        model = RD3NetLite(NET, seed=1) if kind == "rd3net" else TwoStageNet(NET, seed=2)
+        rng = np.random.default_rng(7)
+        for _ in range(3):
+            x = (rng.standard_normal((2, 7, 48, NET.f_bins)) * 2 + 1).astype(np.float32)
+            for branch in model.branches:
+                branch.forward(x)
+        return model.eval()
+
+    @staticmethod
+    def unfold(monkeypatch):
+        def conv_norm_act(self, x):
+            return self.act.forward(self.norm.forward(self.conv.forward(x)))
+
+        monkeypatch.setattr(ConvUnit, "forward", conv_norm_act)
+
+    @pytest.mark.parametrize("kind", ["rd3net", "two-stage"])
+    def test_forward_matches_unfolded(self, kind, monkeypatch):
+        model = self.moved_network(kind)
+        stem_cov = model.branches[0].trunk.stem.norm.buffers["running_cov"]
+        assert np.abs(stem_cov - np.eye(len(stem_cov))).max() > 0.1
+        x = np.random.default_rng(8).standard_normal((2, 7, 40, NET.f_bins)).astype(np.float32)
+        folded = model.predict_batch(x)
+        self.unfold(monkeypatch)
+        # measured: 2.7e-7 (rd3net) and 6.9e-7 (two-stage)
+        np.testing.assert_allclose(folded, model.predict_batch(x), rtol=0, atol=1e-5)
+
+    @pytest.mark.parametrize("kind", ["rd3net", "two-stage"])
+    def test_predictor_matches_unfolded_segments(self, kind, monkeypatch):
+        model = self.moved_network(kind)
+        clip, _ = make_clip(seed=4)
+        data = extract_features(clip, STFT).data
+        out = Predictor(model, STFT, seg_len=64, shift=24).predict_features(FeatureStack(data))
+        self.unfold(monkeypatch)
+        expected = segment_by_segment(model.predict_batch, data, 64, 24)
+        # measured: 3.3e-7 (rd3net) and 9.9e-7 (two-stage)
+        np.testing.assert_allclose(out, expected, rtol=0, atol=1e-5)
+
+
+class TestSegmentViews:
+    @staticmethod
+    def stacked_sliding(predict_batch, data, seg_len, shift):
+        """sliding_inference with every segment copied out by np.stack, in
+        batches of 8, summed in start order and divided by the count."""
+        n_t = data.shape[1]
+        starts = list(range(0, n_t - seg_len + 1, shift))
+        if starts[-1] != n_t - seg_len:
+            starts.append(n_t - seg_len)
+        total, count = None, np.zeros(n_t)
+        for lo in range(0, len(starts), 8):
+            chunk = starts[lo:lo + 8]
+            for s, out in zip(chunk, predict_batch(np.stack([data[:, s:s + seg_len] for s in chunk]))):
+                if total is None:
+                    total = np.zeros((n_t,) + out.shape[1:])
+                total[s:s + seg_len] += out
+                count[s:s + seg_len] += 1
+        return total / count[:, None, None]
+
+    @pytest.mark.parametrize("seg_len, shift", [(64, 16), (64, 5), (40, 40), (37, 11)])
+    def test_intensity_outputs_bit_identical(self, seg_len, shift):
+        clip, _ = make_clip(seed=1)
+        data = extract_features(clip, STFT).data
+        model = IntensityVectorModel.for_scene_classes(3, STFT)
+        out = sliding_inference(model.predict_batch, FeatureStack(data), seg_len, shift)
+        assert same_bits(out, self.stacked_sliding(model.predict_batch, data, seg_len, shift))
+
+    def test_segments_are_read_only_views(self):
+        data = np.random.default_rng(0).standard_normal((7, 100, 3))
+        seen = []
+
+        def predict_batch(x):
+            seen.append(x)
+            return np.zeros((x.shape[0], x.shape[2], 1, 3))
+
+        sliding_inference(predict_batch, FeatureStack(data), seg_len=16, shift=5)
+        assert [len(x) for x in seen] == [17, 1]  # starts 0, 5, ..., 80, then the end segment at 84
+        assert same_bits(seen[1][0], data[:, 84:])
+        for x in seen:
+            assert np.shares_memory(x, data) and not x.flags.writeable
 
 
 class TestRotationTta:

@@ -7,7 +7,14 @@ relative-error measure |analytic - fd| / (|analytic| + |fd| + 1e-8).
 import numpy as np
 import pytest
 
-from oracles import brute_force_bce, brute_force_masked_mse, brute_force_mse
+from oracles import (
+    brute_force_bce,
+    brute_force_masked_mse,
+    brute_force_mse,
+    conv2d_by_tap_copies,
+    freq_pool_by_mean,
+    same_bits,
+)
 from seldkit.net.layers import (
     BiGru,
     Conv2d,
@@ -96,6 +103,114 @@ class TestConvGradients:
         conv = Conv2d(2, 3, dilation=2, rng=rng, dtype=np.float64)
         x = rng.standard_normal((1, 6, 7, 2))
         check_module(conv, x)
+
+
+class TestConvForward:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("dilation", [1, 2, 4])
+    @pytest.mark.parametrize("shape", [
+        (3, 9, 11, 5),
+        (2, 3, 6, 4),   # T below dilations 4
+        (2, 7, 1, 3),   # F = 1
+        (1, 1, 1, 2),
+        (4, 30, 32, 18),
+    ])
+    def test_matches_tap_copies_bit_for_bit(self, dtype, dilation, shape):
+        # the padded-grid row slices give the same bits as copying each tap's window
+        rng = np.random.default_rng(dilation)
+        conv = Conv2d(shape[3], 5, dilation, rng, dtype=dtype)
+        conv.params["b"][...] = rng.standard_normal(5)
+        x = rng.standard_normal(shape).astype(dtype)
+        expected = conv2d_by_tap_copies(x, conv.params["W"], conv.params["b"], dilation)
+        for _ in range(2):  # a second call reuses the workspaces
+            y = conv.forward(x)
+            assert same_bits(np.ascontiguousarray(y), expected)
+
+    def test_folded_weights_replace_the_parameters(self):
+        rng = np.random.default_rng(30)
+        conv = Conv2d(3, 4, 2, rng, dtype=np.float64)
+        W, b = rng.standard_normal((9, 3, 4)), rng.standard_normal(4)
+        x = rng.standard_normal((2, 5, 6, 3))
+        conv.folded = (W, b)
+        assert same_bits(np.ascontiguousarray(conv.forward(x)), conv2d_by_tap_copies(x, W, b, 2))
+
+
+class TestConvUnitFold:
+    @staticmethod
+    def moved_unit(dtype, seed=31):
+        """A unit whose running statistics were moved away from (0, I) by
+        train-mode forwards, and an input, in eval mode."""
+        rng = np.random.default_rng(seed)
+        unit = ConvUnit(4, 5, dilation=2, rng=rng, dtype=dtype)
+        unit.conv.params["b"][...] = rng.standard_normal(5)
+        mixing = rng.standard_normal((4, 4))
+        for _ in range(5):
+            unit.forward((rng.standard_normal((2, 8, 9, 4)) @ mixing + 0.5).astype(dtype))
+        unit.eval()
+        return unit, rng.standard_normal((2, 8, 9, 4)).astype(dtype)
+
+    @staticmethod
+    def unfolded(unit, x):
+        return unit.act.forward(unit.norm.forward(unit.conv.forward(x)))
+
+    @pytest.mark.parametrize("dtype, atol", [(np.float64, 1e-12), (np.float32, 2e-6)])
+    def test_matches_conv_then_norm(self, dtype, atol):
+        unit, x = self.moved_unit(dtype)
+        cov = unit.norm.buffers["running_cov"]
+        assert np.abs(cov - np.eye(5)).max() > 0.1
+        folded = unit.forward(x)
+        assert unit.conv.folded is None
+        np.testing.assert_allclose(folded, self.unfolded(unit, x), rtol=0, atol=atol)
+
+    def test_follows_in_place_weight_edits(self):
+        # nothing is cached: an edited weight shows in the next forward
+        unit, x = self.moved_unit(np.float64)
+        unit.forward(x)
+        unit.conv.params["W"][4, 1, 2] += 0.5
+        unit.norm.buffers["running_mean"][0] += 0.5
+        np.testing.assert_allclose(unit.forward(x), self.unfolded(unit, x), rtol=0, atol=1e-12)
+
+    def test_skips_the_norm_pass(self, monkeypatch):
+        unit, x = self.moved_unit(np.float32)
+
+        def refuse(x):
+            raise AssertionError("eval-mode NetDeconv ran its own pass")
+
+        monkeypatch.setattr(unit.norm, "forward", refuse)
+        unit.forward(x)
+
+
+class TestGruSplit:
+    @pytest.mark.parametrize("reverse", [False, True])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_forward_is_recurrence_of_projection(self, reverse, dtype):
+        rng = np.random.default_rng(32)
+        gru = Gru(6, 4, rng, reverse=reverse, dtype=dtype)
+        gru.params["bx"][...] = rng.standard_normal(12)
+        x = rng.standard_normal((3, 7, 6)).astype(dtype)
+        assert same_bits(gru.forward(x), gru.recur(gru.project(x)))
+
+    def test_bidirectional(self):
+        rng = np.random.default_rng(33)
+        gru = BiGru(5, 3, rng)
+        x = rng.standard_normal((2, 6, 5)).astype(np.float32)
+        g = gru.project(x)
+        assert g.shape == (2, 6, 18)
+        assert same_bits(gru.forward(x), gru.recur(g))
+
+
+class TestFreqPoolForward:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("factor", [1, 2, 3, 4])
+    def test_matches_mean_bit_for_bit(self, dtype, factor):
+        rng = np.random.default_rng(34)
+        scale = rng.choice([1e-40, 1.0, 1e30], size=(2, 3, 6 * factor, 5))
+        x = (rng.standard_normal(scale.shape) * scale).astype(dtype)
+        x[0, 0, :factor] = -0.0                  # a run of negative zeros pools to +0.0
+        x[0, 1, :factor, 0] = 0.0
+        x[0, 1, factor - 1, 0] = -0.0
+        x[0, 2, 0, 0], x[0, 2, factor, 1], x[1, 0, 0, 2] = np.inf, -np.inf, np.nan
+        assert same_bits(FreqPool(factor).forward(x), freq_pool_by_mean(x, factor))
 
 
 class TestActivationGradients:
