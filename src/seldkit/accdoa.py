@@ -137,10 +137,20 @@ def dump_accdoa(path, seq: np.ndarray) -> None:
 
 
 def load_accdoa(path) -> np.ndarray:
+    """Read a `dump_accdoa` file as float64.  A file shorter than its
+    header, header dims that are not (T, N, 3) with T, N >= 0, or a
+    payload of another size is a ValueError naming the path."""
     with open(path, "rb") as f:
-        dims = struct.unpack("<3q", f.read(24))
-        data = np.frombuffer(f.read(), dtype="<f4").reshape(dims)
-    return data.astype(np.float64)
+        raw = f.read()
+    if len(raw) < 24:
+        raise ValueError(f"{path}: {len(raw)} bytes, shorter than the 24-byte header")
+    dims = struct.unpack("<3q", raw[:24])
+    if min(dims) < 0 or dims[2] != 3:
+        raise ValueError(f"{path}: header dims {dims}, expected (T, N, 3) with T, N >= 0")
+    need = 4 * dims[0] * dims[1] * 3
+    if len(raw) - 24 != need:
+        raise ValueError(f"{path}: {len(raw) - 24} data bytes, header dims {dims} need {need}")
+    return np.frombuffer(raw, dtype="<f4", offset=24).reshape(dims).astype(np.float64)
 
 
 def pool_to_label_rate(seq: np.ndarray) -> np.ndarray:

@@ -107,9 +107,33 @@ def write_weights_csv(path, weights: EnsembleWeights) -> None:
 
 
 def read_weights_csv(path) -> EnsembleWeights:
+    """Read `write_weights_csv` output: after the header, one row per class
+    id 0..N-1, in any order, each holding its id and one finite weight per
+    model the header names.  Anything else is a ValueError naming the path
+    and line."""
     with open(path, newline="") as f:
-        rows = list(csv.reader(f))
-    if not rows or rows[0][0] != "class_id":
-        raise ValueError(f"{path}: not a weights file")
-    data = sorted((int(r[0]), [float(v) for v in r[1:]]) for r in rows[1:] if r)
-    return EnsembleWeights(np.array([vals for _, vals in data]))
+        rows = [(lineno, row) for lineno, row in enumerate(csv.reader(f), start=1) if row]
+    if not rows or rows[0][1][0] != "class_id" or len(rows[0][1]) < 2:
+        raise ValueError(f"{path}:1: not a weights file")
+    n_models = len(rows[0][1]) - 1
+    n_classes = len(rows) - 1
+    if not n_classes:
+        raise ValueError(f"{path}: no class rows")
+    w = np.empty((n_classes, n_models))
+    seen = set()
+    for lineno, row in rows[1:]:
+        if len(row) != 1 + n_models:
+            raise ValueError(
+                f"{path}:{lineno}: expected a class id and {n_models} weights, got {len(row)} values"
+            )
+        try:
+            c, values = int(row[0]), [float(v) for v in row[1:]]
+        except ValueError:
+            raise ValueError(f"{path}:{lineno}: expected an integer class id and numeric weights") from None
+        if not 0 <= c < n_classes or c in seen:
+            raise ValueError(f"{path}:{lineno}: class id {c}; expected each of 0..{n_classes - 1} once")
+        if not np.all(np.isfinite(values)):
+            raise ValueError(f"{path}:{lineno}: non-finite weight")
+        seen.add(c)
+        w[c] = values
+    return EnsembleWeights(w)

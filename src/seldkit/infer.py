@@ -101,49 +101,88 @@ def sliding_inference(
     return _overlap_average(data.shape[1], seg_len, outputs())[:fs.data.shape[1]]
 
 
-def _clip_gate_pieces(branch, data: np.ndarray, seg_len: int, halo: int):
-    """Yield the BiGRU input projections of the branch's trunk output over
-    the whole clip, (frames, 6 * gru_hidden), in consecutive pieces from
-    frame 0 on.
+def _edge_gates(branch, x: np.ndarray, left: bool, starts, window, at, halo: int) -> dict:
+    """{(segment start, left): (halo, 6 * gru_hidden)}: the BiGRU input
+    projections of one edge's rows of each segment at `starts`, that edge
+    lying at row at[i] of window window[i] of `x`, the window batch that
+    `branch.forward_trunk` has just run.  An edge reads at most 2 * halo
+    rows a layer, so a call takes at most TRUNK_BATCH * seg_len rows."""
+    per_call = TRUNK_BATCH * x.shape[2] // (2 * halo)
+    gates = {}
+    for lo in range(0, len(starts), per_call):
+        part = slice(lo, lo + per_call)
+        rows = branch.forward_edges(x, window[part], at[part], left)
+        gates.update(zip([(s, left) for s in starts[part].tolist()], branch.gru.project(rows)))
+    return gates
 
-    Windows of `seg_len` frames overlap by 2 * halo; each contributes the
-    frames at least `halo` from any edge it does not share with the clip,
-    where it equals the whole-clip trunk.  TRUNK_BATCH windows go through
-    the trunk per call, and the frames they contribute are projected
-    together.
+
+def _clip_gate_pieces(branch, data: np.ndarray, seg_len: int, shift: int, halo: int):
+    """Yield, window batch by window batch, (projections, edges): the BiGRU
+    input projections of the branch's trunk output over the whole clip,
+    (frames, 6 * gru_hidden), in consecutive pieces from frame 0 on; and
+    `_edge_gates` of the segments (every `shift` frames) whose edges are
+    taken from the batch's windows.
+
+    Windows of `seg_len` frames start every step = seg_len - 2 * halo
+    frames, plus one flush against the end; each contributes the frames at
+    least `halo` from any edge it does not share with the clip, where it
+    equals the whole-clip trunk.  TRUNK_BATCH windows go through the trunk
+    per call, and the frames they contribute are projected together.  The
+    segment at s takes its left edge from window s // step and its right
+    edge from window ceil(s / step) (the last window where that is past
+    the grid): there the window equals the clip on every row the edge reads.
     """
     n_t = data.shape[1]
-    windows = _segment_starts(n_t, seg_len, seg_len - 2 * halo)
+    step = seg_len - 2 * halo
+    windows = _segment_starts(n_t, seg_len, step)
+    starts = np.array(_segment_starts(n_t, seg_len, shift))
+    sides = []  # (left, segment starts, window, edge row in the window), for edges inside the clip
+    for left, w, e in ((True, starts // step, starts), (False, -(-starts // step), starts + seg_len)):
+        inside = (0 < e) & (e < n_t)
+        sides.append((left, starts[inside], w[inside], e[inside] - np.take(windows, w[inside])))
     end = 0
     for lo in range(0, len(windows), TRUNK_BATCH):
         part = windows[lo:lo + TRUNK_BATCH]
-        ys = branch.forward_trunk(np.stack([data[:, s:s + seg_len] for s in part]))
+        x = np.stack([data[:, s:s + seg_len] for s in part])
+        ys = branch.forward_trunk(x)
         kept = []
         for s, y in zip(part, ys):
             hi = s + seg_len - halo if s + seg_len < n_t else n_t
             kept.append(y[end - s:hi - s])
             end = hi
-        yield branch.gru.project(np.concatenate(kept))
+        piece = branch.gru.project(np.concatenate(kept))
+        gates = {}
+        for left, s, w, at in sides:
+            mine = (lo <= w) & (w < lo + len(part))
+            gates.update(_edge_gates(branch, x, left, s[mine], w[mine] - lo, at[mine], halo))
+        del x, ys, kept  # not held while the segments run
+        yield piece, gates
 
 
 class _ClipGates:
-    """A branch's whole-clip BiGRU input projections, computed ahead of the
-    segments that need them and dropped behind them, so memory does not
-    grow with the clip."""
+    """A branch's whole-clip BiGRU input projections and its segments'
+    edge projections, computed ahead of the segments that need them and
+    dropped behind them, so memory does not grow with the clip."""
 
-    def __init__(self, branch, data: np.ndarray, seg_len: int, halo: int):
-        self._pieces = _clip_gate_pieces(branch, data, seg_len, halo)
+    def __init__(self, branch, data: np.ndarray, seg_len: int, shift: int, halo: int):
+        self._pieces = _clip_gate_pieces(branch, data, seg_len, shift, halo)
         self._frames = np.empty((0, 6 * branch.cfg.gru_hidden), dtype=branch.dtype)
         self._lo = 0  # clip frame of self._frames[0]
+        self.edges = {}  # (segment start, left) -> (halo, 6 * gru_hidden) projections
 
     def span(self, a: int, b: int) -> np.ndarray:
-        """Frames [a, b); `a` never decreases and never passes the last `b`."""
+        """Frames [a, b), with the edges of the segments in it starting at
+        or after `a` in `edges`; `a` never decreases and never passes the
+        last `b`."""
         kept = self._frames[a - self._lo:]
         self._lo = a
+        self.edges = {k: v for k, v in self.edges.items() if k[0] >= a}
         pieces, have = [kept], a + len(kept)
         while have < b:
-            pieces.append(next(self._pieces))
-            have += len(pieces[-1])
+            piece, edges = next(self._pieces)
+            pieces.append(piece)
+            self.edges.update(edges)
+            have += len(piece)
         if len(pieces) > 1:
             kept = np.concatenate(pieces)
         self._frames = kept
@@ -154,16 +193,13 @@ def _segment_gates(branch, clip_gates: _ClipGates, x: np.ndarray, starts, n_t: i
     """The BiGRU input projections of each segment of `x` (at `starts`)
     on its own, (len(starts), seg_len, 6 * gru_hidden).
 
-    Frames further than `halo` from a segment edge come from the clip.
-    Within `halo` of an edge the clip does not share, the segment's zero
-    padding shows, so those frames are recomputed from the strip of
-    2 * halo frames flush against that edge, and projected.  When such
-    strips would cover the whole segment, the segment goes through the
-    trunk as it is, TRUNK_BATCH segments per call.
+    Frames further than `halo` from a segment edge come from the clip,
+    and those within `halo` of an edge the clip does not share from the
+    edge rows.  When the edge rows of a segment would overlap, the segment
+    goes through the trunk as it is, TRUNK_BATCH segments per call.
     """
     seg_len = x.shape[2]
-    strip = 2 * halo
-    if seg_len <= strip:
+    if seg_len <= 2 * halo:
         return np.concatenate([
             branch.gru.project(branch.forward_trunk(x[lo:lo + TRUNK_BATCH]))
             for lo in range(0, len(x), TRUNK_BATCH)
@@ -171,19 +207,11 @@ def _segment_gates(branch, clip_gates: _ClipGates, x: np.ndarray, starts, n_t: i
     a = starts[0]
     span = clip_gates.span(a, starts[-1] + seg_len)
     seg = np.stack([span[s - a:s - a + seg_len] for s in starts])
-    jobs = []  # (input strip, destination, rows of the strip's output kept)
     for i, s in enumerate(starts):
         if s > 0:
-            jobs.append((x[i, :, :strip], seg[i, :halo], slice(0, halo)))
+            seg[i, :halo] = clip_gates.edges[s, True]
         if s + seg_len < n_t:
-            jobs.append((x[i, :, -strip:], seg[i, -halo:], slice(halo, strip)))
-    per_call = TRUNK_BATCH * seg_len // strip  # frames per call as for TRUNK_BATCH segments
-    for lo in range(0, len(jobs), per_call):
-        part = jobs[lo:lo + per_call]
-        ys = branch.forward_trunk(np.stack([strip_x for strip_x, _, _ in part]))
-        gates = branch.gru.project(np.stack([y[rows] for (_, _, rows), y in zip(part, ys)]))
-        for (_, dest, _), g in zip(part, gates):
-            dest[...] = g
+            seg[i, -halo:] = clip_gates.edges[s, False]
     return seg
 
 
@@ -196,10 +224,10 @@ def _shared_trunk_inference(model, fs: FeatureStack, seg_len: int, shift: int) -
     (NetDeconv is pointwise and pooling is over frequency), so a segment's
     trunk output is the clip's except near its edges (`NetConfig.time_halo`).
     The BiGRU's input projection is per frame too, so it is computed once
-    over the clip and edge strips.  The `predict_batch` handed to
-    `sliding_inference` splices each segment's projections from the clip
-    and the strips, then runs the recurrence and head on the whole batch
-    of segments; outputs are averaged as for any model.
+    over the clip and the segments' edge rows.  The `predict_batch` handed
+    to `sliding_inference` splices each segment's projections from the
+    clip and its edges, then runs the recurrence and head on the whole
+    batch of segments; outputs are averaged as for any model.
     """
     if model.training:
         # batch statistics would make outputs depend on how segments are batched
@@ -207,7 +235,7 @@ def _shared_trunk_inference(model, fs: FeatureStack, seg_len: int, shift: int) -
     data = _pad_to_segment(fs.data, seg_len)
     n_t = data.shape[1]
     halo = model.cfg.time_halo
-    clip_gates = [_ClipGates(b, data, seg_len, halo) for b in model.branches]
+    clip_gates = [_ClipGates(b, data, seg_len, shift, halo) for b in model.branches]
     starts = iter(_segment_starts(n_t, seg_len, shift))
 
     def predict_batch(x):

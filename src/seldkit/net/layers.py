@@ -105,11 +105,15 @@ class Module:
             arr[...] = src.astype(arr.dtype)
 
     def _ws(self, name: str, shape, dtype) -> np.ndarray:
+        """A reused workspace of `shape`: the front of the largest buffer
+        `name` has needed, so calls that alternate between shapes (window
+        and edge batches in inference) allocate nothing after the first."""
+        n = int(np.prod(shape))
         buf = self._ws_store.get(name)
-        if buf is None or buf.shape != tuple(shape) or buf.dtype != dtype:
-            buf = np.empty(shape, dtype=dtype)
+        if buf is None or buf.size < n or buf.dtype != dtype:
+            buf = np.empty(n, dtype=dtype)
             self._ws_store[name] = buf
-        return buf
+        return buf[:n].reshape(shape)
 
     # subclasses implement forward(x) and backward(dy)
 
@@ -141,19 +145,21 @@ class Conv2d(Module):
         self.register_param("b", np.zeros(out_ch, dtype=dtype))
         self.dtype = dtype
         self.folded = None
+        self._border_shapes: dict = {}
 
     def _offsets(self):
         d = self.dilation
         return [(i * d, j * d) for i in range(3) for j in range(3)]
 
     def _padded(self, name: str, B: int, T: int, F: int, C: int) -> np.ndarray:
-        # borders are zeroed once at allocation and never written afterwards
+        # borders are zeroed when the shape changes and never written otherwise
         p = self.dilation
         shape = (B, T + 2 * p, F + 2 * p, C)
-        buf = self._ws_store.get(name)
-        if buf is None or buf.shape != shape or buf.dtype != self.dtype:
-            buf = np.zeros(shape, dtype=self.dtype)
-            self._ws_store[name] = buf
+        buf = self._ws(name, shape, self.dtype)
+        if self._border_shapes.get(name) != shape:
+            buf[:, :p] = buf[:, p + T:] = 0
+            buf[:, :, :p] = buf[:, :, p + F:] = 0
+            self._border_shapes[name] = shape
         return buf
 
     def forward(self, x: np.ndarray) -> np.ndarray:
@@ -162,7 +168,7 @@ class Conv2d(Module):
             raise ValueError(f"expected {self.in_ch} channels, got {C}")
         W, b = self.folded or (self.params["W"], self.params["b"])
         p = self.dilation
-        xp = self._padded("xp", B, T, F, C)
+        xp = self._xp = self._padded("xp", B, T, F, C)
         xp[:, p:p + T, p:p + F, :] = x
         yp = self._ws("yp", xp.shape[:3] + (self.out_ch,), self.dtype)
         xf, yf = xp.reshape(-1, C), yp.reshape(-1, self.out_ch)
@@ -182,7 +188,7 @@ class Conv2d(Module):
         B, T, F = self._shape
         C, Co = self.in_ch, self.out_ch
         p = self.dilation
-        xp = self._ws_store["xp"]
+        xp = self._xp
         buf = self._ws("buf", (B, T, F, C), self.dtype)
         dy2 = np.ascontiguousarray(dy, dtype=self.dtype).reshape(-1, Co)
         self.grads["b"] += dy2.sum(axis=0)
@@ -518,11 +524,12 @@ class DenseBlock(Module):
         self.growth = growth
         self.n_layers = n_layers
         self.dtype = dtype
-        for layer in range(n_layers):
+        self.units = tuple(
             self.register_child(
-                f"layer{layer}",
-                ConvUnit(in_ch + layer * growth, growth, 2 ** layer, rng, dtype),
+                f"layer{layer}", ConvUnit(in_ch + layer * growth, growth, 2 ** layer, rng, dtype)
             )
+            for layer in range(n_layers)
+        )
 
     @property
     def out_ch(self) -> int:
@@ -532,16 +539,15 @@ class DenseBlock(Module):
         B, T, F, C = x.shape
         out = self._ws("cat", (B, T, F, self.out_ch), self.dtype)
         out[..., :C] = x
-        for layer in range(self.n_layers):
+        for layer, unit in enumerate(self.units):
             lo = self.in_ch + layer * self.growth
-            y = self._children[f"layer{layer}"].forward(out[..., :lo])
-            out[..., lo:lo + self.growth] = y
+            out[..., lo:lo + self.growth] = unit.forward(out[..., :lo])
         return out
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
         grad = np.array(dy, copy=True)
         for layer in range(self.n_layers - 1, -1, -1):
             lo = self.in_ch + layer * self.growth
-            dx = self._children[f"layer{layer}"].backward(grad[..., lo:lo + self.growth])
+            dx = self.units[layer].backward(grad[..., lo:lo + self.growth])
             grad[..., :lo] += dx
         return grad[..., :self.in_ch].copy()

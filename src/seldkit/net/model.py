@@ -79,23 +79,66 @@ class ConvTrunk(Module):
         )
         self.stem.conv.needs_input_grad = False  # nothing upstream to train
         ch = cfg.stem_channels
-        self._stages = []
+        self.stages = []
         for b in range(cfg.n_blocks):
             block = self.register_child(
                 f"block{b}", DenseBlock(ch, cfg.growth, cfg.layers_per_block, rng, dtype)
             )
             pool = self.register_child(f"pool{b}", FreqPool(cfg.freq_pool))
-            self._stages.append((block, pool))
+            self.stages.append((block, pool))
             ch = block.out_ch
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         y = self.stem.forward(x)
-        for block, pool in self._stages:
-            y = pool.forward(block.forward(y))
+        self._cats = []  # each block's input and layer outputs, for edge_rows
+        for block, pool in self.stages:
+            self._cats.append(block.forward(y))
+            y = pool.forward(self._cats[-1])
         return y
 
+    def edge_rows(self, x: np.ndarray, window: np.ndarray, at: np.ndarray, left: bool) -> np.ndarray:
+        """(E, time_halo, f_out, channels): the output rows, within
+        `time_halo` of edge i, of a segment that has that edge at row at[i]
+        of window window[i] of the last `forward`, whose input was `x`.
+
+        A left edge is the segment's first row, a right edge the row after
+        its last.  Out of a layer of dilation d, the segment differs from
+        the clip only within the reach r of the edge: the stem's d plus the
+        d of each block layer so far.  Those r rows need the r + d input
+        rows flush against the edge.  Rows past an input group's reach are
+        read from the window, where each block's concatenation holds its
+        input and every layer output, and the group's first rows are the
+        edge's own results.  The conv's zero padding stands in for the
+        segment's beyond the edge and spoils only output rows past r, which
+        are dropped.  This is exact where the window equals the clip on the
+        rows read: within seg_len - 2 * time_halo rows of the window's
+        start for a left edge, of its end for a right edge.
+        """
+
+        def near(a, n):  # the n rows of `a` flush against each edge
+            return a[:, :n] if left else a[:, a.shape[1] - n:]
+
+        def gather(a, n):  # the n rows flush against each edge, read from the windows
+            rows = np.arange(n) if left else np.arange(-n, 0)
+            return a[window[:, None], at[:, None] + rows]
+
+        reach = self.stem.conv.dilation
+        own = near(self.stem.forward(gather(x, 2 * reach)), reach)
+        for (block, pool), cat in zip(self.stages, self._cats):
+            dilations = [unit.conv.dilation for unit in block.units]
+            g = gather(cat, reach + sum(dilations) + dilations[-1])
+            near(g, reach)[..., :block.in_ch] = own
+            lo = block.in_ch
+            for unit, d in zip(block.units, dilations):
+                reach += d
+                y = unit.forward(near(g, reach + d)[..., :lo])
+                near(g, reach)[..., lo:lo + block.growth] = near(y, reach)
+                lo += block.growth
+            own = pool.forward(near(g, reach))
+        return own
+
     def backward(self, dy: np.ndarray) -> np.ndarray:
-        for block, pool in reversed(self._stages):
+        for block, pool in reversed(self.stages):
             dy = block.backward(pool.backward(dy))
         return self.stem.backward(dy)
 
@@ -124,17 +167,24 @@ class SeldBranch(Module):
     def forward(self, x: np.ndarray) -> np.ndarray:
         return self._output(self.gru.forward(self.forward_trunk(x)))
 
+    def _channels_last(self, x: np.ndarray) -> np.ndarray:
+        """(B, 7, T, F) -> (B, T, f_trimmed, 7) view: the highest bins
+        dropped so pooling divides."""
+        return x[:, :, :, : self.cfg.f_trimmed].transpose(0, 2, 3, 1)
+
     def forward_trunk(self, x: np.ndarray) -> np.ndarray:
         """(B, 7, T, F) features -> (B, T, gru_in) trunk output."""
         self._check_input(x)
-        cfg = self.cfg
-        # channels-last, trimmed to a pool-divisible number of bins
-        xcl = np.ascontiguousarray(
-            x[:, :, :, : cfg.f_trimmed].transpose(0, 2, 3, 1), dtype=self.dtype
-        )
-        y = self.trunk.forward(xcl)
+        y = self.trunk.forward(np.ascontiguousarray(self._channels_last(x), dtype=self.dtype))
         B, T = y.shape[:2]
-        return y.reshape(B, T, cfg.gru_in)
+        return y.reshape(B, T, self.cfg.gru_in)
+
+    def forward_edges(self, x: np.ndarray, window: np.ndarray, at: np.ndarray, left: bool) -> np.ndarray:
+        """After `forward_trunk(x)` on a batch of windows: (E, time_halo,
+        gru_in), the trunk output of segments near their edges (see
+        `ConvTrunk.edge_rows`)."""
+        y = self.trunk.edge_rows(self._channels_last(x), window, at, left)
+        return y.reshape(len(y), -1, self.cfg.gru_in)
 
     def forward_head(self, g: np.ndarray) -> np.ndarray:
         """(B, T, 6 * gru_hidden) BiGRU input projections (`gru.project` of

@@ -204,3 +204,26 @@ def freq_pool_by_mean(x: np.ndarray, factor: int) -> np.ndarray:
     """Mean over each run of `factor` neighbouring frequency bins of (B, T, F, C)."""
     B, T, F, C = x.shape
     return x.reshape(B, T, F // factor, factor, C).mean(axis=3)
+
+
+def trunk_by_layer(trunk, x: np.ndarray) -> list:
+    """One segment's (7, T, F) features run alone through an eval-mode
+    conv trunk, one conv unit at a time: the stem, then each dense block's
+    layers on the concatenation of the block input and the layer outputs
+    so far, with frequency mean-pooled after each block.  Every unit sees
+    the whole segment, so its conv zero-pads at the segment's own edges.
+    The units themselves are checked by their own oracles; this one is the
+    reference for which rows near an edge each unit must produce.
+    Returns every unit's (T, F, C) output in order, then the
+    (T, f_out, channels) trunk output."""
+    k = trunk.cfg.freq_pool
+    h = np.moveaxis(x[:, :, :trunk.cfg.f_trimmed], 0, -1)[None].astype(np.float32)
+    outputs = [trunk.stem.forward(h)]
+    h = outputs[-1]
+    for block, _pool in trunk.stages:
+        for unit in block.units:
+            outputs.append(unit.forward(h))
+            h = np.concatenate([h, outputs[-1]], axis=-1)
+        _, T, F, C = h.shape
+        h = h.reshape(1, T, F // k, k, C).mean(axis=3)
+    return [y[0] for y in outputs] + [h[0]]

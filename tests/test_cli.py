@@ -1,5 +1,6 @@
 import json
 import math
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -8,6 +9,7 @@ from scipy.io import wavfile
 
 from seldkit.accdoa import dump_accdoa, load_accdoa, encode_accdoa
 from seldkit.cli import _configs_from, main, read_config
+from seldkit.ensemble import EnsembleWeights, write_weights_csv
 from seldkit.features import StftConfig
 from seldkit.net.checkpoint import KIND_ACCDOA, load_checkpoint, save_intensity_checkpoint, save_model
 from seldkit.net.model import NetConfig, RD3NetLite
@@ -322,6 +324,21 @@ class TestEnsembleCli:
                      "--weights", str(weights), "--out", str(pred_csv)]) == 0
         decoded = read_label_csv(pred_csv, n_frames=15)
         assert {ev.class_id for ev in decoded.events} == {0, 1}
+
+    @pytest.mark.parametrize("raw, message", [
+        pytest.param(b"\x02\x00\x00", "3 bytes, shorter than the 24-byte header", id="short-header"),
+        pytest.param(struct.pack("<3q", -1, 3, 3) + bytes(72), "header dims (-1, 3, 3)", id="negative-dim"),
+        pytest.param(struct.pack("<3q", 2, 3, 3) + bytes(68), "68 data bytes", id="truncated-data"),
+        pytest.param(struct.pack("<3q", 2, 1, 4) + bytes(32), "header dims (2, 1, 4)", id="last-dim-not-3"),
+    ])
+    def test_bad_prediction_file_is_error_exit(self, tmp_path, capsys, raw, message):
+        bad = tmp_path / "bad.acc"
+        bad.write_bytes(raw)
+        weights = tmp_path / "w.csv"
+        write_weights_csv(weights, EnsembleWeights(np.ones((3, 1))))
+        assert main(["ensemble", "apply", "--preds", str(bad), "--weights", str(weights),
+                     "--out", str(tmp_path / "out.csv")]) == 2
+        assert f"error: {bad}: {message}" in capsys.readouterr().err
 
     def test_fit_requires_labels(self):
         with pytest.raises(SystemExit):

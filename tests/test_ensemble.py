@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -133,3 +135,21 @@ class TestWeightsCsv:
         write_weights_csv(path, EnsembleWeights(np.ones((2, 3))))
         header = path.read_text().splitlines()[0]
         assert header == "class_id,model_0,model_1,model_2"
+
+    def test_rows_in_any_order(self, tmp_path):
+        path = tmp_path / "weights.csv"
+        path.write_text("class_id,model_0\n1,2.0\n0,1.0\n")
+        np.testing.assert_array_equal(read_weights_csv(path).w, [[1.0], [2.0]])
+
+    @pytest.mark.parametrize("rows, line, message", [
+        pytest.param("0,1,2\n2,3,4\n", 3, "class id 2; expected each of 0..1 once", id="class-id-gap"),
+        pytest.param("0,1,2\n0,3,4\n", 3, "class id 0; expected each of 0..1 once", id="class-id-twice"),
+        pytest.param("0,1,2\n1,3\n", 3, "expected a class id and 2 weights, got 2 values", id="ragged-row"),
+        pytest.param("0,1.0,nan\n", 2, "non-finite weight", id="non-finite"),
+    ])
+    def test_bad_rows_rejected(self, tmp_path, rows, line, message):
+        # classes 0 and 2 used to load as classes 0 and 1, and a repeated class as two classes
+        path = tmp_path / "weights.csv"
+        path.write_text("class_id,model_0,model_1\n" + rows)
+        with pytest.raises(ValueError, match=re.escape(f"{path}:{line}: {message}")):
+            read_weights_csv(path)

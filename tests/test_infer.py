@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from oracles import feature_stack_by_mod, same_bits
+from oracles import feature_stack_by_mod, same_bits, trunk_by_layer
 from seldkit.accdoa import compose_accdoa, decode_accdoa, pool_to_label_rate
 from seldkit.augment import ALL_PATTERNS, RotationPattern, rotate_accdoa, rotate_foa
 from seldkit.features import FeatureStack, StftConfig, extract_features, stft
@@ -12,7 +12,7 @@ from seldkit import infer
 from seldkit.infer import Predictor, rotation_tta, sliding_inference
 from seldkit.intensity import IntensityVectorModel
 from seldkit.metrics import evaluate
-from seldkit.net.layers import ConvUnit
+from seldkit.net.layers import Conv2d, ConvUnit
 from seldkit.net.model import NetConfig, RD3NetLite, TwoStageNet
 from seldkit.scene import AmbisonicClip, SceneConfig, synth_scene
 
@@ -177,33 +177,46 @@ class TestPredictorNetworks:
         assert all(shape[1:] == (7, 40, NET.f_bins) for shape in seen)
 
     @pytest.mark.parametrize("seg_len, shift, n_t, segment_frames", [
-        pytest.param(40, 4, 300, 0, id="clip-trunk-and-strips"),
-        pytest.param(14, 4, 300, 1, id="strips-cover-segments"),
+        pytest.param(40, 4, 300, 0, id="clip-trunk-and-edges"),
+        pytest.param(14, 4, 300, 1, id="edges-cover-segments"),
     ])
-    def test_trunk_work_and_call_size(self, seg_len, shift, n_t, segment_frames):
-        # every trunk call holds at most TRUNK_BATCH segments' frames; with room
-        # between the edge strips each frame goes through the trunk about
-        # once plus 2 * halo per segment edge, otherwise each segment once
+    def test_trunk_work_and_call_size(self, seg_len, shift, n_t, segment_frames, monkeypatch):
+        # every trunk call and every conv call holds at most TRUNK_BATCH
+        # segments' frames.  With room between a segment's edges, each frame
+        # goes through the trunk about once, in windows, and each conv unit
+        # takes a few rows per segment edge (TestEdgeRows.ROWS); otherwise
+        # each segment goes through the trunk once
         model, _ = self.network("rd3net")
-        calls = []
+        calls, conv_rows = [], []
         trunk = model.branch.forward_trunk
+        conv_forward = Conv2d.forward
 
         def recorded(x):
             calls.append(x.shape[0] * x.shape[2])
             return trunk(x)
 
+        def conv(layer, x):
+            conv_rows.append(x.shape[0] * x.shape[1])
+            return conv_forward(layer, x)
+
         model.branch.forward_trunk = recorded
+        monkeypatch.setattr(Conv2d, "forward", conv)
         data = np.random.default_rng(0).standard_normal((7, n_t, NET.f_bins))
         Predictor(model, STFT, seg_len=seg_len, shift=shift).predict_features(FeatureStack(data))
         n_seg = len(range(0, n_t - seg_len + 1, shift)) + ((n_t - seg_len) % shift > 0)
         halo = NET.time_halo
+        units = len(TestEdgeRows.ROWS)
         assert infer.TRUNK_BATCH == 8
         assert max(calls) <= infer.TRUNK_BATCH * seg_len
+        assert max(conv_rows) <= infer.TRUNK_BATCH * seg_len
         if segment_frames:
             assert sum(calls) == n_seg * seg_len
+            assert sum(conv_rows) == units * n_seg * seg_len
         else:
             windows = math.ceil((n_t - seg_len) / (seg_len - 2 * halo)) + 1
-            assert sum(calls) == windows * seg_len + (2 * n_seg - 2) * 2 * halo
+            edges = 2 * n_seg - 2
+            assert sum(calls) == windows * seg_len
+            assert sum(conv_rows) == units * windows * seg_len + edges * sum(TestEdgeRows.ROWS)
 
     def test_memory_does_not_grow_with_the_clip(self):
         # the clip trunk is kept only around the current segments: four
@@ -231,6 +244,50 @@ class TestPredictorNetworks:
             return model, model.forward
         model = TwoStageNet(NET, seed=2).eval()
         return model, lambda x: compose_accdoa(model.sed.forward(x), model.doa.forward(x))
+
+
+class TestEdgeRows:
+    """`SeldBranch.forward_edges` after a window batch, layer by layer,
+    against each segment run alone through the trunk."""
+
+    # NET's stem and block layers have dilations 1 | 1, 2 | 1, 2: out of
+    # each conv unit a segment differs from the clip within r = 1, 2, 4, 5,
+    # 7 (the time halo) rows of an edge, which read r + d = 2, 3, 6, 6, 9
+    # input rows
+    REACH = (1, 2, 4, 5, 7)
+    ROWS = (2, 3, 6, 6, 9)
+
+    @pytest.mark.parametrize("kind", ["rd3net", "two-stage"])
+    @pytest.mark.parametrize("left", [True, False], ids=["left", "right"])
+    def test_every_layer_matches_the_segment_alone(self, kind, left, monkeypatch):
+        model = TestFoldedNetworks.moved_network(kind)
+        clip, _ = make_clip(seed=4)
+        data = extract_features(clip, STFT).data
+        seg_len, halo = 40, NET.time_halo
+        step = seg_len - 2 * halo
+        windows = np.array([0, step, 2 * step])
+        x = np.stack([data[:, w:w + seg_len] for w in windows])
+        # every segment with its left edge in window s // step, or its right
+        # edge in window ceil(s / step), of these three
+        s = np.arange(1, 3 * step) if left else np.arange(0, 2 * step + 1)
+        w = s // step if left else -(-s // step)
+        at = (s if left else s + seg_len) - windows[w]
+        seen = []
+        forward = ConvUnit.forward
+        monkeypatch.setattr(ConvUnit, "forward", lambda unit, h: seen.append(forward(unit, h)) or seen[-1])
+        for branch in model.branches:
+            branch.forward_trunk(x)
+            seen.clear()
+            out = branch.forward_edges(x, w, at, left)
+            edge_layers = list(seen)
+            assert [y.shape[:2] for y in edge_layers] == [(len(s), n) for n in self.ROWS]
+            for i, start in enumerate(s):
+                expected = trunk_by_layer(branch.trunk, data[:, start:start + seg_len])
+                for y, r, e in zip(edge_layers, self.REACH, expected):
+                    got, e = (y[i, :r], e[:r]) if left else (y[i, -r:], e[-r:])
+                    np.testing.assert_allclose(got, e, rtol=0, atol=1e-6)
+                e = expected[-1][:halo] if left else expected[-1][-halo:]
+                np.testing.assert_allclose(out[i], e.reshape(halo, NET.gru_in), rtol=0, atol=1e-6)
 
 
 class TestFoldedNetworks:

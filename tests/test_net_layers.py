@@ -126,6 +126,23 @@ class TestConvForward:
             y = conv.forward(x)
             assert same_bits(np.ascontiguousarray(y), expected)
 
+    @pytest.mark.parametrize("dilation", [1, 2, 4])
+    def test_alternating_shapes_share_one_workspace(self, dilation):
+        # inference alternates window and edge batches: a smaller shape uses
+        # the front of the largest workspace, whose borders are zeroed again
+        # whenever the shape changes
+        rng = np.random.default_rng(dilation)
+        conv = Conv2d(4, 5, dilation, rng, dtype=np.float32)
+        conv.params["b"][...] = rng.standard_normal(5)
+        shapes = [(3, 12, 10, 4), (5, 3, 10, 4), (2, 12, 7, 4), (5, 3, 10, 4)]
+        xs = [(100 * rng.standard_normal(shape)).astype(np.float32) for shape in shapes]
+        conv.forward(xs[0])
+        workspaces = dict(conv._ws_store)
+        for x in xs + xs:
+            expected = conv2d_by_tap_copies(x, conv.params["W"], conv.params["b"], dilation)
+            assert same_bits(np.ascontiguousarray(conv.forward(x)), expected)
+        assert all(conv._ws_store[name] is buf for name, buf in workspaces.items())
+
     def test_folded_weights_replace_the_parameters(self):
         rng = np.random.default_rng(30)
         conv = Conv2d(3, 4, 2, rng, dtype=np.float64)

@@ -2,8 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.io import wavfile
 
+from strategies import event_lists
+from seldkit.accdoa import encode_accdoa
 from seldkit.scene import (
     DoaAngles,
     Event,
@@ -226,6 +230,21 @@ class TestFileFormats:
         loaded = read_label_csv(path, n_frames=6)
         spans = sorted((ev.onset, ev.offset) for ev in loaded.events)
         assert spans == [(0, 2), (4, 5)]
+
+
+class TestLabelCsvProperties:
+    @given(data=st.data(), n_classes=st.integers(1, 4))
+    def test_round_trip_keeps_activity_and_directions(self, tmp_path_factory, data, n_classes):
+        # integer degrees move a direction by at most about 0.71 degrees
+        events = data.draw(event_lists(n_classes))
+        path = tmp_path_factory.mktemp("labels") / "labels.csv"
+        write_label_csv(path, events)
+        expected = encode_accdoa(events, n_classes)
+        got = encode_accdoa(read_label_csv(path, n_frames=events.n_frames), n_classes)
+        active = np.linalg.norm(expected, axis=-1) > 0
+        np.testing.assert_array_equal(np.linalg.norm(got, axis=-1) > 0, active)
+        cosines = np.clip(np.sum(got * expected, axis=-1)[active], -1.0, 1.0)
+        assert np.degrees(np.arccos(cosines)).max(initial=0.0) <= 1.0
 
 
 class TestLabelCsvRejects:
