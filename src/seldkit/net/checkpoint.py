@@ -95,6 +95,8 @@ def load_checkpoint(path) -> Checkpoint:
             if start + 4 * count > len(payload):
                 raise ValueError(f"{path}: tensor {name} runs past the end of the data (truncated file?)")
             arr = np.frombuffer(payload, dtype="<f4", count=count, offset=start)
+            if not np.isfinite(arr).all():
+                raise ValueError(f"{path}: tensor {name} holds non-finite values")
             tensors[name] = arr.reshape(shape).astype(np.float32)
         else:
             key, _, value = line.partition("=")

@@ -131,7 +131,11 @@ class Conv2d(Module):
     copy.  Rows on the padding compute values that are never read; the
     output is a view of the valid region of the padded output.  While
     `folded` holds (W, b), forward uses them in place of the parameters
-    (see `ConvUnit`).
+    (see `ConvUnit`).  Backward runs on the same grid: dy is written once
+    into a zero-bordered padded workspace, each tap's gW is one GEMM of a
+    transposed row slice of the forward's padded input with dy, and dx, the
+    convolution of dy with the flipped kernel, is one GEMM per tap into a
+    padded workspace, returned as a strided view of its valid region.
     """
 
     def __init__(self, in_ch: int, out_ch: int, dilation: int, rng, dtype=np.float32):
@@ -147,9 +151,14 @@ class Conv2d(Module):
         self.folded = None
         self._border_shapes: dict = {}
 
-    def _offsets(self):
-        d = self.dilation
-        return [(i * d, j * d) for i in range(3) for j in range(3)]
+    def _grid(self, n_rows: int, F: int):
+        """Rows [lo, hi) of the flattened padded grid of n_rows rows, which
+        span every valid output and keep each tap inside the grid, and each
+        tap's row offset on it, in tap order."""
+        p = self.dilation
+        Fp = F + 2 * p
+        lo = p * Fp + p
+        return lo, n_rows - lo, [p * ((i - 1) * Fp + j - 1) for i in range(3) for j in range(3)]
 
     def _padded(self, name: str, B: int, T: int, F: int, C: int) -> np.ndarray:
         # borders are zeroed when the shape changes and never written otherwise
@@ -172,14 +181,10 @@ class Conv2d(Module):
         xp[:, p:p + T, p:p + F, :] = x
         yp = self._ws("yp", xp.shape[:3] + (self.out_ch,), self.dtype)
         xf, yf = xp.reshape(-1, C), yp.reshape(-1, self.out_ch)
-        # rows [lo, hi) span every valid output, and every tap of them stays inside xf
-        Fp = F + 2 * p
-        lo = p * Fp + p
-        hi = len(yf) - lo
+        lo, hi, offs = self._grid(len(yf), F)
         y = yf[lo:hi]
         y[...] = b
-        for idx, (i, j) in enumerate(self._offsets()):
-            off = (i - p) * Fp + (j - p)
+        for idx, off in enumerate(offs):
             _gemm_acc(y, xf[lo + off:hi + off], W[idx])
         self._shape = (B, T, F)
         return yp[:, p:p + T, p:p + F, :]
@@ -188,29 +193,27 @@ class Conv2d(Module):
         B, T, F = self._shape
         C, Co = self.in_ch, self.out_ch
         p = self.dilation
-        xp = self._xp
-        buf = self._ws("buf", (B, T, F, C), self.dtype)
         dy2 = np.ascontiguousarray(dy, dtype=self.dtype).reshape(-1, Co)
         self.grads["b"] += dy2.sum(axis=0)
-        W = self.params["W"]
+        dyp = self._padded("dyp", B, T, F, Co)
+        dyp[:, p:p + T, p:p + F, :] = dy2.reshape(B, T, F, Co)
+        xf, dyf = self._xp.reshape(-1, C), dyp.reshape(-1, Co)
+        lo, hi, offs = self._grid(len(dyf), F)
         gW = self.grads["W"]
-        if self.needs_input_grad:
-            # dx is itself a convolution: pad dy and contract with the
-            # spatially flipped, transposed kernel; no strided scatter needed
-            dyp = self._padded("dyp", B, T, F, Co)
-            dyp[:, p:p + T, p:p + F, :] = dy2.reshape(B, T, F, Co)
-            bufo = self._ws("bufo", (B, T, F, Co), self.dtype)
-            dx2 = self._ws("dx2", (B * T * F, C), self.dtype)
-            dx2[...] = 0
-        for idx, (i, j) in enumerate(self._offsets()):
-            np.copyto(buf, xp[:, i:i + T, j:j + F, :])
-            gW[idx] += buf.reshape(-1, C).T @ dy2
-            if self.needs_input_grad:
-                np.copyto(bufo, dyp[:, i:i + T, j:j + F, :])
-                dx2 = _gemm_acc(dx2, bufo.reshape(-1, Co), np.ascontiguousarray(W[8 - idx].T))
+        for idx, off in enumerate(offs):
+            # dy is zero on the padding, so those rows add nothing; `@` hands
+            # the transposed slice to BLAS without a copy
+            gW[idx] += xf[lo + off:hi + off].T @ dyf[lo:hi]
         if not self.needs_input_grad:
             return None
-        return dx2.reshape(B, T, F, C)
+        # dx is dy convolved with the flipped kernel: tap idx reads dy -off rows away
+        W = self.params["W"]
+        dxp = self._ws("dxp", dyp.shape[:3] + (C,), self.dtype)
+        dx = dxp.reshape(-1, C)[lo:hi]
+        dx[...] = 0
+        for idx in range(8, -1, -1):
+            _gemm_acc(dx, dyf[lo - offs[idx]:hi - offs[idx]], np.ascontiguousarray(W[idx].T))
+        return dxp[:, p:p + T, p:p + F, :]
 
 
 def _inv_sqrt_psd(cov: np.ndarray) -> np.ndarray:

@@ -200,6 +200,33 @@ def conv2d_by_tap_copies(x: np.ndarray, W: np.ndarray, b: np.ndarray, dilation: 
     return y.reshape(B, T, F, W.shape[2])
 
 
+def conv2d_backward_by_tap_copies(x: np.ndarray, W: np.ndarray, dy: np.ndarray, dilation: int):
+    """Gradients (dx, gW, gb) of the 3x3 same-padded conv of (B, T, F, C)
+    at input x for output gradient dy, the per-tap-copy way: each tap's
+    shifted window copied out of the zero-padded x for gW, and out of the
+    zero-padded dy for dx, which accumulates one BLAS GEMM per tap with the
+    flipped kernel's transposed weights, from tap 0 of dy and W[8]."""
+    B, T, F, C = x.shape
+    Co = W.shape[2]
+    p = dilation
+    xp = np.zeros((B, T + 2 * p, F + 2 * p, C), dtype=x.dtype)
+    xp[:, p:p + T, p:p + F] = x
+    dyp = np.zeros((B, T + 2 * p, F + 2 * p, Co), dtype=x.dtype)
+    dyp[:, p:p + T, p:p + F] = dy
+    dy2 = np.ascontiguousarray(dy, dtype=x.dtype).reshape(-1, Co)
+    gW = np.zeros_like(W)
+    dx = np.zeros((B * T * F, C), dtype=x.dtype)
+    gemm = get_blas_funcs("gemm", (dx,))
+    for idx, (i, j) in enumerate(itertools.product(range(3), range(3))):
+        tap = np.ascontiguousarray(xp[:, i * p:i * p + T, j * p:j * p + F]).reshape(-1, C)
+        gW[idx] += tap.T @ dy2
+        dtap = np.ascontiguousarray(dyp[:, i * p:i * p + T, j * p:j * p + F]).reshape(-1, Co)
+        # dx.T = W[8 - idx] @ dtap.T + dx.T, in place on the Fortran-ordered transpose
+        Wt = np.ascontiguousarray(W[8 - idx].T)
+        dx = gemm(1.0, Wt.T, dtap.T, 1.0, dx.T, overwrite_c=1).T
+    return dx.reshape(B, T, F, C), gW, dy2.sum(axis=0)
+
+
 def freq_pool_by_mean(x: np.ndarray, factor: int) -> np.ndarray:
     """Mean over each run of `factor` neighbouring frequency bins of (B, T, F, C)."""
     B, T, F, C = x.shape

@@ -228,6 +228,19 @@ class TestInferEval:
         err = capsys.readouterr().err
         assert "model.ckpt: bad net.* entries" in err and "'dropout'" in err
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_infer_rejects_non_finite_checkpoint_tensor(self, tmp_path, capsys, value):
+        wav, _ = self.setup_scene(tmp_path)
+        ckpt = tmp_path / "model.ckpt"
+        model = RD3NetLite(TINY_NET)
+        model.branch.head.params["W"][0, 0] = value
+        save_model(ckpt, KIND_ACCDOA, model, TINY_NET, StftConfig(win_len=256, hop=240, fft_size=256))
+        code = main(["infer", "--ckpt", str(ckpt), "--in", str(wav),
+                     "--out", str(tmp_path / "pred.csv")])
+        assert code == 2
+        assert "model.ckpt: tensor branch.head.W holds non-finite values" in capsys.readouterr().err
+        assert not (tmp_path / "pred.csv").exists()
+
     def test_infer_rejects_non_integral_checkpoint_value(self, tmp_path, capsys):
         wav, _ = self.setup_scene(tmp_path)
         ckpt = tmp_path / "model.ckpt"

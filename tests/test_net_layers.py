@@ -11,6 +11,7 @@ from oracles import (
     brute_force_bce,
     brute_force_masked_mse,
     brute_force_mse,
+    conv2d_backward_by_tap_copies,
     conv2d_by_tap_copies,
     freq_pool_by_mean,
     same_bits,
@@ -150,6 +151,91 @@ class TestConvForward:
         x = rng.standard_normal((2, 5, 6, 3))
         conv.folded = (W, b)
         assert same_bits(np.ascontiguousarray(conv.forward(x)), conv2d_by_tap_copies(x, W, b, 2))
+
+
+class TestConvBackward:
+    # gW sums its rows in another order than the per-tap copies did
+    GW_RTOL = {np.float32: 2e-6, np.float64: 1e-13}
+    SHAPES = [
+        (3, 9, 11, 5, 4),
+        (2, 3, 6, 4, 3),     # T below 2 * dilation at dilations 2 and 4
+        (2, 1, 6, 3, 2),     # T = 1
+        (2, 7, 1, 3, 4),     # F = 1
+        (1, 1, 1, 2, 3),
+        (3, 96, 43, 24, 6),  # desk: batch 3, a dense-block conv to growth 6
+    ]
+
+    @staticmethod
+    def setup(dtype, dilation, shape):
+        B, T, F, C, Co = shape
+        rng = np.random.default_rng(dilation)
+        conv = Conv2d(C, Co, dilation, rng, dtype=dtype)
+        x = rng.standard_normal((B, T, F, C)).astype(dtype)
+        dy = rng.standard_normal((B, T, F, Co)).astype(dtype)
+        return conv, x, dy, conv2d_backward_by_tap_copies(x, conv.params["W"], dy, dilation)
+
+    def assert_gw_close(self, gW, expected, dtype):
+        scale = np.abs(expected).max()
+        assert np.abs(gW - expected).max() <= self.GW_RTOL[dtype] * scale
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("dilation", [1, 2, 4])
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_matches_tap_copies(self, dtype, dilation, shape):
+        # dx and the bias gradient keep the per-tap copies' bits; gW its values
+        conv, x, dy, (dx_ref, gW_ref, gb_ref) = self.setup(dtype, dilation, shape)
+        for _ in range(2):  # a second call reuses the workspaces
+            conv.forward(x)
+            conv.zero_grad()
+            dx = conv.backward(dy)
+            assert same_bits(np.ascontiguousarray(dx), dx_ref)
+            assert same_bits(conv.grads["b"], gb_ref)
+            self.assert_gw_close(conv.grads["W"], gW_ref, dtype)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("dilation", [1, 2, 4])
+    def test_accumulates_onto_existing_grads(self, dtype, dilation):
+        conv, x, dy, (_dx, gW_ref, gb_ref) = self.setup(dtype, dilation, self.SHAPES[0])
+        rng = np.random.default_rng(40)
+        gW0 = rng.standard_normal(gW_ref.shape).astype(dtype)
+        gb0 = rng.standard_normal(gb_ref.shape).astype(dtype)
+        conv.grads["W"][...] = gW0
+        conv.grads["b"][...] = gb0
+        conv.forward(x)
+        conv.backward(dy)
+        assert same_bits(conv.grads["b"], gb0 + gb_ref)
+        self.assert_gw_close(conv.grads["W"] - gW0, gW_ref, dtype)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("dilation", [1, 2, 4])
+    def test_without_input_grad(self, dtype, dilation):
+        conv, x, dy, (_dx, gW_ref, gb_ref) = self.setup(dtype, dilation, self.SHAPES[0])
+        conv.needs_input_grad = False
+        conv.forward(x)
+        assert conv.backward(dy) is None
+        assert same_bits(conv.grads["b"], gb_ref)
+        self.assert_gw_close(conv.grads["W"], gW_ref, dtype)
+
+    @pytest.mark.parametrize("dilation", [1, 2, 4])
+    def test_alternating_shapes_share_one_workspace(self, dilation):
+        # after the first call of each shape, alternating them allocates
+        # nothing, and dy's padded borders stay zero
+        rng = np.random.default_rng(dilation)
+        conv = Conv2d(4, 5, dilation, rng, dtype=np.float32)
+        cases = []
+        for B, T, F in [(3, 12, 10), (5, 3, 10)]:
+            x = rng.standard_normal((B, T, F, 4)).astype(np.float32)
+            dy = rng.standard_normal((B, T, F, 5)).astype(np.float32)
+            cases.append((x, dy, conv2d_backward_by_tap_copies(x, conv.params["W"], dy, dilation)[0]))
+        for x, dy, _dx_ref in cases:
+            conv.forward(x)
+            conv.backward(dy)
+        workspaces = dict(conv._ws_store)
+        for x, dy, dx_ref in cases + cases:
+            conv.forward(x)
+            assert same_bits(np.ascontiguousarray(conv.backward(dy)), dx_ref)
+        assert conv._ws_store.keys() == workspaces.keys()
+        assert all(conv._ws_store[name] is buf for name, buf in workspaces.items())
 
 
 class TestConvUnitFold:

@@ -230,6 +230,17 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match=r"model.ckpt: tensor \S+ runs past the end"):
             load_model(path)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_tensor_rejected(self, tmp_path, value):
+        # a non-finite weight would make the network output NaN, which
+        # decodes as "no events" rather than failing
+        _model, path = self.saved_model(tmp_path)
+        ckpt = load_checkpoint(path)
+        ckpt.tensors["branch.head.W"][1, 2] = value
+        save_checkpoint(path, ckpt.kind, ckpt.config, ckpt.tensors)
+        with pytest.raises(ValueError, match=r"model.ckpt: tensor branch.head.W holds non-finite values"):
+            load_model(path)
+
     def test_unexpected_tensor_rejected(self, tmp_path):
         _model, path = self.saved_model(tmp_path)
         ckpt = load_checkpoint(path)
