@@ -69,19 +69,6 @@ def rotate_foa(clip: AmbisonicClip, r: RotationPattern) -> AmbisonicClip:
     return AmbisonicClip(r.channel_signs[:, None] * clip.samples)
 
 
-def rotate_stft(spec: np.ndarray, r: RotationPattern, flipped: np.ndarray | None = None) -> np.ndarray:
-    """The (4, T, F) STFT of `rotate_foa(clip, r)`, from the clip's STFT `spec`.
-
-    The STFT is linear and negating a nonzero float is exact, so negating
-    the channels `r` flips gives the rotated clip's STFT except in the sign
-    of exact zeros.  Where that sign can change the features
-    (`zero_signs_matter`), pass `flipped`, the STFT of the clip with Y, Z
-    and X negated: the flipped channels are then taken from it.
-    """
-    signs = r.channel_signs[:, None, None]
-    return signs * spec if flipped is None else np.where(signs < 0, flipped, spec)
-
-
 def zero_signs_matter(spec: np.ndarray) -> bool:
     """Whether negating Y, Z or X of the STFT `spec` can give other features
     than the STFT of the negated audio.

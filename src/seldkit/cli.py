@@ -89,14 +89,26 @@ def _configs_from(merged: dict, seed: int):
 # subcommands
 # ---------------------------------------------------------------------------
 
+# the `synth` flag that sets each SceneConfig field
+_SYNTH_FLAGS = {"n_classes": "--classes", "duration_s": "--duration", "max_polyphony": "--polyphony",
+                "n_events": "--events", "rng_seed": "--seed"}
+
+
 def cmd_synth(args) -> int:
+    if args.scenes < 1:
+        raise ValueError(f"--scenes must be >= 1, got {args.scenes}")
+    try:
+        cfg = SceneConfig(
+            n_classes=args.classes, duration_s=args.duration,
+            max_polyphony=args.polyphony, n_events=args.events, rng_seed=args.seed,
+        )
+    except ValueError as exc:
+        # SceneConfig's messages begin with the field name
+        field, _, rest = str(exc).partition(" ")
+        raise ValueError(f"{_SYNTH_FLAGS.get(field, field)} {rest}") from None
     out = Path(args.out)
     (out / "audio").mkdir(parents=True, exist_ok=True)
     (out / "labels").mkdir(parents=True, exist_ok=True)
-    cfg = SceneConfig(
-        n_classes=args.classes, duration_s=args.duration,
-        max_polyphony=args.polyphony, n_events=args.events, rng_seed=args.seed,
-    )
     manifest = {
         "config": {
             "scenes": args.scenes, "classes": args.classes, "duration": args.duration,

@@ -86,6 +86,28 @@ def stft(clip: AmbisonicClip, cfg: StftConfig = StftConfig()) -> np.ndarray:
     return np.fft.rfft(frames * win, n=cfg.fft_size, axis=-1)
 
 
+def _wrap_ipd(ipd: np.ndarray, amp_w: np.ndarray) -> None:
+    """Wrap phase differences d in [-2pi, 2pi] to [0, 2pi] in place, as
+    `np.mod(d, 2pi)` wraps them (see the module docstring), and set them
+    to 0 where the reference amplitude `amp_w` (T, F) is zero."""
+    step = np.empty(amp_w.shape)
+    for plane in ipd.reshape((-1,) + amp_w.shape):
+        # np.mod maps d = 2pi to 0 and adds 2pi to d < 0 in that order, so a
+        # sum that rounds up to 2pi stays 2pi; adding 0.0 to d >= 0 turns
+        # -0.0 into 0.0, as np.mod does, and is faster than a masked add
+        np.copyto(plane, 0.0, where=plane >= _TWO_PI)
+        np.multiply(plane < 0, _TWO_PI, out=step)
+        plane += step
+    np.copyto(ipd, 0.0, where=amp_w == 0)
+
+
+def _check_spec(spec) -> np.ndarray:
+    spec = np.asarray(spec)
+    if spec.ndim != 3 or spec.shape[0] != 4:
+        raise ValueError(f"expected (4, T, F) STFT, got {spec.shape}")
+    return spec
+
+
 def make_feature_stack(spec: np.ndarray) -> FeatureStack:
     """Build the (7, T, F) feature stack from a 4-channel complex STFT.
 
@@ -93,9 +115,7 @@ def make_feature_stack(spec: np.ndarray) -> FeatureStack:
     [0, 2pi] as `np.mod(d, 2pi)` wraps them (see the module docstring);
     bins where the reference channel has zero magnitude get 0.
     """
-    spec = np.asarray(spec)
-    if spec.ndim != 3 or spec.shape[0] != 4:
-        raise ValueError(f"expected (4, T, F) STFT, got {spec.shape}")
+    spec = _check_spec(spec)
     out = np.empty((FEATURE_CHANNELS,) + spec.shape[1:])
     amp, ipd = out[:4], out[4:]
     np.abs(spec, out=amp)
@@ -103,13 +123,49 @@ def make_feature_stack(spec: np.ndarray) -> FeatureStack:
     for q in range(3):
         np.arctan2(spec[q + 1].imag, spec[q + 1].real, out=ipd[q])
         np.subtract(ipd[q], ref_phase, out=ipd[q])
-    # d lies in [-2pi, 2pi]; np.mod maps d = 2pi to 0 and adds 2pi to d < 0
-    # in that order, so a sum that rounds up to 2pi stays 2pi
-    np.copyto(ipd, 0.0, where=ipd >= _TWO_PI)
-    np.add(ipd, _TWO_PI, out=ipd, where=ipd < 0)
-    ipd += 0.0  # -0.0 becomes 0.0, as in np.mod
-    np.copyto(ipd, 0.0, where=amp[0] == 0)
+    _wrap_ipd(ipd, amp[0])
     return FeatureStack(out)
+
+
+def rotated_feature_stacks(spec: np.ndarray, patterns, flipped: np.ndarray | None = None):
+    """Yield (pattern, FeatureStack) for each FOA rotation pattern, from one STFT.
+
+    A pattern negates some of Y, Z and X (`pattern.channel_signs`), which
+    leaves every amplitude as it is and gives each phase difference one of
+    two values: the channel's own, or its negation's.  So the four
+    amplitudes (4 `abs`) and the six phase-difference planes (7 `arctan2`)
+    are computed once, and each pattern only copies three planes.  The
+    negation's phase is that of `flipped`, the STFT of the clip with Y, Z
+    and X negated, when given, and that of the negated spectrum otherwise;
+    the two differ only where `augment.zero_signs_matter(spec)`.
+
+    Every stack yielded is one (7, T, F) buffer: the next pattern
+    overwrites its channels 4-6, so use a stack before asking for the next.
+    """
+    spec = _check_spec(spec)
+    out = np.empty((FEATURE_CHANNELS,) + spec.shape[1:])
+    amp = out[:4]
+    np.abs(spec, out=amp)
+    # planes[0, q] is channel q + 1's own phase difference, planes[1, q] its negation's;
+    # out[4:7] serve as scratch until the first pattern fills them
+    planes = np.empty((2, 3) + spec.shape[1:])
+    ref_phase = np.arctan2(spec[0].imag, spec[0].real, out=out[6])
+    re, im = out[4], out[5]
+    for q in range(3):
+        # contiguous copies of the channel's parts, then negated in place
+        np.copyto(re, spec[q + 1].real)
+        np.copyto(im, spec[q + 1].imag)
+        np.arctan2(im, re, out=planes[0, q])
+        if flipped is None:
+            np.arctan2(np.negative(im, out=im), np.negative(re, out=re), out=planes[1, q])
+        else:
+            np.arctan2(flipped[q + 1].imag, flipped[q + 1].real, out=planes[1, q])
+        np.subtract(planes[:, q], ref_phase, out=planes[:, q])
+    _wrap_ipd(planes, amp[0])
+    for r in patterns:
+        for q, sign in enumerate(r.channel_signs[1:]):
+            np.copyto(out[4 + q], planes[int(sign < 0), q])
+        yield r, FeatureStack(out)
 
 
 def extract_features(clip: AmbisonicClip, cfg: StftConfig = StftConfig()) -> FeatureStack:

@@ -6,8 +6,8 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .accdoa import pool_to_label_rate
-from .augment import ALL_PATTERNS, RotationPattern, rotate_accdoa, rotate_foa, rotate_stft, zero_signs_matter
-from .features import FeatureStack, StftConfig, extract_features, make_feature_stack, stft
+from .augment import ALL_PATTERNS, RotationPattern, rotate_accdoa, rotate_foa, zero_signs_matter
+from .features import FeatureStack, StftConfig, extract_features, rotated_feature_stacks, stft
 from .net.layers import Module
 from .scene import AmbisonicClip
 
@@ -251,15 +251,18 @@ def _shared_trunk_inference(model, fs: FeatureStack, seg_len: int, shift: int) -
 def rotation_tta(predict_features, spec: np.ndarray, patterns=ALL_PATTERNS, flipped=None) -> np.ndarray:
     """Average predictions over FOA rotations of one clip, from its (4, T, F) STFT.
 
-    Each pattern's features come from `rotate_stft(spec, r, flipped)`;
-    pass `flipped`, the STFT of the clip with Y, Z and X negated, where
+    Each pattern's features come from `features.rotated_feature_stacks`,
+    which builds the amplitudes and phases once for all patterns; pass
+    `flipped`, the STFT of the clip with Y, Z and X negated, where
     `zero_signs_matter(spec)`, as `Predictor.predict_clip_tta` does.
+    `predict_features` gets one stack per pattern in one shared buffer,
+    which the next pattern overwrites, so it must not keep the stack.
     Each pattern is its own inverse, so the prediction on the rotated clip
     is mapped back with the same pattern before averaging.
     """
     total = None
-    for r in patterns:
-        out = rotate_accdoa(predict_features(make_feature_stack(rotate_stft(spec, r, flipped))), r)
+    for r, fs in rotated_feature_stacks(spec, patterns, flipped):
+        out = rotate_accdoa(predict_features(fs), r)
         total = out if total is None else total + out
     return total / len(patterns)
 

@@ -11,6 +11,7 @@ as a sanity baseline.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -30,6 +31,9 @@ class IntensityVectorModel:
         self.band_bins = [np.asarray(b, dtype=int) for b in band_bins]
         if len(self.band_bins) != n_classes:
             raise ValueError("one bin set per class required")
+        # the union of the bands, and each band's columns in it
+        self._bins = functools.reduce(np.union1d, self.band_bins, np.zeros(0, dtype=int))
+        self._band_cols = [np.searchsorted(self._bins, b) for b in self.band_bins]
 
     @classmethod
     def for_scene_classes(cls, n_classes: int, stft_cfg: StftConfig) -> "IntensityVectorModel":
@@ -44,8 +48,12 @@ class IntensityVectorModel:
         return cls(n_classes, bands)
 
     def predict_features(self, fs: FeatureStack) -> np.ndarray:
-        """(T, N, 3) vectors; direction from intensity, activity from W power."""
-        data = fs.data
+        """(T, N, 3) vectors; direction from intensity, activity from W power.
+
+        Only the bins of some class band are read: the union is gathered
+        once and each band sums its own columns of it.
+        """
+        data = fs.data[:, :, self._bins]
         amp_w = data[0]
         # ACN order [W, Y, Z, X]: x from channel 3, y from 1, z from 2
         i_x = amp_w * data[3] * np.cos(data[6])
@@ -54,14 +62,14 @@ class IntensityVectorModel:
         power = amp_w * amp_w
         n_t = data.shape[1]
         out = np.zeros((n_t, self.n_classes, 3))
-        for c, bins in enumerate(self.band_bins):
+        for c, cols in enumerate(self._band_cols):
             vec = np.stack(
-                [i_x[:, bins].sum(axis=1), i_y[:, bins].sum(axis=1), i_z[:, bins].sum(axis=1)],
+                [i_x[:, cols].sum(axis=1), i_y[:, cols].sum(axis=1), i_z[:, cols].sum(axis=1)],
                 axis=1,
             )
             norms = np.linalg.norm(vec, axis=1, keepdims=True)
             direction = np.divide(vec, norms, out=np.zeros_like(vec), where=norms > _ACTIVITY_FLOOR)
-            band_power = power[:, bins].sum(axis=1)
+            band_power = power[:, cols].sum(axis=1)
             peak = band_power.max()
             activity = band_power / peak if peak > 0 else band_power
             out[:, c, :] = activity[:, None] * direction

@@ -357,7 +357,7 @@ class FreqPool(Module):
         return y
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
-        return np.repeat(dy, self.factor, axis=2) * (1.0 / self.factor)
+        return np.repeat(dy * (1.0 / self.factor), self.factor, axis=2)
 
 
 class Gru(Module):

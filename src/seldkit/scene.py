@@ -196,7 +196,15 @@ class SceneConfig:
             raise ValueError("n_classes must be >= 1")
         if self.max_polyphony < 1:
             raise ValueError("max_polyphony must be >= 1")
+        if self.n_events < 0:
+            raise ValueError(f"n_events must be >= 0, got {self.n_events}")
+        if self.rng_seed < 0:
+            raise ValueError(f"rng_seed must be >= 0, got {self.rng_seed}")
         n = self.duration_s * LABEL_FRAMES_PER_SECOND
+        # synth_scene renders at least one label frame
+        if not (math.isfinite(n) and round(n) >= 1):
+            raise ValueError(f"duration_s must be at least one label frame "
+                             f"({1 / LABEL_FRAMES_PER_SECOND} s), got {self.duration_s}")
         if abs(n - round(n)) > 1e-9:
             raise ValueError("duration_s must be a multiple of 0.1 s")
 

@@ -12,6 +12,8 @@ import math
 import numpy as np
 from scipy.linalg import get_blas_funcs
 
+from seldkit.augment import rotate_accdoa
+from seldkit.features import make_feature_stack
 from seldkit.scene import DoaAngles, Event, EventList
 
 
@@ -174,6 +176,53 @@ def feature_stack_by_mod(spec: np.ndarray) -> np.ndarray:
     ipd = np.mod(phase[1:] - phase[0], 2.0 * math.pi)
     ipd[:, amp[0] == 0] = 0.0
     return np.concatenate([amp, ipd], axis=0)
+
+
+def rotate_stft(spec: np.ndarray, r, flipped: np.ndarray | None = None) -> np.ndarray:
+    """The (4, T, F) STFT of `rotate_foa(clip, r)`, from the clip's STFT `spec`.
+
+    The STFT is linear and negating a nonzero float is exact, so negating
+    the channels `r` flips gives the rotated clip's STFT except in the sign
+    of exact zeros.  Where that sign can change the features
+    (`zero_signs_matter`), pass `flipped`, the STFT of the clip with Y, Z
+    and X negated: the flipped channels are then taken from it.
+    """
+    signs = r.channel_signs[:, None, None]
+    return signs * spec if flipped is None else np.where(signs < 0, flipped, spec)
+
+
+def rotation_tta_by_rotated_stfts(predict_features, spec: np.ndarray, patterns, flipped=None) -> np.ndarray:
+    """Rotation averaging with one rotated STFT and one fresh feature stack
+    per pattern: `make_feature_stack(rotate_stft(spec, r, flipped))`."""
+    total = None
+    for r in patterns:
+        out = rotate_accdoa(predict_features(make_feature_stack(rotate_stft(spec, r, flipped))), r)
+        total = out if total is None else total + out
+    return total / len(patterns)
+
+
+def intensity_over_all_bins(band_bins: list, data: np.ndarray, floor: float = 1e-12) -> np.ndarray:
+    """Intensity-model (T, N, 3) predictions from a (7, T, F) stack, with
+    the intensity and power planes computed over every bin and each band
+    summing its own bins of them."""
+    amp_w = data[0]
+    i_x = amp_w * data[3] * np.cos(data[6])
+    i_y = amp_w * data[1] * np.cos(data[4])
+    i_z = amp_w * data[2] * np.cos(data[5])
+    power = amp_w * amp_w
+    out = np.zeros((data.shape[1], len(band_bins), 3))
+    for c, bins in enumerate(band_bins):
+        vec = np.stack(
+            [i_x[:, bins].sum(axis=1), i_y[:, bins].sum(axis=1), i_z[:, bins].sum(axis=1)],
+            axis=1,
+        )
+        norms = np.linalg.norm(vec, axis=1, keepdims=True)
+        direction = np.divide(vec, norms, out=np.zeros_like(vec), where=norms > floor)
+        band_power = power[:, bins].sum(axis=1)
+        peak = band_power.max()
+        activity = band_power / peak if peak > 0 else band_power
+        out[:, c, :] = activity[:, None] * direction
+    return out
 
 
 def same_bits(a, b) -> bool:

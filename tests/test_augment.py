@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import random_event_list, same_bits
+from oracles import random_event_list, rotate_stft, same_bits
 from strategies import doas, foa_clips
 from seldkit.accdoa import encode_accdoa
 from seldkit.augment import (
@@ -17,11 +17,10 @@ from seldkit.augment import (
     rotate_angles,
     rotate_events,
     rotate_foa,
-    rotate_stft,
     spec_augment,
     zero_signs_matter,
 )
-from seldkit.features import StftConfig, extract_features, make_feature_stack, stft
+from seldkit.features import StftConfig, extract_features, make_feature_stack, rotated_feature_stacks, stft
 from seldkit.scene import AmbisonicClip, DoaAngles, Event, EventList, encode_plane_wave, synth_scene, SceneConfig
 
 
@@ -168,6 +167,65 @@ class TestRotateStft:
         plain = make_feature_stack(rotate_stft(spec, r)).data
         assert np.array_equal(plain[:4], direct[:4])
         assert np.abs(plain[4] - direct[4]).max() == pytest.approx(math.pi)
+
+
+class TestRotatedFeatureStacks:
+    """One set of amplitudes and phases for all eight patterns, against one
+    rotated STFT and one fresh feature stack per pattern."""
+
+    @staticmethod
+    def assert_match_per_pattern_stacks(spec, flipped):
+        got = [(r, fs.data.copy()) for r, fs in rotated_feature_stacks(spec, ALL_PATTERNS, flipped)]
+        assert [r for r, _ in got] == list(ALL_PATTERNS)
+        for r, data in got:
+            assert same_bits(data, make_feature_stack(rotate_stft(spec, r, flipped)).data), r
+
+    @given(clip=foa_clips(), always_flipped=st.booleans())
+    def test_match_per_pattern_stacks(self, clip, always_flipped):
+        spec = stft(clip, STFT)
+        needed = always_flipped or zero_signs_matter(spec)
+        self.assert_match_per_pattern_stacks(spec, stft(rotate_foa(clip, FLIP_YZX), STFT) if needed else None)
+
+    def test_silent_y_with_flipped_stft(self):
+        samples = np.random.default_rng(7).standard_normal((4, 2416))
+        samples[1, 480:1700] = 0.0
+        clip = AmbisonicClip(samples)
+        spec = stft(clip, STFT)
+        assert zero_signs_matter(spec)
+        self.assert_match_per_pattern_stacks(spec, stft(rotate_foa(clip, FLIP_YZX), STFT))
+
+    @pytest.mark.parametrize("quantized", [False, True])
+    def test_zero_w_bins(self, quantized):
+        samples = np.random.default_rng(8).standard_normal((4, 2416))
+        if quantized:
+            samples = np.round(4.0 * samples) / 4.0
+        samples[0, :1200] = 0.0
+        clip = AmbisonicClip(samples)
+        spec = stft(clip, STFT)
+        assert np.any(spec[0] == 0)
+        flipped = stft(rotate_foa(clip, FLIP_YZX), STFT) if zero_signs_matter(spec) else None
+        self.assert_match_per_pattern_stacks(spec, flipped)
+
+    @pytest.mark.parametrize("with_flipped", [False, True])
+    def test_seven_phases_per_clip(self, monkeypatch, with_flipped):
+        # W's phase, and each of Y, Z and X's own and negated phase
+        clip = AmbisonicClip(np.random.default_rng(10).standard_normal((4, 2416)))
+        spec = stft(clip, STFT)
+        flipped = stft(rotate_foa(clip, FLIP_YZX), STFT) if with_flipped else None
+        calls = []
+        arctan2 = np.arctan2
+        monkeypatch.setattr(np, "arctan2", lambda *a, **k: calls.append(1) or arctan2(*a, **k))
+        assert sum(1 for _ in rotated_feature_stacks(spec, ALL_PATTERNS, flipped)) == 8
+        assert len(calls) == 7
+
+    def test_one_buffer_overwritten_by_the_next_pattern(self):
+        spec = stft(AmbisonicClip(np.random.default_rng(9).standard_normal((4, 2416))), STFT)
+        stacks = rotated_feature_stacks(spec, ALL_PATTERNS[:2])
+        _, first = next(stacks)
+        ipd_y = first.data[4].copy()
+        _, second = next(stacks)
+        assert second.data is first.data
+        assert not np.array_equal(first.data[4], ipd_y)  # the second pattern negates Y
 
 
 class TestRotateAccdoa:

@@ -13,7 +13,9 @@ from seldkit.ensemble import EnsembleWeights, write_weights_csv
 from seldkit.features import StftConfig
 from seldkit.net.checkpoint import KIND_ACCDOA, load_checkpoint, save_intensity_checkpoint, save_model
 from seldkit.net.model import NetConfig, RD3NetLite
-from seldkit.scene import SAMPLE_RATE, DoaAngles, Event, EventList, read_label_csv, write_label_csv
+from seldkit.scene import (
+    LABEL_FRAME_SAMPLES, SAMPLE_RATE, DoaAngles, Event, EventList, read_label_csv, read_wav, write_label_csv,
+)
 
 TINY_CONFIG = """
 # desk-scale test configuration
@@ -61,6 +63,26 @@ class TestSynth:
                   "--seed", "7", "--out", str(tmp_path / name)])
         for rel in ("audio/scene000.wav", "labels/scene001.csv", "audio/scene001.wav"):
             assert (tmp_path / "a" / rel).read_bytes() == (tmp_path / "b" / rel).read_bytes()
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--scenes", "-1"), ("--scenes", "0"), ("--events", "-2"),
+        ("--duration", "0"), ("--duration", "-1"), ("--duration", "0.05"),
+        ("--duration", "nan"), ("--duration", "inf"),
+        ("--classes", "0"), ("--polyphony", "0"), ("--seed", "-1"),
+    ])
+    def test_out_of_domain_flag_exits_2_naming_it(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "data"
+        argv = ["synth", "--scenes", "1", "--classes", "3", "--duration", "1.0", "--out", str(out)]
+        assert main(argv + [flag, value]) == 2
+        assert f"error: {flag} " in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("events", ["0", "3"])
+    def test_smallest_in_domain_values(self, tmp_path, events):
+        out = tmp_path / "data"
+        assert main(["synth", "--scenes", "1", "--classes", "1", "--duration", "0.1", "--polyphony", "1",
+                     "--events", events, "--seed", "0", "--out", str(out)]) == 0
+        assert read_wav(out / "audio" / "scene000.wav").n_samples == LABEL_FRAME_SAMPLES
 
     def test_polyphony_one(self, tmp_path):
         out = tmp_path / "mono"

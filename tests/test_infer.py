@@ -4,9 +4,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from oracles import feature_stack_by_mod, same_bits, trunk_by_layer
+from oracles import (
+    feature_stack_by_mod, intensity_over_all_bins, rotation_tta_by_rotated_stfts, same_bits, trunk_by_layer,
+)
 from seldkit.accdoa import compose_accdoa, decode_accdoa, pool_to_label_rate
-from seldkit.augment import ALL_PATTERNS, RotationPattern, rotate_accdoa, rotate_foa
+from seldkit.augment import ALL_PATTERNS, RotationPattern, rotate_accdoa, rotate_foa, zero_signs_matter
 from seldkit.features import FeatureStack, StftConfig, extract_features, stft
 from seldkit import infer
 from seldkit.infer import Predictor, rotation_tta, sliding_inference
@@ -444,6 +446,26 @@ class TestRotationTta:
         assert len(calls) == 1 + silent_y
 
 
+    @pytest.mark.parametrize("kind", ["intensity", "desk-rd3net"])
+    @pytest.mark.parametrize("silent_y", [False, True], ids=["scene", "silent-y"])
+    def test_equals_per_pattern_stacks(self, kind, silent_y):
+        # the path with one rotated STFT and one feature stack per pattern
+        samples = make_clip(seed=7)[0].samples.copy()
+        if silent_y:
+            samples[1, 9600:38400] = 0.0
+        clip = AmbisonicClip(samples)
+        if kind == "intensity":
+            predictor = self.predictor("intensity")
+        else:
+            desk = NetConfig(n_classes=3, f_bins=STFT.n_bins, stem_channels=12, growth=6)
+            predictor = Predictor(RD3NetLite(desk, seed=4).eval(), STFT, seg_len=64, shift=32)
+        spec = stft(clip, STFT)
+        flipped = stft(rotate_foa(clip, RotationPattern(add_pi=True, elevation_sign=-1)), STFT) if silent_y else None
+        assert zero_signs_matter(spec) == silent_y
+        expected = rotation_tta_by_rotated_stfts(predictor.predict_features, spec, ALL_PATTERNS, flipped)
+        assert same_bits(predictor.predict_clip_tta(clip), expected)
+
+
 class TestIntensityOracle:
     def test_recovers_scene_events(self):
         # classical estimator closes the loop: synth -> features -> decode -> score
@@ -472,3 +494,26 @@ class TestIntensityOracle:
         dirs = out[active, 0] / np.linalg.norm(out[active, 0], axis=1, keepdims=True)
         dots = np.clip(dirs @ d.unit_vec, -1, 1)
         assert np.degrees(np.arccos(dots)).max() < 0.5
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_band_bins_equal_all_bins(self, seed):
+        # random stacks with zero amplitudes: whole frames, whole bins and
+        # single cells, and in one case all of W; bands overlap, repeat a
+        # bin, leave bins unsorted, are empty or touch the last bin
+        rng = np.random.default_rng(seed)
+        n_f = STFT.n_bins
+        data = np.empty((7, 40, n_f))
+        data[:4] = rng.uniform(0.0, 2.0, (4, 40, n_f)) * (rng.uniform(size=(4, 40, n_f)) > 0.2)
+        data[4:] = rng.uniform(0.0, 2 * math.pi, (3, 40, n_f))
+        data[:4, rng.integers(40, size=5)] = 0.0
+        data[:, :, rng.integers(n_f, size=5)] = 0.0
+        if seed == 3:
+            data[0] = 0.0
+        models = [
+            IntensityVectorModel.for_scene_classes(3, STFT),
+            IntensityVectorModel(5, [np.arange(1, 9), np.arange(120, n_f), [7, 3, 3, n_f - 1], [], [-1, 2]]),
+        ]
+        for model in models:
+            expected = intensity_over_all_bins(model.band_bins, data)
+            assert same_bits(model.predict_features(FeatureStack(data)), expected)
+        assert models[0]._bins.size == 33  # of 129 bins at this STFT

@@ -353,6 +353,19 @@ class TestPoolGradients:
         x = rng.standard_normal((2, 3, 8, 2))
         check_module(FreqPool(4), x)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("factor", [1, 2, 3, 4])
+    def test_backward_scales_before_repeating_bit_for_bit(self, dtype, factor):
+        # scaling dy and then repeating it gives the values of repeating
+        # it first and scaling the k times larger array
+        rng = np.random.default_rng(35)
+        scale = rng.choice([1e-40, 1.0, 1e30], size=(2, 3, 6, 5))
+        dy = (rng.standard_normal(scale.shape) * scale).astype(dtype)
+        dy[0, 0, 0, :4] = [-0.0, np.inf, -np.inf, np.nan]
+        got = FreqPool(factor).backward(dy)
+        assert got.dtype == dtype
+        assert same_bits(got, np.repeat(dy, factor, axis=2) * (1.0 / factor))
+
 
 class TestGruGradients:
     def test_forward_direction(self):
