@@ -89,9 +89,22 @@ def _configs_from(merged: dict, seed: int):
 # subcommands
 # ---------------------------------------------------------------------------
 
+def _renamed(exc: ValueError, names: dict) -> ValueError:
+    """A config class's error, whose message begins each field's complaint
+    with the field name ('; ' between fields), with the fields renamed to
+    the flags or keys that set them."""
+    parts = [part.partition(" ") for part in str(exc).split("; ")]
+    return ValueError("; ".join(f"{names.get(field, field)} {rest}" for field, _, rest in parts))
+
+
 # the `synth` flag that sets each SceneConfig field
 _SYNTH_FLAGS = {"n_classes": "--classes", "duration_s": "--duration", "max_polyphony": "--polyphony",
                 "n_events": "--events", "rng_seed": "--seed"}
+# the `train` config key or flag that sets each config class field
+_TRAIN_NAMES = {
+    **{name: f"{section}.{name}" for section, (_cls, names) in _CONFIG_SECTIONS.items() for name in names},
+    "rng_seed": "--seed",
+}
 
 
 def cmd_synth(args) -> int:
@@ -103,9 +116,7 @@ def cmd_synth(args) -> int:
             max_polyphony=args.polyphony, n_events=args.events, rng_seed=args.seed,
         )
     except ValueError as exc:
-        # SceneConfig's messages begin with the field name
-        field, _, rest = str(exc).partition(" ")
-        raise ValueError(f"{_SYNTH_FLAGS.get(field, field)} {rest}") from None
+        raise _renamed(exc, _SYNTH_FLAGS) from None
     out = Path(args.out)
     (out / "audio").mkdir(parents=True, exist_ok=True)
     (out / "labels").mkdir(parents=True, exist_ok=True)
@@ -131,10 +142,20 @@ def cmd_synth(args) -> int:
 
 
 def cmd_train(args) -> int:
-    merged = read_config(args.config)
-    scene_cfg, stft_cfg, net_cfg, train_cfg = _configs_from(merged, args.seed)
     if args.iters < 0:
-        raise SystemExit("--iters must be >= 0")
+        raise ValueError(f"--iters must be >= 0, got {args.iters}")
+    sed_iters, doa_iters = args.iters_sed, args.iters_doa
+    if sed_iters is None:
+        sed_iters = args.iters // 2 if doa_iters is None else args.iters - doa_iters
+    if doa_iters is None:
+        doa_iters = args.iters - sed_iters
+    if args.mode == "two-stage" and (sed_iters < 0 or doa_iters < 0):
+        raise ValueError(f"--iters-sed and --iters-doa must be >= 0, got {sed_iters} and {doa_iters}")
+    merged = read_config(args.config)
+    try:
+        scene_cfg, stft_cfg, net_cfg, train_cfg = _configs_from(merged, args.seed)
+    except ValueError as exc:
+        raise _renamed(exc, _TRAIN_NAMES) from None
     augment = AugmentOptions(emda=args.emda, rotate=args.rotate, specaug=args.specaug)
     stream = SceneBatchStream(
         scene_cfg, stft_cfg, train_cfg.batch_size, train_cfg.input_frames,
@@ -147,13 +168,6 @@ def cmd_train(args) -> int:
         save_model(args.out, KIND_ACCDOA, model, net_cfg, stft_cfg, extra)
     else:
         model = TwoStageNet(net_cfg, seed=args.seed)
-        sed_iters, doa_iters = args.iters_sed, args.iters_doa
-        if sed_iters is None:
-            sed_iters = args.iters // 2 if doa_iters is None else args.iters - doa_iters
-        if doa_iters is None:
-            doa_iters = args.iters - sed_iters
-        if sed_iters < 0 or doa_iters < 0:
-            raise SystemExit(f"phase iterations must be >= 0, got sed {sed_iters}, doa {doa_iters}")
         log = train_two_stage(model, stream, train_cfg, sed_iters, doa_iters)
         save_model(args.out, KIND_TWO_STAGE, model, net_cfg, stft_cfg, extra)
     loss_path = args.loss_log or (str(args.out) + ".loss.csv")

@@ -196,5 +196,5 @@ def load_model(path):
         model.load_state_dict(ckpt.tensors)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
-    model.eval()
+    model.eval(backward=False)
     return ckpt.kind, model, net_cfg, stft_cfg, ckpt.config

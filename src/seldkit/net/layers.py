@@ -3,8 +3,9 @@
 Trunk tensors are channels-last (batch, time, freq, channels): slice copies
 stay contiguous, channel statistics reduce to single GEMMs, and the
 freq*channel flattening ahead of the recurrent layers is free.  Every layer
-caches what its backward pass needs; workspaces are reused across
-iterations to avoid repeated large allocations.
+caches what its backward pass needs, unless put in eval mode with
+`backward` False; workspaces are reused across iterations to avoid
+repeated large allocations.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ class Module:
         self.buffers: dict = {}
         self._children: dict = {}
         self.training = True
+        self.for_backward = True
         self._ws_store: dict = {}
 
     # -- registration ------------------------------------------------------
@@ -78,14 +80,18 @@ class Module:
         for child in self._children.values():
             child.zero_grad()
 
-    def train(self, mode: bool = True):
+    def train(self, mode: bool = True, backward: bool = True):
+        """Training mode, or eval mode when `mode` is False.  Eval mode
+        with `backward` False keeps nothing for a backward pass, for
+        inference; training mode always keeps it."""
         self.training = mode
+        self.for_backward = mode or backward
         for child in self._children.values():
-            child.train(mode)
+            child.train(mode, backward)
         return self
 
-    def eval(self):
-        return self.train(False)
+    def eval(self, backward: bool = True):
+        return self.train(False, backward)
 
     def state_dict(self) -> dict:
         out = {name: p.copy() for name, p in self.named_parameters()}
@@ -189,6 +195,45 @@ class Conv2d(Module):
         self._shape = (B, T, F)
         return yp[:, p:p + T, p:p + F, :]
 
+    def forward_edges(self, x: np.ndarray, left: bool) -> np.ndarray:
+        """(r + d, E, F, C) -> (r, E, F, out_ch), time-major: out of the
+        r + d input rows flush against each of E segment edges, the r
+        output rows nearest the edge, as `forward` gives them for the
+        segment, whose zero padding lies beyond the edge (above a left
+        edge, below a right one).
+
+        The E edges lie side by side on one grid of r + 2d rows: each is F
+        columns wide, with d zero columns before the first and after every
+        edge, so the padding columns are shared by neighbours, and d zero
+        rows on the segment's outer side.  Each tap is one GEMM over the
+        r output rows of that grid, E (F + d) + d columns a row, less the
+        first and last d.  The grid and its output occupy the front of the
+        `xp` and `yp` workspaces, so the next `forward` re-zeroes its
+        borders.  No backward follows this pass.
+        """
+        n, E, F, C = x.shape
+        if C != self.in_ch:
+            raise ValueError(f"expected {self.in_ch} channels, got {C}")
+        W, b = self.folded or (self.params["W"], self.params["b"])
+        p = self.dilation
+        r, width = n - p, E * (F + p) + p
+        xp = self._ws("xp", (r + 2 * p, width, C), self.dtype)
+        self._border_shapes.pop("xp", None)
+        rows = xp[p:] if left else xp[:n]
+        (xp[:p] if left else xp[n:])[...] = 0
+        rows[:, :p] = 0
+        edges = rows[:, p:].reshape(n, E, F + p, C)
+        edges[:, :, :F] = x
+        edges[:, :, F:] = 0
+        yp = self._ws("yp", (r, width, self.out_ch), self.dtype)
+        xf = xp.reshape(-1, C)
+        y = yp.reshape(-1, self.out_ch)[p:r * width - p]
+        y[...] = b
+        for idx in range(9):
+            off = (idx // 3) * p * width + (idx % 3) * p
+            _gemm_acc(y, xf[off:off + len(y)], W[idx])
+        return yp[:, p:].reshape(r, E, F + p, self.out_ch)[:, :, :F]
+
     def backward(self, dy: np.ndarray):
         B, T, F = self._shape
         C, Co = self.in_ch, self.out_ch
@@ -286,7 +331,7 @@ class Elu(Module):
     def forward(self, x: np.ndarray) -> np.ndarray:
         em1 = np.minimum(x, 0)
         np.expm1(em1, out=em1)
-        self._em1 = em1
+        self._em1 = em1 if self.for_backward else None
         y = np.maximum(x, 0)
         y += em1
         return y
@@ -326,9 +371,10 @@ class Linear(Module):
         self.register_param("b", np.zeros(out_dim, dtype=dtype))
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        self._x2 = np.ascontiguousarray(x).reshape(-1, self.in_dim)
+        x2 = np.ascontiguousarray(x).reshape(-1, self.in_dim)
+        self._x2 = x2 if self.for_backward else None
         self._shape = x.shape[:-1]
-        return (self._x2 @ self.params["W"] + self.params["b"]).reshape(*self._shape, self.out_dim)
+        return (x2 @ self.params["W"] + self.params["b"]).reshape(*self._shape, self.out_dim)
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
         dy2 = np.ascontiguousarray(dy).reshape(-1, self.out_dim)
@@ -384,8 +430,9 @@ class Gru(Module):
     def forward(self, x: np.ndarray) -> np.ndarray:
         """The recurrence applied to the projection of x."""
         self._shape = x.shape
-        self._x2 = np.ascontiguousarray(x).reshape(-1, x.shape[-1])
-        return self.recur(self.project(self._x2.reshape(x.shape)))
+        x2 = np.ascontiguousarray(x).reshape(-1, x.shape[-1])
+        self._x2 = x2 if self.for_backward else None
+        return self.recur(self.project(x2.reshape(x.shape)))
 
     def project(self, x: np.ndarray) -> np.ndarray:
         """(..., D) -> (..., 3H): x @ Wx + bx, the gates' input half, which
@@ -395,13 +442,13 @@ class Gru(Module):
 
     def recur(self, gx: np.ndarray) -> np.ndarray:
         """(B, T, 3H) projected input -> (B, T, H) hidden states, run in
-        this layer's direction; keeps what backward needs."""
+        this layer's direction; keeps what backward needs, if anything."""
         B, T = gx.shape[:2]
         H = self.hidden
         order = range(T - 1, -1, -1) if self.reverse else range(T)
         h = np.zeros((B, H), dtype=self.dtype)
         out = np.empty((B, T, H), dtype=self.dtype)
-        self._cache = [None] * T
+        cache = self._cache = [None] * T if self.for_backward else None
         Wh, bh = self.params["Wh"], self.params["bh"]
         for t in order:
             gh = h @ Wh + bh
@@ -409,7 +456,8 @@ class Gru(Module):
             z = _sigmoid(gx[:, t, H:2 * H] + gh[:, H:2 * H])
             ghn = gh[:, 2 * H:]
             n = np.tanh(gx[:, t, 2 * H:] + r * ghn)
-            self._cache[t] = (r, z, n, ghn, h)
+            if cache is not None:
+                cache[t] = (r, z, n, ghn, h)
             h = (1.0 - z) * n + z * h
             out[:, t] = h
         return out
@@ -497,6 +545,16 @@ class ConvUnit(Module):
     def forward(self, x: np.ndarray) -> np.ndarray:
         if self.training:
             return self.act.forward(self.norm.forward(self.conv.forward(x)))
+        return self.act.forward(self._folded(self.conv.forward, x))
+
+    def forward_edges(self, x: np.ndarray, left: bool) -> np.ndarray:
+        """The eval-mode unit on E segment edges at once, time-major (see
+        `Conv2d.forward_edges`)."""
+        return self.act.forward(self._folded(self.conv.forward_edges, x, left))
+
+    def _folded(self, conv_pass, *args):
+        """conv_pass(*args), a pass of the conv, with NetDeconv's eval map
+        folded into the conv's weights."""
         conv, norm = self.conv, self.norm
         wh = _inv_sqrt_psd(norm.buffers["running_cov"])
         norm._whiten = wh.astype(norm.dtype)
@@ -504,10 +562,9 @@ class ConvUnit(Module):
         b = (conv.params["b"].astype(np.float64) - norm.buffers["running_mean"]) @ wh
         conv.folded = (W.astype(conv.dtype), b.astype(conv.dtype))
         try:
-            y = conv.forward(x)
+            return conv_pass(*args)
         finally:
             conv.folded = None
-        return self.act.forward(y)
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
         return self.conv.backward(self.norm.backward(self.act.backward(dy)))

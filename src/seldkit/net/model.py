@@ -31,6 +31,11 @@ class NetConfig:
     gru_hidden: int = 64
 
     def __post_init__(self):
+        small = [f"{name} must be >= 1, got {getattr(self, name)}" for name in (
+            "n_classes", "stem_channels", "growth", "layers_per_block", "n_blocks", "freq_pool", "gru_hidden",
+        ) if getattr(self, name) < 1]
+        if small:
+            raise ValueError("; ".join(small))
         if self.f_trimmed < self.total_pool:
             raise ValueError(f"f_bins {self.f_bins} too small for pooling {self.total_pool}")
 
@@ -104,26 +109,27 @@ class ConvTrunk(Module):
         A left edge is the segment's first row, a right edge the row after
         its last.  Out of a layer of dilation d, the segment differs from
         the clip only within the reach r of the edge: the stem's d plus the
-        d of each block layer so far.  Those r rows need the r + d input
-        rows flush against the edge.  Rows past an input group's reach are
-        read from the window, where each block's concatenation holds its
-        input and every layer output, and the group's first rows are the
-        edge's own results.  The conv's zero padding stands in for the
-        segment's beyond the edge and spoils only output rows past r, which
-        are dropped.  This is exact where the window equals the clip on the
-        rows read: within seg_len - 2 * time_halo rows of the window's
-        start for a left edge, of its end for a right edge.
+        d of each block layer so far.  Each conv unit computes just those r
+        rows of every edge, from the r + d input rows flush against it, in
+        one `ConvUnit.forward_edges` pass that lays all E edges side by side
+        on a time-major grid, with zeros standing in for the segment's
+        padding beyond the edge.  Rows past an input group's reach are read
+        from the window, where each block's concatenation holds its input
+        and every layer output, and the group's first rows are the edge's
+        own results.  This is exact where the window equals the clip on the
+        rows read: within seg_len - 2 * time_halo rows of the window's start
+        for a left edge, of its end for a right edge.
         """
 
-        def near(a, n):  # the n rows of `a` flush against each edge
-            return a[:, :n] if left else a[:, a.shape[1] - n:]
+        def near(a, n):  # the n rows of time-major `a` flush against each edge
+            return a[:n] if left else a[len(a) - n:]
 
-        def gather(a, n):  # the n rows flush against each edge, read from the windows
+        def gather(a, n):  # (n, E, F, C): the n rows flush against each edge, read from the windows
             rows = np.arange(n) if left else np.arange(-n, 0)
-            return a[window[:, None], at[:, None] + rows]
+            return a[window, at + rows[:, None]]
 
         reach = self.stem.conv.dilation
-        own = near(self.stem.forward(gather(x, 2 * reach)), reach)
+        own = self.stem.forward_edges(gather(x, 2 * reach), left)
         for (block, pool), cat in zip(self.stages, self._cats):
             dilations = [unit.conv.dilation for unit in block.units]
             g = gather(cat, reach + sum(dilations) + dilations[-1])
@@ -131,11 +137,10 @@ class ConvTrunk(Module):
             lo = block.in_ch
             for unit, d in zip(block.units, dilations):
                 reach += d
-                y = unit.forward(near(g, reach + d)[..., :lo])
-                near(g, reach)[..., lo:lo + block.growth] = near(y, reach)
+                near(g, reach)[..., lo:lo + block.growth] = unit.forward_edges(near(g, reach + d)[..., :lo], left)
                 lo += block.growth
             own = pool.forward(near(g, reach))
-        return own
+        return own.swapaxes(0, 1)
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
         for block, pool in reversed(self.stages):

@@ -303,3 +303,33 @@ def trunk_by_layer(trunk, x: np.ndarray) -> list:
         _, T, F, C = h.shape
         h = h.reshape(1, T, F // k, k, C).mean(axis=3)
     return [y[0] for y in outputs] + [h[0]]
+
+
+def edge_rows_by_batch(trunk, x: np.ndarray, window: np.ndarray, at: np.ndarray, left: bool) -> np.ndarray:
+    """`ConvTrunk.edge_rows` with every edge a batch item of its own: each
+    conv unit runs its `forward` on the r + d input rows flush against the
+    edge, on the conv's same-padded grid of (r + 3d) x (F + 2d) rows, and
+    keeps the r output rows nearest the edge.  The zero padding stands in
+    for the segment's beyond the edge and spoils only rows past r."""
+
+    def near(a, n):  # the n rows of `a` flush against each edge
+        return a[:, :n] if left else a[:, a.shape[1] - n:]
+
+    def gather(a, n):  # the n rows flush against each edge, read from the windows
+        rows = np.arange(n) if left else np.arange(-n, 0)
+        return a[window[:, None], at[:, None] + rows]
+
+    reach = trunk.stem.conv.dilation
+    own = near(trunk.stem.forward(gather(x, 2 * reach)), reach)
+    for (block, pool), cat in zip(trunk.stages, trunk._cats):
+        dilations = [unit.conv.dilation for unit in block.units]
+        g = gather(cat, reach + sum(dilations) + dilations[-1])
+        near(g, reach)[..., :block.in_ch] = own
+        lo = block.in_ch
+        for unit, d in zip(block.units, dilations):
+            reach += d
+            y = unit.forward(near(g, reach + d)[..., :lo])
+            near(g, reach)[..., lo:lo + block.growth] = near(y, reach)
+            lo += block.growth
+        own = pool.forward(near(g, reach))
+    return own

@@ -173,6 +173,30 @@ class TestTrain:
             assert config.get(key) == str(value), key
         assert (config["train.seed"], config["train.iters"], config["train.mode"]) == ("2", "0", "accdoa")
 
+    @pytest.mark.parametrize("key", ["stem_channels", "growth", "layers_per_block", "n_blocks",
+                                     "freq_pool", "gru_hidden"])
+    def test_out_of_domain_net_key_exits_2_naming_it(self, tmp_path, tiny_config, capsys, key):
+        config = Path(tiny_config)
+        config.write_text(config.read_text() + f"net.{key} = 0\n")
+        ckpt = tmp_path / "model.ckpt"
+        assert main(["train", "--config", str(config), "--iters", "0", "--out", str(ckpt)]) == 2
+        assert f"error: net.{key} must be >= 1, got 0" in capsys.readouterr().err
+        assert not ckpt.exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--iters", "-1"], "--iters must be >= 0, got -1"),
+        (["--iters", "0", "--seed", "-1"], "--seed must be >= 0, got -1"),
+        (["--mode", "two-stage", "--iters", "2", "--iters-doa", "5"],
+         "--iters-sed and --iters-doa must be >= 0, got -3 and 5"),
+        (["--mode", "two-stage", "--iters", "2", "--iters-sed", "3"],
+         "--iters-sed and --iters-doa must be >= 0, got 3 and -1"),
+    ])
+    def test_out_of_domain_flag_exits_2_naming_it(self, tmp_path, tiny_config, capsys, argv, message):
+        ckpt = tmp_path / "model.ckpt"
+        assert main(["train", "--config", tiny_config, "--out", str(ckpt)] + argv) == 2
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not ckpt.exists()
+
     @pytest.mark.parametrize("flag, value, expected", [
         ("--iters-sed", "1", [("1", "sed"), ("4", "doa")]),
         ("--iters-doa", "1", [("3", "sed"), ("4", "doa")]),
@@ -261,6 +285,18 @@ class TestInferEval:
                      "--out", str(tmp_path / "pred.csv")])
         assert code == 2
         assert "model.ckpt: tensor branch.head.W holds non-finite values" in capsys.readouterr().err
+        assert not (tmp_path / "pred.csv").exists()
+
+    @pytest.mark.parametrize("key", ["net.layers_per_block", "net.freq_pool", "net.gru_hidden"])
+    def test_infer_rejects_out_of_domain_checkpoint_value(self, tmp_path, capsys, key):
+        wav, _ = self.setup_scene(tmp_path)
+        ckpt = tmp_path / "model.ckpt"
+        save_model(ckpt, KIND_ACCDOA, RD3NetLite(TINY_NET), TINY_NET,
+                   StftConfig(win_len=256, hop=240, fft_size=256), {key: 0})
+        code = main(["infer", "--ckpt", str(ckpt), "--in", str(wav),
+                     "--out", str(tmp_path / "pred.csv")])
+        assert code == 2
+        assert f"model.ckpt: bad net.* entries: {key[4:]} must be >= 1, got 0" in capsys.readouterr().err
         assert not (tmp_path / "pred.csv").exists()
 
     def test_infer_rejects_non_integral_checkpoint_value(self, tmp_path, capsys):

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from oracles import (
-    feature_stack_by_mod, intensity_over_all_bins, rotation_tta_by_rotated_stfts, same_bits, trunk_by_layer,
+    edge_rows_by_batch, feature_stack_by_mod, intensity_over_all_bins, rotation_tta_by_rotated_stfts, same_bits,
+    trunk_by_layer,
 )
 from seldkit.accdoa import compose_accdoa, decode_accdoa, pool_to_label_rate
 from seldkit.augment import ALL_PATTERNS, RotationPattern, rotate_accdoa, rotate_foa, zero_signs_matter
@@ -94,6 +95,8 @@ def make_clip(seed=0, n_classes=3):
 
 NET = NetConfig(n_classes=3, f_bins=129, stem_channels=4, growth=3,
                 layers_per_block=2, n_blocks=2, freq_pool=2, gru_hidden=4)
+# the desk shapes: dilations 1, 2, 4 in each block
+DESK = NetConfig(n_classes=3, f_bins=129, stem_channels=12, growth=6, layers_per_block=3, n_blocks=2)
 
 
 def segment_by_segment(forward, data, seg_len, shift):
@@ -191,7 +194,7 @@ class TestPredictorNetworks:
         model, _ = self.network("rd3net")
         calls, conv_rows = [], []
         trunk = model.branch.forward_trunk
-        conv_forward = Conv2d.forward
+        conv_forward, conv_edges = Conv2d.forward, Conv2d.forward_edges
 
         def recorded(x):
             calls.append(x.shape[0] * x.shape[2])
@@ -201,8 +204,13 @@ class TestPredictorNetworks:
             conv_rows.append(x.shape[0] * x.shape[1])
             return conv_forward(layer, x)
 
+        def edges(layer, x, left):
+            conv_rows.append(x.shape[0] * x.shape[1])
+            return conv_edges(layer, x, left)
+
         model.branch.forward_trunk = recorded
         monkeypatch.setattr(Conv2d, "forward", conv)
+        monkeypatch.setattr(Conv2d, "forward_edges", edges)
         data = np.random.default_rng(0).standard_normal((7, n_t, NET.f_bins))
         Predictor(model, STFT, seg_len=seg_len, shift=shift).predict_features(FeatureStack(data))
         n_seg = len(range(0, n_t - seg_len + 1, shift)) + ((n_t - seg_len) % shift > 0)
@@ -255,7 +263,7 @@ class TestEdgeRows:
     # NET's stem and block layers have dilations 1 | 1, 2 | 1, 2: out of
     # each conv unit a segment differs from the clip within r = 1, 2, 4, 5,
     # 7 (the time halo) rows of an edge, which read r + d = 2, 3, 6, 6, 9
-    # input rows
+    # input rows; each unit computes exactly those r rows of every edge
     REACH = (1, 2, 4, 5, 7)
     ROWS = (2, 3, 6, 6, 9)
 
@@ -275,21 +283,46 @@ class TestEdgeRows:
         w = s // step if left else -(-s // step)
         at = (s if left else s + seg_len) - windows[w]
         seen = []
-        forward = ConvUnit.forward
-        monkeypatch.setattr(ConvUnit, "forward", lambda unit, h: seen.append(forward(unit, h)) or seen[-1])
+        forward_edges = ConvUnit.forward_edges
+        monkeypatch.setattr(ConvUnit, "forward_edges",
+                            lambda unit, h, left: seen.append(forward_edges(unit, h, left)) or seen[-1])
         for branch in model.branches:
             branch.forward_trunk(x)
             seen.clear()
             out = branch.forward_edges(x, w, at, left)
             edge_layers = list(seen)
-            assert [y.shape[:2] for y in edge_layers] == [(len(s), n) for n in self.ROWS]
+            # time-major, and only the rows within reach of the edge
+            assert [y.shape[:2] for y in edge_layers] == [(r, len(s)) for r in self.REACH]
             for i, start in enumerate(s):
                 expected = trunk_by_layer(branch.trunk, data[:, start:start + seg_len])
                 for y, r, e in zip(edge_layers, self.REACH, expected):
-                    got, e = (y[i, :r], e[:r]) if left else (y[i, -r:], e[-r:])
-                    np.testing.assert_allclose(got, e, rtol=0, atol=1e-6)
+                    np.testing.assert_allclose(y[:, i], e[:r] if left else e[-r:], rtol=0, atol=1e-6)
                 e = expected[-1][:halo] if left else expected[-1][-halo:]
                 np.testing.assert_allclose(out[i], e.reshape(halo, NET.gru_in), rtol=0, atol=1e-6)
+
+    @pytest.mark.parametrize("cfg", [NET, DESK], ids=["net", "desk"])
+    @pytest.mark.parametrize("kind", ["rd3net", "two-stage"])
+    @pytest.mark.parametrize("left", [True, False], ids=["left", "right"])
+    def test_matches_each_edge_run_as_a_batch_item(self, cfg, kind, left):
+        # bit for bit: the side-by-side grid multiplies the same values in
+        # the same tap order as each edge on the padded grid of its own.
+        # Enough edges keep every GEMM of both paths on OpenBLAS's large
+        # kernel; its small-product kernel (M·N·K <= 1e6 on AVX-512) can
+        # round the sums of K >= 32 terms differently
+        model = TestFoldedNetworks.moved_network(kind, cfg)
+        rng = np.random.default_rng(9)
+        seg_len, halo = 64, cfg.time_halo
+        x = rng.standard_normal((3, 7, seg_len, cfg.f_bins)).astype(np.float32)
+        n_edges = 2 * infer.TRUNK_BATCH * seg_len // (2 * halo) + 5  # more than two `_edge_gates` calls take
+        window = rng.integers(0, len(x), n_edges)
+        at = rng.integers(0, seg_len - 2 * halo + 1, n_edges) + (0 if left else 2 * halo)
+        for branch in model.branches:
+            branch.forward_trunk(x)
+            h = branch._channels_last(x)
+            expected = edge_rows_by_batch(branch.trunk, h, window, at, left)
+            got = branch.trunk.edge_rows(h, window, at, left)
+            assert got.shape == (n_edges, halo, cfg.f_out, cfg.trunk_channels)
+            np.testing.assert_array_equal(got, expected)
 
 
 class TestFoldedNetworks:
@@ -297,13 +330,13 @@ class TestFoldedNetworks:
     against the conv -> NetDeconv -> ELU chain run as in training."""
 
     @staticmethod
-    def moved_network(kind):
+    def moved_network(kind, cfg=NET):
         # a few train-mode forwards move every NetDeconv's running
         # statistics away from (0, I); condition numbers 1.5-1.8 at the stem
-        model = RD3NetLite(NET, seed=1) if kind == "rd3net" else TwoStageNet(NET, seed=2)
+        model = RD3NetLite(cfg, seed=1) if kind == "rd3net" else TwoStageNet(cfg, seed=2)
         rng = np.random.default_rng(7)
         for _ in range(3):
-            x = (rng.standard_normal((2, 7, 48, NET.f_bins)) * 2 + 1).astype(np.float32)
+            x = (rng.standard_normal((2, 7, 48, cfg.f_bins)) * 2 + 1).astype(np.float32)
             for branch in model.branches:
                 branch.forward(x)
         return model.eval()

@@ -144,6 +144,45 @@ class TestConvForward:
             assert same_bits(np.ascontiguousarray(conv.forward(x)), expected)
         assert all(conv._ws_store[name] is buf for name, buf in workspaces.items())
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("dilation", [1, 2, 4])
+    @pytest.mark.parametrize("left", [True, False], ids=["left", "right"])
+    def test_edges_match_each_edge_alone(self, dtype, dilation, left, monkeypatch):
+        # E edges side by side give each edge's r rows nearest the edge, as
+        # the conv of that edge's r + d rows alone, padded with zeros, does;
+        # each tap's GEMM covers at most r (E (F + d) + d) grid rows
+        from seldkit.net import layers
+
+        rng = np.random.default_rng(dilation)
+        r, E, F, C = 3, 5, 11, 4
+        conv = Conv2d(C, 5, dilation, rng, dtype=dtype)
+        conv.params["b"][...] = rng.standard_normal(5)
+        x = rng.standard_normal((r + dilation, E, F, C)).astype(dtype)
+        alone = conv2d_by_tap_copies(x.swapaxes(0, 1), conv.params["W"], conv.params["b"], dilation)
+        expected = (alone[:, :r] if left else alone[:, dilation:]).swapaxes(0, 1)
+        gemm_rows = []
+        gemm = layers._gemm_acc
+        monkeypatch.setattr(layers, "_gemm_acc", lambda out, a, b: gemm_rows.append(len(out)) or gemm(out, a, b))
+        conv.forward(rng.standard_normal((2, 8, F, C)).astype(dtype))  # leaves nonzero rows in the workspaces
+        gemm_rows.clear()
+        assert same_bits(np.ascontiguousarray(conv.forward_edges(x, left)), np.ascontiguousarray(expected))
+        assert len(gemm_rows) == 9 and max(gemm_rows) <= r * (E * (F + dilation) + dilation)
+
+    @pytest.mark.parametrize("dilation", [1, 2, 4])
+    def test_forward_after_edges_rezeroes_its_borders(self, dilation):
+        # edge grids are built in the front of the window grid's workspace
+        rng = np.random.default_rng(dilation)
+        conv = Conv2d(4, 5, dilation, rng, dtype=np.float32)
+        conv.params["b"][...] = rng.standard_normal(5)
+        x = (100 * rng.standard_normal((3, 12, 10, 4))).astype(np.float32)
+        expected = conv2d_by_tap_copies(x, conv.params["W"], conv.params["b"], dilation)
+        conv.forward(x)
+        workspaces = dict(conv._ws_store)
+        for left in (True, False):
+            conv.forward_edges((100 * rng.standard_normal((2 + dilation, 4, 10, 4))).astype(np.float32), left)
+            assert same_bits(np.ascontiguousarray(conv.forward(x)), expected)
+        assert all(conv._ws_store[name] is buf for name, buf in workspaces.items())
+
     def test_folded_weights_replace_the_parameters(self):
         rng = np.random.default_rng(30)
         conv = Conv2d(3, 4, 2, rng, dtype=np.float64)

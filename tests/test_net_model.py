@@ -71,6 +71,53 @@ class TestShapes:
         assert np.all(y == 0.0)
 
 
+class TestConfigDomain:
+    FIELDS = ["n_classes", "stem_channels", "growth", "layers_per_block", "n_blocks", "freq_pool", "gru_hidden"]
+
+    @pytest.mark.parametrize("field", FIELDS)
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_below_one_rejected_naming_the_field(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be >= 1, got {value}$"):
+            NetConfig(**{**TINY, "n_classes": 3, field: value})
+
+    def test_every_bad_field_named(self):
+        with pytest.raises(ValueError, match="^growth must be >= 1, got 0; freq_pool must be >= 1, got 0$"):
+            NetConfig(**{**TINY, "n_classes": 3, "growth": 0, "freq_pool": 0})
+
+    def test_smallest_values_build_a_network(self):
+        cfg = NetConfig(n_classes=1, f_bins=1, stem_channels=1, growth=1, layers_per_block=1,
+                        n_blocks=1, freq_pool=1, gru_hidden=1)
+        x = np.random.default_rng(0).standard_normal((1, 7, 4, 1)).astype(np.float32)
+        assert RD3NetLite(cfg).forward(x).shape == (1, 4, 1, 3)
+
+
+class TestEvalWithoutBackward:
+    def test_layers_keep_nothing_for_backward(self):
+        from seldkit.net.layers import Elu, Gru, Linear
+
+        model = TwoStageNet(tiny_config(), seed=0)
+        x = np.random.default_rng(1).standard_normal((2, 7, 12, 16)).astype(np.float32)
+        model.predict_batch(x)  # training mode: every cache filled
+        expected = model.eval().predict_batch(x)
+        np.testing.assert_array_equal(model.eval(backward=False).predict_batch(x), expected)
+        layers, stack = [], [model]
+        while stack:
+            layers.append(stack.pop())
+            stack.extend(layers[-1]._children.values())
+        held = [(type(m).__name__, name) for m in layers for name, kind in (
+            ("_em1", Elu), ("_cache", Gru), ("_x2", Gru), ("_x2", Linear)
+        ) if isinstance(m, kind) and getattr(m, name) is not None]
+        assert len(layers) > 40 and held == []
+
+    def test_loaded_models_keep_nothing_for_backward(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        save_model(path, KIND_ACCDOA, RD3NetLite(tiny_config()), tiny_config(), StftConfig())
+        _kind, loaded, _net_cfg, _stft, _config = load_model(path)
+        assert not loaded.training and not loaded.branch.head.for_backward
+        loaded.train()
+        assert loaded.branch.head.for_backward
+
+
 class TestTimeHalo:
     @pytest.mark.parametrize("cfg, halo", [
         # desk shapes and the network of tests/test_infer.py
@@ -223,6 +270,13 @@ class TestCheckpoint:
         assert type(net_cfg.n_blocks) is int and type(stft_cfg.win_len) is int
         x = np.random.default_rng(7).standard_normal((1, 7, 8, 16)).astype(np.float32)
         np.testing.assert_array_equal(loaded.forward(x), model.forward(x))
+
+    @pytest.mark.parametrize("field", TestConfigDomain.FIELDS[1:])
+    def test_out_of_domain_header_value_rejected(self, tmp_path, field):
+        path = tmp_path / "model.ckpt"
+        save_model(path, KIND_ACCDOA, RD3NetLite(tiny_config()), tiny_config(), StftConfig(), {f"net.{field}": 0})
+        with pytest.raises(ValueError, match=f"model.ckpt: bad net.* entries: {field} must be >= 1, got 0"):
+            load_model(path)
 
     def test_truncated_payload_rejected(self, tmp_path):
         _model, path = self.saved_model(tmp_path)
