@@ -142,8 +142,9 @@ def cmd_synth(args) -> int:
 
 
 def cmd_train(args) -> int:
-    if args.iters < 0:
-        raise ValueError(f"--iters must be >= 0, got {args.iters}")
+    for flag, value, least in (("--iters", args.iters, 0), ("--workers", args.workers, 1)):
+        if value < least:
+            raise ValueError(f"{flag} must be >= {least}, got {value}")
     sed_iters, doa_iters = args.iters_sed, args.iters_doa
     if sed_iters is None:
         sed_iters = args.iters // 2 if doa_iters is None else args.iters - doa_iters

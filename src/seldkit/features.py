@@ -38,6 +38,10 @@ class StftConfig:
         if self.hop * LABEL_FRAME_FACTOR != LABEL_FRAME_SAMPLES:
             raise ValueError(f"hop {self.hop}: the label grid needs a 10 ms hop, "
                              f"{LABEL_FRAME_SAMPLES // LABEL_FRAME_FACTOR} samples")
+        try:
+            get_window(self.window, self.win_len, fftbins=True)
+        except (ValueError, TypeError) as exc:
+            raise ValueError(f"window {self.window!r} is not a scipy window: {exc}") from None
 
     @property
     def n_bins(self) -> int:

@@ -1,20 +1,32 @@
 """Numpy layers with hand-written forward/backward passes.
 
-Trunk tensors are channels-last (batch, time, freq, channels): slice copies
-stay contiguous, channel statistics reduce to single GEMMs, and the
-freq*channel flattening ahead of the recurrent layers is free.  Every layer
-caches what its backward pass needs, unless put in eval mode with
-`backward` False; workspaces are reused across iterations to avoid
-repeated large allocations.
+Layer interfaces take (batch, time, freq, channels) arrays.  A dense
+block stores its concatenation channel-major on one zero-bordered grid,
+(channels, batch, time + 2P, freq + 2P) with P its largest dilation: every
+channel is one contiguous run of grid rows, so a conv reads the block's
+channel prefix in place as one (channels, rows) GEMM operand, its taps are
+contiguous shifts along the rows, and its output lands in its own channel
+slice with no pad, concatenation or transpose copy.  The (B, T, F, C)
+arrays the layers hand on are views of the grid's valid region.  Backward
+passes work channels-last, so channel gradients stay contiguous row
+slices.  Every layer caches what its backward pass needs, unless put in
+eval mode with `backward` False; workspaces are reused across iterations
+to avoid repeated large allocations.
 """
 
 from __future__ import annotations
+
+import contextlib
 
 import numpy as np
 from scipy.linalg import get_blas_funcs
 
 WHITEN_EPS = 1e-5          # added to the channel covariance's diagonal before whitening
 _RUNNING_MOMENTUM = 0.1    # weight of each training batch in NetDeconv's running statistics
+STACK_ROWS = 4096          # output rows per stacked-tap GEMM, which bounds the shared product scratch
+# OpenBLAS runs a GEMM with M·N·K at most this on a small-matrix kernel,
+# which can round sums of 32 or more terms differently from its large one
+_SMALL_GEMM = 1e6
 
 
 def _gemm_acc(out2d: np.ndarray, a2d: np.ndarray, b2d: np.ndarray) -> np.ndarray:
@@ -29,6 +41,74 @@ def _gemm_acc(out2d: np.ndarray, a2d: np.ndarray, b2d: np.ndarray) -> np.ndarray
     return res.T
 
 
+def _gemm(out2d: np.ndarray, a2d: np.ndarray, b2d: np.ndarray) -> np.ndarray:
+    """out = a @ b; numpy hands BLAS a row slice of a wider array (its
+    leading dimension) without copying it."""
+    return np.matmul(a2d, b2d, out=out2d)
+
+
+def _stacked_conv(x2, y2, W, b, offs, lo: int, hi: int, scratch) -> None:
+    """y2[:, lo:hi] = b + the sum over taps t, in tap order, of
+    W[t].T @ x2[:, lo + offs[t]:hi + offs[t]].
+
+    x2 (C, N) and y2 (Co, N) hold channels as rows of grid positions, and
+    offs ascends.  The three taps of each kernel row are one GEMM of their
+    stacked (3 Co, C) weights with the rows all three read, and each tap's
+    product is a contiguous row slice of that result, added onto y (tap 0
+    onto the bias).  Stacking all nine taps would also multiply the rows
+    between the first and the last kernel row's reach.  The rows go in
+    pieces of about STACK_ROWS, never so few that a GEMM drops to
+    OpenBLAS's small-matrix kernel, so the bits of y do not depend on where
+    the pieces end.  `scratch(size)` gives the flat product buffer.
+    """
+    C, Co = W.shape[1:]
+    stacked = np.ascontiguousarray(W.transpose(0, 2, 1)).reshape(3, 3 * Co, C)
+    n = hi - lo
+    least = int(_SMALL_GEMM // (3 * Co * C)) + 1  # rows that keep a GEMM on the large kernel
+    pieces = max(1, min(-(-n // STACK_ROWS), n // least))
+    # sized for the longest piece any call can take, so the buffer never grows
+    buf = scratch(3 * Co * (max(STACK_ROWS, 2 * least) + offs[2] - offs[0]))
+    for k in range(pieces):
+        s, e = lo + n * k // pieces, lo + n * (k + 1) // pieces
+        y = y2[:, s:e]
+        for i in range(3):
+            a, z = s + offs[3 * i], e + offs[3 * i + 2]
+            prod = _gemm(buf[:3 * Co * (z - a)].reshape(3 * Co, z - a), stacked[i], x2[:, a:z])
+            for j in range(3):
+                tap = prod[j * Co:(j + 1) * Co, s + offs[3 * i + j] - a:e + offs[3 * i + j] - a]
+                if i or j:
+                    y += tap
+                else:
+                    np.add(tap, b[:, None], out=y)
+
+
+def _zero_ring(a: np.ndarray, p: int, axis: int) -> None:
+    """Zero the p-wide border of axes `axis` and `axis` + 1 of a."""
+    for ax in (axis, axis + 1):
+        lead = (slice(None),) * ax
+        a[lead + (slice(None, p),)] = 0
+        a[lead + (slice(a.shape[ax] - p, None),)] = 0
+
+
+def _valid(grid: np.ndarray, p: int) -> np.ndarray:
+    """(B, T, F, C) view of the valid region of a channel-major grid
+    (C, B, T + 2p, F + 2p)."""
+    return grid[:, :, p:grid.shape[2] - p, p:grid.shape[3] - p].transpose(1, 2, 3, 0)
+
+
+def _edge_columns(grid: np.ndarray, p: int, E: int, F: int) -> np.ndarray:
+    """(C, R, E, F) view of the edges of an edge grid (C, R, E (F + p) + p),
+    whose rows hold E edges side by side, F columns each, with p zero
+    columns before the first and after every edge."""
+    return grid[:, :, p:].reshape(grid.shape[0], grid.shape[1], E, F + p)[..., :F]
+
+
+def _put(dst: np.ndarray, src: np.ndarray) -> None:
+    """dst[...] = src, unless src already is that view of the same memory."""
+    if src.shape != dst.shape or src.strides != dst.strides or src.ctypes.data != dst.ctypes.data:
+        dst[...] = src
+
+
 class Module:
     """Minimal parameter container with recursive naming."""
 
@@ -40,6 +120,7 @@ class Module:
         self.training = True
         self.for_backward = True
         self._ws_store: dict = {}
+        self._border_shapes: dict = {}
 
     # -- registration ------------------------------------------------------
     def register_param(self, name: str, value: np.ndarray) -> np.ndarray:
@@ -121,6 +202,16 @@ class Module:
             self._ws_store[name] = buf
         return buf[:n].reshape(shape)
 
+    def _bordered(self, name: str, shape, p: int, axis: int, dtype) -> np.ndarray:
+        """`_ws(name, shape, dtype)` with a zero p-wide border on axes
+        `axis` and `axis` + 1: zeroed whenever the shape changes, so whoever
+        writes into the border must zero it again."""
+        buf = self._ws(name, shape, dtype)
+        if self._border_shapes.get(name) != shape:
+            _zero_ring(buf, p, axis)
+            self._border_shapes[name] = shape
+        return buf
+
     # subclasses implement forward(x) and backward(dy)
 
 
@@ -131,17 +222,25 @@ class Conv2d(Module):
     them before the next call on the same instance.  `needs_input_grad`
     False skips the input-gradient half of backward (for the first layer).
 
-    The forward pass works on the padded grid (B, T + 2d, F + 2d) flattened
-    to rows: tap (i, j) of every output row reads the input row a fixed
-    offset away, so each tap is one GEMM on a contiguous row slice, with no
-    copy.  Rows on the padding compute values that are never read; the
-    output is a view of the valid region of the padded output.  While
-    `folded` holds (W, b), forward uses them in place of the parameters
-    (see `ConvUnit`).  Backward runs on the same grid: dy is written once
-    into a zero-bordered padded workspace, each tap's gW is one GEMM of a
-    transposed row slice of the forward's padded input with dy, and dx, the
-    convolution of dy with the flipped kernel, is one GEMM per tap into a
-    padded workspace, returned as a strided view of its valid region.
+    The forward pass runs on a channel-major zero-bordered grid
+    (C, B, T + 2P, F + 2P), P >= d, flattened per channel to rows: tap
+    (i, j) of every output row reads the input row a fixed offset away, so
+    the three taps of a kernel row are one GEMM of their stacked
+    (3 Cout, C) weights with the input's rows, and each tap's product is a
+    contiguous row slice of it, added onto the bias in tap order
+    (`_stacked_conv`).  While `grid` holds (src, dst) (`on_grid`), forward
+    reads its C input channels as the prefix of grid `src` in place (x is
+    their valid region) and writes its output into grid `dst`, whose
+    border it zeroes (see `DenseBlock`); otherwise it copies x onto a grid
+    of its own, P = d.  While `folded` holds (W, b), forward uses them in
+    place of the parameters (see `ConvUnit`).  `scratch`, when set, is the
+    module whose workspace holds the stacked products, so convs that run
+    one at a time share it.  Backward runs channels-last on the same
+    grid: dy is written once into a zero-bordered padded workspace, each
+    tap's gW is one GEMM of a row slice of the forward's input grid with
+    dy, and dx, the convolution of dy with the flipped kernel, is one GEMM
+    per tap into a padded workspace, returned as a strided view of its
+    valid region.
     """
 
     def __init__(self, in_ch: int, out_ch: int, dilation: int, rng, dtype=np.float32):
@@ -155,45 +254,52 @@ class Conv2d(Module):
         self.register_param("b", np.zeros(out_ch, dtype=dtype))
         self.dtype = dtype
         self.folded = None
-        self._border_shapes: dict = {}
+        self.grid = None
+        self.scratch = None
 
-    def _grid(self, n_rows: int, F: int):
-        """Rows [lo, hi) of the flattened padded grid of n_rows rows, which
-        span every valid output and keep each tap inside the grid, and each
-        tap's row offset on it, in tap order."""
-        p = self.dilation
+    @contextlib.contextmanager
+    def on_grid(self, src: np.ndarray, dst: np.ndarray):
+        """Within the `with` block, forward and forward_edges read grid
+        `src` and write grid `dst`."""
+        self.grid = (src, dst)
+        try:
+            yield
+        finally:
+            self.grid = None
+
+    def _products(self, size: int) -> np.ndarray:
+        """The stacked-product buffer: `size` elements of the shared scratch."""
+        return (self.scratch or self)._ws("products", (size,), self.dtype)
+
+    def _rows(self, n_rows: int, F: int, p: int):
+        """Rows [lo, hi) of a flattened grid of n_rows rows and border p,
+        which span every valid output and keep each tap inside the grid,
+        and each tap's row offset on it, in tap order."""
+        d = self.dilation
         Fp = F + 2 * p
         lo = p * Fp + p
-        return lo, n_rows - lo, [p * ((i - 1) * Fp + j - 1) for i in range(3) for j in range(3)]
-
-    def _padded(self, name: str, B: int, T: int, F: int, C: int) -> np.ndarray:
-        # borders are zeroed when the shape changes and never written otherwise
-        p = self.dilation
-        shape = (B, T + 2 * p, F + 2 * p, C)
-        buf = self._ws(name, shape, self.dtype)
-        if self._border_shapes.get(name) != shape:
-            buf[:, :p] = buf[:, p + T:] = 0
-            buf[:, :, :p] = buf[:, :, p + F:] = 0
-            self._border_shapes[name] = shape
-        return buf
+        return lo, n_rows - lo, [d * ((i - 1) * Fp + j - 1) for i in range(3) for j in range(3)]
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         B, T, F, C = x.shape
         if C != self.in_ch:
             raise ValueError(f"expected {self.in_ch} channels, got {C}")
         W, b = self.folded or (self.params["W"], self.params["b"])
-        p = self.dilation
-        xp = self._xp = self._padded("xp", B, T, F, C)
-        xp[:, p:p + T, p:p + F, :] = x
-        yp = self._ws("yp", xp.shape[:3] + (self.out_ch,), self.dtype)
-        xf, yf = xp.reshape(-1, C), yp.reshape(-1, self.out_ch)
-        lo, hi, offs = self._grid(len(yf), F)
-        y = yf[lo:hi]
-        y[...] = b
-        for idx, off in enumerate(offs):
-            _gemm_acc(y, xf[lo + off:hi + off], W[idx])
-        self._shape = (B, T, F)
-        return yp[:, p:p + T, p:p + F, :]
+        if self.grid is None:
+            d = self.dilation
+            src = self._bordered("xp", (C, B, T + 2 * d, F + 2 * d), d, 2, self.dtype)
+            _valid(src, d)[...] = x
+            dst = self._ws("yp", (self.out_ch,) + src.shape[1:], self.dtype)
+        else:
+            src, dst = self.grid
+        p = (src.shape[2] - T) // 2
+        x2, y2 = src.reshape(len(src), -1)[:C], dst.reshape(self.out_ch, -1)
+        lo, hi, offs = self._rows(x2.shape[1], F, p)
+        _stacked_conv(x2, y2, W, b, offs, lo, hi, self._products)
+        _zero_ring(dst, p, 2)
+        self._src = src if self.for_backward else None
+        self._shape = (B, T, F, p)
+        return _valid(dst, p)
 
     def forward_edges(self, x: np.ndarray, left: bool) -> np.ndarray:
         """(r + d, E, F, C) -> (r, E, F, out_ch), time-major: out of the
@@ -202,53 +308,54 @@ class Conv2d(Module):
         segment, whose zero padding lies beyond the edge (above a left
         edge, below a right one).
 
-        The E edges lie side by side on one grid of r + 2d rows: each is F
-        columns wide, with d zero columns before the first and after every
-        edge, so the padding columns are shared by neighbours, and d zero
-        rows on the segment's outer side.  Each tap is one GEMM over the
-        r output rows of that grid, E (F + d) + d columns a row, less the
-        first and last d.  The grid and its output occupy the front of the
-        `xp` and `yp` workspaces, so the next `forward` re-zeroes its
-        borders.  No backward follows this pass.
+        The E edges lie side by side on one channel-major edge grid
+        (C, R, E (F + p) + p), p >= d: each is F columns wide, with p zero
+        columns before the first and after every edge, so the padding
+        columns are shared by neighbours, and p zero rows on the segment's
+        outer side.  `_stacked_conv` runs over the r output rows of that
+        grid only, and the zero columns of those rows are zeroed again.
+        While `grid` holds (src, dst), those are edge grids of the same
+        rows and columns, x is the edge rows of `src`, and the output lands
+        in `dst`; otherwise x is copied onto a new grid of R = r + 2d rows,
+        p = d.  No backward follows this pass.
         """
         n, E, F, C = x.shape
         if C != self.in_ch:
             raise ValueError(f"expected {self.in_ch} channels, got {C}")
         W, b = self.folded or (self.params["W"], self.params["b"])
-        p = self.dilation
-        r, width = n - p, E * (F + p) + p
-        xp = self._ws("xp", (r + 2 * p, width, C), self.dtype)
-        self._border_shapes.pop("xp", None)
-        rows = xp[p:] if left else xp[:n]
-        (xp[:p] if left else xp[n:])[...] = 0
-        rows[:, :p] = 0
-        edges = rows[:, p:].reshape(n, E, F + p, C)
-        edges[:, :, :F] = x
-        edges[:, :, F:] = 0
-        yp = self._ws("yp", (r, width, self.out_ch), self.dtype)
-        xf = xp.reshape(-1, C)
-        y = yp.reshape(-1, self.out_ch)[p:r * width - p]
-        y[...] = b
-        for idx in range(9):
-            off = (idx // 3) * p * width + (idx % 3) * p
-            _gemm_acc(y, xf[off:off + len(y)], W[idx])
-        return yp[:, p:].reshape(r, E, F + p, self.out_ch)[:, :, :F]
+        d = self.dilation
+        r = n - d
+        if self.grid is None:
+            src = np.zeros((C, r + 2 * d, E * (F + d) + d), self.dtype)
+            cols = _edge_columns(src, d, E, F)
+            (cols[:, d:] if left else cols[:, :n])[...] = x.transpose(3, 0, 1, 2)
+            dst = np.empty((self.out_ch,) + src.shape[1:], self.dtype)
+        else:
+            src, dst = self.grid
+        R, width = src.shape[1:]
+        p = (width - E * F) // (E + 1)
+        first = p if left else R - p - r  # the output's first row
+        offs = [d * ((i - 1) * width + j - 1) for i in range(3) for j in range(3)]
+        _stacked_conv(src.reshape(len(src), -1)[:C], dst.reshape(self.out_ch, -1), W, b, offs,
+                      first * width + p, (first + r) * width - p, self._products)
+        rows = dst[:, first:first + r]
+        rows[:, :, :E * (F + p)].reshape(self.out_ch, r, E, F + p)[..., :p] = 0
+        rows[:, :, E * (F + p):] = 0
+        return _edge_columns(rows, p, E, F).transpose(1, 2, 3, 0)
 
     def backward(self, dy: np.ndarray):
-        B, T, F = self._shape
+        B, T, F, p = self._shape
         C, Co = self.in_ch, self.out_ch
-        p = self.dilation
         dy2 = np.ascontiguousarray(dy, dtype=self.dtype).reshape(-1, Co)
         self.grads["b"] += dy2.sum(axis=0)
-        dyp = self._padded("dyp", B, T, F, Co)
+        dyp = self._bordered("dyp", (B, T + 2 * p, F + 2 * p, Co), p, 1, self.dtype)
         dyp[:, p:p + T, p:p + F, :] = dy2.reshape(B, T, F, Co)
-        xf, dyf = self._xp.reshape(-1, C), dyp.reshape(-1, Co)
-        lo, hi, offs = self._grid(len(dyf), F)
+        x2, dyf = self._src.reshape(len(self._src), -1)[:C], dyp.reshape(-1, Co)
+        lo, hi, offs = self._rows(len(dyf), F, p)
         gW = self.grads["W"]
         for idx, off in enumerate(offs):
-            # dy is zero on the padding, so those rows add nothing; `@` hands
-            # the transposed slice to BLAS without a copy
-            gW[idx] += xf[lo + off:hi + off].T @ dyf[lo:hi]
+            # dy is zero on the padding, so those rows add nothing
+            gW[idx] += x2[:, lo + off:hi + off] @ dyf[lo:hi]
         if not self.needs_input_grad:
             return None
         # dx is dy convolved with the flipped kernel: tap idx reads dy -off rows away
@@ -326,19 +433,21 @@ class NetDeconv(Module):
 
 class Elu(Module):
     """ELU activation; continuously differentiable, so finite-difference
-    gradient checks are meaningful everywhere."""
+    gradient checks are meaningful everywhere.  forward writes into `out`
+    when given, which may be x itself."""
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
+    def forward(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         em1 = np.minimum(x, 0)
         np.expm1(em1, out=em1)
-        self._em1 = em1 if self.for_backward else None
-        y = np.maximum(x, 0)
+        y = np.maximum(x, 0, out=out)
         y += em1
+        self._y = y if self.for_backward else None
         return y
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
-        # d/dx = exp(min(x, 0)) = em1 + 1, which is 1 where x > 0 (em1 is 0 there)
-        return dy * (self._em1 + 1)
+        # d/dx = exp(min(x, 0)) = min(y, 0) + 1: y = expm1(x) where x <= 0,
+        # and y > 0 where x > 0
+        return dy * (np.minimum(self._y, 0) + 1)
 
 
 class Tanh(Module):
@@ -390,13 +499,14 @@ class FreqPool(Module):
         super().__init__()
         self.factor = factor
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
+    def forward(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """The pooled x, written into `out` when given."""
         k = self.factor
         if x.shape[2] % k:
             raise ValueError(f"frequency size {x.shape[2]} not divisible by {k}")
         # the k strided views added in order onto 0.0, then divided by k:
         # what reshape(B, T, F // k, k, C).mean(axis=3) computes, bit for bit
-        y = x[:, :, ::k] + 0.0
+        y = np.add(x[:, :, ::k], 0.0, out=out)
         for j in range(1, k):
             y += x[:, :, j::k]
         y /= k
@@ -543,14 +653,17 @@ class ConvUnit(Module):
         self.act = self.register_child("act", Elu())
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        if self.training:
-            return self.act.forward(self.norm.forward(self.conv.forward(x)))
-        return self.act.forward(self._folded(self.conv.forward, x))
+        """On a grid (`Conv2d.on_grid`) the ELU overwrites the conv's
+        output there; otherwise it is a new array."""
+        y = self.conv.forward(x) if self.training else self._folded(self.conv.forward, x)
+        out = y if self.conv.grid is not None else None
+        return self.act.forward(self.norm.forward(y) if self.training else y, out=out)
 
     def forward_edges(self, x: np.ndarray, left: bool) -> np.ndarray:
         """The eval-mode unit on E segment edges at once, time-major (see
         `Conv2d.forward_edges`)."""
-        return self.act.forward(self._folded(self.conv.forward_edges, x, left))
+        y = self._folded(self.conv.forward_edges, x, left)
+        return self.act.forward(y, out=y)
 
     def _folded(self, conv_pass, *args):
         """conv_pass(*args), a pass of the conv, with NetDeconv's eval map
@@ -574,8 +687,14 @@ class DenseBlock(Module):
     """Densely connected dilated conv units; layer l sees the block input
     plus all previous layer outputs and uses dilation 2**l.
 
-    forward returns a reused workspace: consume or copy it before the next
-    call on the same instance.
+    The concatenation lives channel-major on one zero-bordered grid,
+    (out_ch, B, T + 2P, F + 2P) with P = 2**(n_layers - 1), the largest
+    dilation (`grid`).  It holds the block input and every layer output:
+    layer l's conv reads the channel prefix before it in place and writes
+    its own channel slice, and its ELU runs over that slice.  forward
+    returns the (B, T, F, out_ch) view of the grid's valid region: consume
+    or copy it before the next call on the same instance.  Backward runs
+    channels-last on a copy of dy.
     """
 
     def __init__(self, in_ch: int, growth: int, n_layers: int, rng, dtype=np.float32):
@@ -583,6 +702,7 @@ class DenseBlock(Module):
         self.in_ch = in_ch
         self.growth = growth
         self.n_layers = n_layers
+        self.pad = 2 ** (n_layers - 1)
         self.dtype = dtype
         self.units = tuple(
             self.register_child(
@@ -595,14 +715,23 @@ class DenseBlock(Module):
     def out_ch(self) -> int:
         return self.in_ch + self.n_layers * self.growth
 
+    def grid(self, B: int, T: int, F: int) -> np.ndarray:
+        """The block's zero-bordered concatenation grid for (B, T, F) inputs."""
+        p = self.pad
+        return self._bordered("grid", (self.out_ch, B, T + 2 * p, F + 2 * p), p, 2, self.dtype)
+
     def forward(self, x: np.ndarray) -> np.ndarray:
+        """x may already be the input's view of `grid`, written there by
+        the layer before."""
         B, T, F, C = x.shape
-        out = self._ws("cat", (B, T, F, self.out_ch), self.dtype)
-        out[..., :C] = x
-        for layer, unit in enumerate(self.units):
-            lo = self.in_ch + layer * self.growth
-            out[..., lo:lo + self.growth] = unit.forward(out[..., :lo])
-        return out
+        g, p = self.grid(B, T, F), self.pad
+        _put(_valid(g[:C], p), x)
+        for unit in self.units:
+            lo = unit.conv.in_ch
+            dst = g[lo:lo + self.growth]
+            with unit.conv.on_grid(g, dst):
+                _put(_valid(dst, p), unit.forward(_valid(g[:lo], p)))
+        return _valid(g, p)
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
         grad = np.array(dy, copy=True)

@@ -16,7 +16,9 @@ import numpy as np
 
 from ..accdoa import compose_accdoa
 from ..features import FEATURE_CHANNELS
-from .layers import BiGru, ConvUnit, DenseBlock, FreqPool, Linear, Module, Sigmoid, Tanh
+from .layers import (
+    BiGru, Conv2d, ConvUnit, DenseBlock, FreqPool, Linear, Module, Sigmoid, Tanh, _edge_columns, _put, _valid,
+)
 
 
 @dataclass(frozen=True)
@@ -74,11 +76,20 @@ class NetConfig:
 
 
 class ConvTrunk(Module):
-    """Stem conv unit, then alternating dense blocks and frequency pooling."""
+    """Stem conv unit, then alternating dense blocks and frequency pooling.
+
+    Each stage writes straight into the next one's grid: the stem reads the
+    features from a zero-bordered channel-major grid with the first block's
+    border and writes its output into that block's grid, and each pool
+    writes into the next block's grid, the last into the (B, T, f_out, C)
+    array the BiGRU input is a reshape of.  All convs share one module's
+    workspace for their stacked products.
+    """
 
     def __init__(self, cfg: NetConfig, rng, dtype=np.float32):
         super().__init__()
         self.cfg = cfg
+        self.dtype = dtype
         self.stem = self.register_child(
             "stem", ConvUnit(FEATURE_CHANNELS, cfg.stem_channels, 1, rng, dtype)
         )
@@ -92,13 +103,32 @@ class ConvTrunk(Module):
             pool = self.register_child(f"pool{b}", FreqPool(cfg.freq_pool))
             self.stages.append((block, pool))
             ch = block.out_ch
+        scratch, stack = Module(), [self]
+        while stack:
+            mod = stack.pop()
+            stack.extend(mod._children.values())
+            if isinstance(mod, Conv2d):
+                mod.scratch = scratch
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        y = self.stem.forward(x)
+        """(B, T, F, 7) features, any strides -> (B, T, f_out, channels)."""
+        B, T, F, C = x.shape
+        block = self.stages[0][0]
+        p = block.pad
+        src = self._bordered("features", (C, B, T + 2 * p, F + 2 * p), p, 2, self.dtype)
+        _valid(src, p)[...] = x
+        g, stem = block.grid(B, T, F), self.stem.conv.out_ch
+        with self.stem.conv.on_grid(src, g[:stem]):
+            y = self.stem.forward(_valid(src, p))
         self._cats = []  # each block's input and layer outputs, for edge_rows
-        for block, pool in self.stages:
+        for i, (block, pool) in enumerate(self.stages):
             self._cats.append(block.forward(y))
-            y = pool.forward(self._cats[-1])
+            F //= pool.factor
+            if i + 1 < len(self.stages):
+                nxt = self.stages[i + 1][0]
+                y = pool.forward(self._cats[-1], out=_valid(nxt.grid(B, T, F)[:nxt.in_ch], nxt.pad))
+            else:
+                y = pool.forward(self._cats[-1], out=np.empty((B, T, F, block.out_ch), self.dtype))
         return y
 
     def edge_rows(self, x: np.ndarray, window: np.ndarray, at: np.ndarray, left: bool) -> np.ndarray:
@@ -109,37 +139,54 @@ class ConvTrunk(Module):
         A left edge is the segment's first row, a right edge the row after
         its last.  Out of a layer of dilation d, the segment differs from
         the clip only within the reach r of the edge: the stem's d plus the
-        d of each block layer so far.  Each conv unit computes just those r
-        rows of every edge, from the r + d input rows flush against it, in
-        one `ConvUnit.forward_edges` pass that lays all E edges side by side
-        on a time-major grid, with zeros standing in for the segment's
-        padding beyond the edge.  Rows past an input group's reach are read
-        from the window, where each block's concatenation holds its input
-        and every layer output, and the group's first rows are the edge's
-        own results.  This is exact where the window equals the clip on the
-        rows read: within seg_len - 2 * time_halo rows of the window's start
-        for a left edge, of its end for a right edge.
+        d of each block layer so far.  Each block gets an edge grid, laid
+        out as `Conv2d.forward_edges` takes it, with the block's border P:
+        all E edges side by side, P zero rows beyond each, holding the
+        block's concatenation on the rows its layers read, taken from the
+        window's grid.  Each conv unit then computes, in place, just the r
+        rows of every edge of its channel slice, from the r + d rows flush
+        against it; the stem writes the first block's grid the same way.
+        This is exact where the window equals the clip on the rows read:
+        within seg_len - 2 * time_halo rows of the window's start for a
+        left edge, of its end for a right edge.
         """
+        E = len(window)
 
-        def near(a, n):  # the n rows of time-major `a` flush against each edge
-            return a[:n] if left else a[len(a) - n:]
+        def near(a, n):  # the n rows of (C, rows, E, F) `a` flush against each edge
+            return a[:, :n] if left else a[:, a.shape[1] - n:]
 
-        def gather(a, n):  # (n, E, F, C): the n rows flush against each edge, read from the windows
-            rows = np.arange(n) if left else np.arange(-n, 0)
-            return a[window, at + rows[:, None]]
+        def edge_grid(C, n, F, p):  # a zero edge grid and the (C, n, E, F) view of its edge rows
+            g = np.zeros((C, n + p, E * (F + p) + p), self.dtype)
+            return g, _edge_columns(g[:, p:] if left else g[:, :n], p, E, F)
+
+        def fill(rows, a):  # rows <- the rows flush against each edge of (C, B, T, F) `a`
+            n = rows.shape[1]
+            for i, (w, t) in enumerate(zip(window.tolist(), at.tolist())):
+                rows[:, :, i] = a[:, w, t:t + n] if left else a[:, w, t - n:t]
 
         reach = self.stem.conv.dilation
-        own = self.stem.forward_edges(gather(x, 2 * reach), left)
+        own = None
         for (block, pool), cat in zip(self.stages, self._cats):
             dilations = [unit.conv.dilation for unit in block.units]
-            g = gather(cat, reach + sum(dilations) + dilations[-1])
-            near(g, reach)[..., :block.in_ch] = own
-            lo = block.in_ch
+            n, p = reach + sum(dilations) + dilations[-1], block.pad
+            g, rows = edge_grid(block.out_ch, n, cat.shape[2], p)
+            fill(rows, cat.transpose(3, 0, 1, 2))
+            if own is None:  # the stem, onto the first block's grid
+                stem = self.stem
+                src, features = edge_grid(stem.conv.in_ch, n, cat.shape[2], p)
+                fill(near(features, 2 * reach), x.transpose(3, 0, 1, 2))
+                with stem.conv.on_grid(src, g[:stem.conv.out_ch]):
+                    y = stem.forward_edges(near(features, 2 * reach).transpose(1, 2, 3, 0), left)
+                _put(near(rows, reach)[:stem.conv.out_ch].transpose(1, 2, 3, 0), y)
+            else:
+                near(rows, reach)[:block.in_ch] = own.transpose(3, 0, 1, 2)
             for unit, d in zip(block.units, dilations):
+                lo = unit.conv.in_ch
                 reach += d
-                near(g, reach)[..., lo:lo + block.growth] = unit.forward_edges(near(g, reach + d)[..., :lo], left)
-                lo += block.growth
-            own = pool.forward(near(g, reach))
+                with unit.conv.on_grid(g, g[lo:lo + block.growth]):
+                    y = unit.forward_edges(near(rows, reach + d)[:lo].transpose(1, 2, 3, 0), left)
+                _put(near(rows, reach)[lo:lo + block.growth].transpose(1, 2, 3, 0), y)
+            own = pool.forward(near(rows, reach).transpose(1, 2, 3, 0))
         return own.swapaxes(0, 1)
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
@@ -180,7 +227,7 @@ class SeldBranch(Module):
     def forward_trunk(self, x: np.ndarray) -> np.ndarray:
         """(B, 7, T, F) features -> (B, T, gru_in) trunk output."""
         self._check_input(x)
-        y = self.trunk.forward(np.ascontiguousarray(self._channels_last(x), dtype=self.dtype))
+        y = self.trunk.forward(self._channels_last(x))
         B, T = y.shape[:2]
         return y.reshape(B, T, self.cfg.gru_in)
 

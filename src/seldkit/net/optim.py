@@ -24,6 +24,8 @@ class TrainConfig:
         for name in ("lr", "lr_decay", "decay_interval", "batch_size", "input_frames"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
+        if self.weight_decay < 0:
+            raise ValueError(f"weight_decay must be >= 0, got {self.weight_decay}")
 
 
 def learning_rate(cfg: TrainConfig, iteration: int) -> float:

@@ -63,7 +63,9 @@ class SceneBatchStream:
         self.input_frames = input_frames
         self.seed = seed
         self.augment = augment
-        self.workers = max(1, workers)
+        if workers < 1:
+            raise ValueError(f"workers must be >= 1, got {workers}")
+        self.workers = workers
         for key, value in (("pool_scenes", pool_scenes), ("secondary_bank", secondary_bank)):
             if value < 1:
                 raise ValueError(f"data.{key} must be >= 1, got {value}")

@@ -197,6 +197,21 @@ class TestTrain:
         assert f"error: {message}" in capsys.readouterr().err
         assert not ckpt.exists()
 
+    @pytest.mark.parametrize("config_line, argv, message", [
+        ("stft.window = nope", [], "stft.window 'nope' is not a scipy window"),
+        ("train.weight_decay = -1.0", [], "train.weight_decay must be >= 0, got -1.0"),
+        ("", ["--workers", "0"], "--workers must be >= 1, got 0"),
+        ("", ["--workers", "-3"], "--workers must be >= 1, got -3"),
+    ])
+    def test_out_of_domain_setting_exits_2_naming_it(self, tmp_path, tiny_config, capsys,
+                                                     config_line, argv, message):
+        config = Path(tiny_config)
+        config.write_text(config.read_text() + config_line + "\n")
+        ckpt = tmp_path / "model.ckpt"
+        assert main(["train", "--config", str(config), "--iters", "0", "--out", str(ckpt)] + argv) == 2
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not ckpt.exists()
+
     @pytest.mark.parametrize("flag, value, expected", [
         ("--iters-sed", "1", [("1", "sed"), ("4", "doa")]),
         ("--iters-doa", "1", [("3", "sed"), ("4", "doa")]),
@@ -297,6 +312,17 @@ class TestInferEval:
                      "--out", str(tmp_path / "pred.csv")])
         assert code == 2
         assert f"model.ckpt: bad net.* entries: {key[4:]} must be >= 1, got 0" in capsys.readouterr().err
+        assert not (tmp_path / "pred.csv").exists()
+
+    def test_infer_rejects_unknown_checkpoint_window(self, tmp_path, capsys):
+        wav, _ = self.setup_scene(tmp_path)
+        ckpt = tmp_path / "model.ckpt"
+        save_model(ckpt, KIND_ACCDOA, RD3NetLite(TINY_NET), TINY_NET,
+                   StftConfig(win_len=256, hop=240, fft_size=256), {"stft.window": "nope"})
+        code = main(["infer", "--ckpt", str(ckpt), "--in", str(wav),
+                     "--out", str(tmp_path / "pred.csv")])
+        assert code == 2
+        assert "window 'nope' is not a scipy window" in capsys.readouterr().err
         assert not (tmp_path / "pred.csv").exists()
 
     def test_infer_rejects_non_integral_checkpoint_value(self, tmp_path, capsys):

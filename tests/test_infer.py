@@ -325,6 +325,86 @@ class TestEdgeRows:
             np.testing.assert_array_equal(got, expected)
 
 
+def same_or_close(a, b) -> bool:
+    """Bit for bit in float32.  In float64 within 1e-13 of the largest
+    magnitude: a row of numpy's OpenBLAS dgemm product can round
+    differently depending on how many rows the GEMM takes, past its
+    small-matrix threshold too (seen for (36, 7) and (18, 12) weights), so
+    grids of other sizes differ in the last bits (measured: at most 1.8e-16
+    of the largest magnitude here)."""
+    if a.dtype == np.float32:
+        return same_bits(a, b)
+    return a.shape == b.shape and np.abs(a - b).max() <= 1e-13 * np.abs(b).max()
+
+
+class TestChannelMajorTrunk:
+    """The eval trunk on its block grids against the unit-by-unit and
+    edge-by-edge references, in both float widths (see `same_or_close`)."""
+
+    # dilations 1, 2, 4; F = 9, 3 and 1 through the blocks
+    ODD = NetConfig(n_classes=2, f_bins=9, stem_channels=4, growth=3, layers_per_block=3,
+                    n_blocks=2, freq_pool=3, gru_hidden=4)
+
+    @staticmethod
+    def network(cfg, dtype):
+        model = RD3NetLite(cfg, seed=3, dtype=dtype)
+        rng = np.random.default_rng(10)
+        for _ in range(2):
+            model.forward((rng.standard_normal((2, 7, 24, cfg.f_bins)) * 2 + 1).astype(np.float32))
+        return model.eval().branch
+
+    @staticmethod
+    def features(rng, n, seg_len, cfg):
+        # float32 values, which `trunk_by_layer` keeps in either width
+        return rng.standard_normal((n, 7, seg_len, cfg.f_bins)).astype(np.float32).astype(np.float64)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("cfg", [ODD, DESK], ids=["odd", "desk"])
+    def test_eval_trunk_matches_unit_by_unit(self, cfg, dtype):
+        branch = self.network(cfg, dtype)
+        x = self.features(np.random.default_rng(11), 2, 40, cfg)
+        y = branch.trunk.forward(branch._channels_last(x))
+        for i in range(len(x)):
+            assert same_or_close(y[i], trunk_by_layer(branch.trunk, x[i])[-1])
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("cfg", [ODD, DESK], ids=["odd", "desk"])
+    def test_windows_and_edges_alternate(self, cfg, dtype):
+        # window batches of two sizes, each followed by both edge passes:
+        # every pass gives the bits it gives first, and the edges those of
+        # each edge run as a batch item of its own
+        branch = self.network(cfg, dtype)
+        rng = np.random.default_rng(12)
+        seg_len, halo = 2 * cfg.time_halo + 6, cfg.time_halo
+        batches = [self.features(rng, n, seg_len, cfg) for n in (3, 2)]
+        window, at = rng.integers(0, 2, 9), rng.integers(0, seg_len - 2 * halo + 1, 9)
+        first = {}
+        for k in (0, 1, 0, 1):
+            x = batches[k]
+            h = branch._channels_last(x)
+            out = [np.array(branch.forward_trunk(x))]
+            for left in (True, False):
+                edge_at = at if left else at + 2 * halo
+                out.append(np.array(branch.trunk.edge_rows(h, window, edge_at, left)))
+                assert same_or_close(out[-1], edge_rows_by_batch(branch.trunk, h, window, edge_at, left))
+            for got, expected in zip(out, first.setdefault(k, out)):
+                assert same_bits(got, expected)
+
+    @pytest.mark.parametrize("rows", [1, 3000, 10 ** 6])
+    def test_bits_do_not_depend_on_the_piece_size(self, rows, monkeypatch):
+        from seldkit.net import layers
+
+        branch = self.network(DESK, np.float32)
+        rng = np.random.default_rng(13)
+        x = self.features(rng, 2, 64, DESK).astype(np.float32)
+        h = branch._channels_last(x)
+        window, at = rng.integers(0, 2, 40), rng.integers(0, 64 - 2 * DESK.time_halo + 1, 40)
+        expected = [np.array(branch.forward_trunk(x)), np.array(branch.trunk.edge_rows(h, window, at, True))]
+        monkeypatch.setattr(layers, "STACK_ROWS", rows)
+        assert same_bits(branch.forward_trunk(x), expected[0])
+        assert same_bits(branch.trunk.edge_rows(h, window, at, True), expected[1])
+
+
 class TestFoldedNetworks:
     """Eval-mode conv units fold NetDeconv into their convs; compared here
     against the conv -> NetDeconv -> ELU chain run as in training."""

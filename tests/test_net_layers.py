@@ -29,6 +29,7 @@ from seldkit.net.layers import (
     Sigmoid,
     Tanh,
     WHITEN_EPS,
+    _valid,
 )
 from seldkit.net.losses import loss_bce, loss_masked_mse, loss_mse
 
@@ -150,7 +151,8 @@ class TestConvForward:
     def test_edges_match_each_edge_alone(self, dtype, dilation, left, monkeypatch):
         # E edges side by side give each edge's r rows nearest the edge, as
         # the conv of that edge's r + d rows alone, padded with zeros, does;
-        # each tap's GEMM covers at most r (E (F + d) + d) grid rows
+        # each kernel row's stacked GEMM covers at most r (E (F + d) + d)
+        # grid rows
         from seldkit.net import layers
 
         rng = np.random.default_rng(dilation)
@@ -161,12 +163,12 @@ class TestConvForward:
         alone = conv2d_by_tap_copies(x.swapaxes(0, 1), conv.params["W"], conv.params["b"], dilation)
         expected = (alone[:, :r] if left else alone[:, dilation:]).swapaxes(0, 1)
         gemm_rows = []
-        gemm = layers._gemm_acc
-        monkeypatch.setattr(layers, "_gemm_acc", lambda out, a, b: gemm_rows.append(len(out)) or gemm(out, a, b))
+        gemm = layers._gemm
+        monkeypatch.setattr(layers, "_gemm", lambda out, a, b: gemm_rows.append(out.shape[1]) or gemm(out, a, b))
         conv.forward(rng.standard_normal((2, 8, F, C)).astype(dtype))  # leaves nonzero rows in the workspaces
         gemm_rows.clear()
         assert same_bits(np.ascontiguousarray(conv.forward_edges(x, left)), np.ascontiguousarray(expected))
-        assert len(gemm_rows) == 9 and max(gemm_rows) <= r * (E * (F + dilation) + dilation)
+        assert len(gemm_rows) == 3 and max(gemm_rows) <= r * (E * (F + dilation) + dilation)
 
     @pytest.mark.parametrize("dilation", [1, 2, 4])
     def test_forward_after_edges_rezeroes_its_borders(self, dilation):
@@ -277,6 +279,76 @@ class TestConvBackward:
         assert all(conv._ws_store[name] is buf for name, buf in workspaces.items())
 
 
+class TestConvOnGrid:
+    """A conv reading the channel prefix of a dense block's channel-major
+    grid in place, border P = 4 at every dilation, and writing the channel
+    slice after it; the channels beyond hold noise it must not touch."""
+
+    P = 4
+    SHAPES = [(3, 9, 11, 5), (2, 3, 6, 4), (2, 7, 1, 3), (1, 1, 1, 2)]
+
+    def setup(self, dtype, dilation, shape, Co=5):
+        B, T, F, C = shape
+        rng = np.random.default_rng(dilation)
+        conv = Conv2d(C, Co, dilation, rng, dtype=dtype)
+        conv.params["b"][...] = rng.standard_normal(Co)
+        x = rng.standard_normal(shape).astype(dtype)
+        p = self.P
+        grid = (100 * rng.standard_normal((C + Co + 2, B, T + 2 * p, F + 2 * p))).astype(dtype)
+        grid[:C] = 0
+        _valid(grid[:C], p)[...] = x
+        return conv, x, grid
+
+    def forward(self, conv, grid):
+        C, Co = conv.in_ch, conv.out_ch
+        with conv.on_grid(grid, grid[C:C + Co]):
+            return conv.forward(_valid(grid[:C], self.P))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("dilation", [1, 2, 4])
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_forward_matches_tap_copies_bit_for_bit(self, dtype, dilation, shape):
+        conv, x, grid = self.setup(dtype, dilation, shape)
+        C, Co = conv.in_ch, conv.out_ch
+        before = grid.copy()
+        y = self.forward(conv, grid)
+        assert same_bits(np.ascontiguousarray(y), conv2d_by_tap_copies(x, conv.params["W"], conv.params["b"], dilation))
+        # the output's border is zero, every other channel as it was
+        ring = grid[C:C + Co].copy()
+        _valid(ring, self.P)[...] = 0
+        assert not ring.any()
+        assert same_bits(grid[:C], before[:C]) and same_bits(grid[C + Co:], before[C + Co:])
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("dilation", [1, 2, 4])
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_backward_matches_tap_copies(self, dtype, dilation, shape):
+        # dx and the bias gradient bit for bit, gW to its stated tolerance
+        conv, x, grid = self.setup(dtype, dilation, shape)
+        dy = np.random.default_rng(41).standard_normal(shape[:3] + (conv.out_ch,)).astype(dtype)
+        dx_ref, gW_ref, gb_ref = conv2d_backward_by_tap_copies(x, conv.params["W"], dy, dilation)
+        self.forward(conv, grid)
+        dx = conv.backward(dy)
+        assert same_bits(np.ascontiguousarray(dx), dx_ref)
+        assert same_bits(conv.grads["b"], gb_ref)
+        TestConvBackward().assert_gw_close(conv.grads["W"], gW_ref, dtype)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("rows", [1, 700, 10 ** 6])
+    def test_bits_do_not_depend_on_the_piece_size(self, dtype, rows, monkeypatch):
+        # the stacked GEMMs take the grid rows in pieces of about STACK_ROWS,
+        # each long enough for OpenBLAS's large kernel: K = 42 >= 32 is where
+        # its small one rounds differently.  The reference's GEMMs are large
+        # too: M·N·K = 6 · 5280 · 42 > 1e6
+        from seldkit.net import layers
+
+        conv, x, grid = self.setup(dtype, 2, (4, 40, 33, 42), Co=6)
+        expected = np.ascontiguousarray(self.forward(conv, grid))
+        monkeypatch.setattr(layers, "STACK_ROWS", rows)
+        assert same_bits(np.ascontiguousarray(self.forward(conv, grid)), expected)
+        assert same_bits(expected, conv2d_by_tap_copies(x, conv.params["W"], conv.params["b"], 2))
+
+
 class TestConvUnitFold:
     @staticmethod
     def moved_unit(dtype, seed=31):
@@ -376,6 +448,20 @@ class TestEluDerivative:
         expected = np.where(x > 0, one, np.expm1(np.minimum(x, 0)) + one)
         assert got.dtype == expected.dtype
         assert np.array_equal(got, expected, equal_nan=True)
+
+
+class TestEluBackwardFromOutput:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_matches_the_em1_expression(self, dtype):
+        # min(y, 0) + 1 from the output gives the bits of expm1(min(x, 0)) + 1
+        rng = np.random.default_rng(36)
+        special = [0.0, -0.0, -1e-30, 1e-30, -100.0, 100.0, 3e37, -3e37, 1e30]
+        x = np.concatenate([3 * rng.standard_normal(4096), special]).astype(dtype)
+        dy = rng.standard_normal(x.shape).astype(dtype)
+        elu = Elu()
+        elu.forward(x)
+        em1 = np.expm1(np.minimum(x, 0))
+        assert same_bits(elu.backward(dy), dy * (em1 + 1))
 
 
 class TestLinearGradients:

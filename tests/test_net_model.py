@@ -105,7 +105,7 @@ class TestEvalWithoutBackward:
             layers.append(stack.pop())
             stack.extend(layers[-1]._children.values())
         held = [(type(m).__name__, name) for m in layers for name, kind in (
-            ("_em1", Elu), ("_cache", Gru), ("_x2", Gru), ("_x2", Linear)
+            ("_y", Elu), ("_cache", Gru), ("_x2", Gru), ("_x2", Linear)
         ) if isinstance(m, kind) and getattr(m, name) is not None]
         assert len(layers) > 40 and held == []
 
