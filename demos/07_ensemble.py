@@ -1,7 +1,7 @@
 """Fit per-class, per-model combination weights on a validation set.
 
-Each class row of the weight matrix is an independent least-squares
-problem solved by gradient descent: given one member that tracks the
+Each class row of the weight matrix is an independent linear
+least-squares problem, solved exactly: given one member that tracks the
 targets and one that is noise, the fit recovers weights near (1, 0) and
 never does worse than the best single member.
 """
@@ -20,14 +20,9 @@ good = targets + 0.1 * rng.standard_normal(targets.shape)   # tracks the truth
 noise = rng.standard_normal(targets.shape)                  # knows nothing
 outputs = [good, noise]
 
-weights = fit_weights(outputs, targets, lr=0.2, iters=2000)
+weights = fit_weights(outputs, targets)
 print("fitted (classes x models) weights:")
 print(np.round(weights.w, 3))
-
-print("\nvalidation MSE after n full-batch descent steps:")
-for n in range(400, 2001, 400):
-    mse = ensemble_mse(outputs, fit_weights(outputs, targets, lr=0.2, iters=n), targets)
-    print(f"  iter {n:4d}: {mse:.5f}")
 
 for m, name in enumerate(["good member", "noise member"]):
     solo = np.zeros((3, 2))

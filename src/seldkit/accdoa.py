@@ -138,8 +138,9 @@ def dump_accdoa(path, seq: np.ndarray) -> None:
 
 def load_accdoa(path) -> np.ndarray:
     """Read a `dump_accdoa` file as float64.  A file shorter than its
-    header, header dims that are not (T, N, 3) with T, N >= 0, or a
-    payload of another size is a ValueError naming the path."""
+    header, header dims that are not (T, N, 3) with T, N >= 0, a payload
+    of another size, or a NaN or infinite value is a ValueError naming the
+    path."""
     with open(path, "rb") as f:
         raw = f.read()
     if len(raw) < 24:
@@ -150,7 +151,11 @@ def load_accdoa(path) -> np.ndarray:
     need = 4 * dims[0] * dims[1] * 3
     if len(raw) - 24 != need:
         raise ValueError(f"{path}: {len(raw) - 24} data bytes, header dims {dims} need {need}")
-    return np.frombuffer(raw, dtype="<f4", offset=24).reshape(dims).astype(np.float64)
+    seq = np.frombuffer(raw, dtype="<f4", offset=24).reshape(dims).astype(np.float64)
+    bad = ~np.isfinite(seq).all(axis=(1, 2))
+    if bad.any():
+        raise ValueError(f"{path}: non-finite value at frame {int(bad.argmax())}")
+    return seq
 
 
 def pool_to_label_rate(seq: np.ndarray) -> np.ndarray:

@@ -9,7 +9,7 @@ are exactly commuting operations.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy import signal as sps
@@ -195,10 +195,10 @@ class SpecAugmentConfig:
     max_freq_width: int = 16
 
     def __post_init__(self):
-        if min(self.n_time_masks, self.n_freq_masks, self.n_chan_masks) < 0:
-            raise ValueError("mask counts must be >= 0")
-        if self.max_time_width < 0 or self.max_freq_width < 0:
-            raise ValueError("mask widths must be >= 0")
+        bad = [f"{f.name} must be >= 0, got {getattr(self, f.name)}"
+               for f in fields(self) if getattr(self, f.name) < 0]
+        if bad:
+            raise ValueError("; ".join(bad))
 
 
 def spec_augment(fs, cfg: SpecAugmentConfig, rng: np.random.Generator):

@@ -43,12 +43,8 @@ _CONFIG_SECTIONS = {
 }
 
 
-def _default(obj, name: str):
-    return inspect.signature(obj).parameters[name].default
-
-
 _CONFIG_DEFAULTS = {
-    f"{section}.{name}": _default(cls, name)
+    f"{section}.{name}": inspect.signature(cls).parameters[name].default
     for section, (cls, names) in _CONFIG_SECTIONS.items()
     for name in names
 }
@@ -245,10 +241,9 @@ def cmd_eval(args) -> int:
 def cmd_ensemble(args) -> int:
     outputs = [load_accdoa(p) for p in args.preds]
     if args.action == "fit":
-        ref = read_label_csv(args.labels)
-        targets = encode_accdoa(ref, args.classes, outputs[0].shape[0])
-        weights = fit_weights(outputs, targets, lr=args.lr, iters=args.iters,
-                              batch=args.batch, seed=args.seed)
+        n_frames, n_classes = outputs[0].shape[:2]
+        targets = encode_accdoa(read_label_csv(args.labels), n_classes, n_frames)
+        weights = fit_weights(outputs, targets)
         write_weights_csv(args.weights, weights)
         mse = ensemble_mse(outputs, weights, targets)
         print(f"fitted {weights.n_classes}x{weights.n_models} weights "
@@ -335,13 +330,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--preds", nargs="+", required=True, help="model output dumps (.acc)")
     p.add_argument("--weights", required=True)
     p.add_argument("--labels", help="reference CSV (fit)")
-    p.add_argument("--classes", type=int, default=None)
     p.add_argument("--out", help="decoded CSV (apply)")
     p.add_argument("--threshold", type=float, default=0.5)
-    p.add_argument("--lr", type=float, default=_default(fit_weights, "lr"))
-    p.add_argument("--iters", type=int, default=_default(fit_weights, "iters"))
-    p.add_argument("--batch", type=int, default=_default(fit_weights, "batch"))
-    p.add_argument("--seed", type=int, default=_default(fit_weights, "seed"))
     p.set_defaults(func=cmd_ensemble)
 
     p = sub.add_parser("plot", help="render an event CSV as an SVG timeline")
@@ -354,12 +344,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     if args.command == "ensemble":
-        if args.action == "fit" and (not args.labels or args.classes is None):
-            raise SystemExit("ensemble fit requires --labels and --classes")
+        if args.action == "fit" and not args.labels:
+            parser.error("ensemble fit requires --labels")
         if args.action == "apply" and not args.out:
-            raise SystemExit("ensemble apply requires --out")
+            parser.error("ensemble apply requires --out")
     try:
         return args.func(args)
     except (ValueError, FileNotFoundError, OSError) as exc:

@@ -1,8 +1,8 @@
 """Class- and model-wise weighted averaging of DOA vector sequences.
 
-Weights form an (n_classes, n_models) array fitted by minibatch gradient
-descent on validation MSE; classes decouple, so each row is an independent
-least-squares problem.
+Weights form an (n_classes, n_models) array fitted to minimise validation
+MSE; classes decouple, so each row is an independent linear least-squares
+problem, solved exactly.
 """
 
 from __future__ import annotations
@@ -62,40 +62,25 @@ def ensemble_mse(outputs, weights: EnsembleWeights, targets: np.ndarray) -> floa
     return float(np.mean(diff * diff))
 
 
-def fit_weights(
-    outputs,
-    targets: np.ndarray,
-    lr: float = 0.1,
-    iters: int = 2000,
-    batch: int = 0,
-    seed: int = 0,
-) -> EnsembleWeights:
-    """Fit combination weights by minibatch gradient descent on MSE.
+def fit_weights(outputs, targets: np.ndarray) -> EnsembleWeights:
+    """The weights of least validation MSE, one exact solve per class.
 
-    Weights start at 1/n_models.  `batch` counts label frames per step; 0
-    uses the full validation set (deterministic gradient descent).
+    Class c's row minimises |A_c w - y_c|^2, with A_c the (T*3, n_models)
+    matrix of the members' outputs and y_c the flattened targets.  Where
+    that minimum is not unique (identical members, a silent class), the row
+    is the minimiser nearest the uniform 1/n_models: the point full-batch
+    gradient descent from the uniform start converges to.
     """
     stacked = _stack_outputs(outputs)          # (M, T, N, 3)
     targets = np.asarray(targets, dtype=float)
     if targets.shape != stacked.shape[1:]:
         raise ValueError(f"target shape {targets.shape} != output shape {stacked.shape[1:]}")
     n_models, n_t, n_classes, _ = stacked.shape
-    # per class: design matrix (T*3, M) against flattened targets
     a = stacked.transpose(2, 1, 3, 0).reshape(n_classes, n_t * 3, n_models)
     y = targets.transpose(1, 0, 2).reshape(n_classes, n_t * 3)
-    w = np.full((n_classes, n_models), 1.0 / n_models)
-    rng = np.random.default_rng(seed)
-    n_samples = a.shape[1]
-    for _ in range(iters):
-        if batch and batch * 3 < n_samples:
-            idx = rng.integers(0, n_samples, size=batch * 3)
-            ab, yb = a[:, idx, :], y[:, idx]
-        else:
-            ab, yb = a, y
-        resid = np.einsum("nsm,nm->ns", ab, w) - yb
-        grad = 2.0 * np.einsum("nsm,ns->nm", ab, resid) / ab.shape[1]
-        w -= lr * grad
-    return EnsembleWeights(w)
+    w0 = np.full(n_models, 1.0 / n_models)
+    w = [w0 + np.linalg.lstsq(a_c, y_c - a_c @ w0, rcond=None)[0] for a_c, y_c in zip(a, y)]
+    return EnsembleWeights(np.reshape(w, (n_classes, n_models)))
 
 
 def write_weights_csv(path, weights: EnsembleWeights) -> None:

@@ -33,11 +33,18 @@ class StftConfig:
     window: str = "hann"
 
     def __post_init__(self):
-        if not (0 < self.hop <= self.win_len <= self.fft_size):
-            raise ValueError("require 0 < hop <= win_len <= fft_size")
+        # each complaint begins with the field it rejects
+        bad = []
         if self.hop * LABEL_FRAME_FACTOR != LABEL_FRAME_SAMPLES:
-            raise ValueError(f"hop {self.hop}: the label grid needs a 10 ms hop, "
-                             f"{LABEL_FRAME_SAMPLES // LABEL_FRAME_FACTOR} samples")
+            bad.append(f"hop {self.hop}: the label grid needs a 10 ms hop, "
+                       f"{LABEL_FRAME_SAMPLES // LABEL_FRAME_FACTOR} samples")
+        if self.win_len < self.hop:
+            bad.append(f"win_len must be >= hop ({self.hop}), got {self.win_len}")
+        if self.win_len > self.fft_size:
+            bad += [f"win_len must be <= fft_size ({self.fft_size}), got {self.win_len}",
+                    f"fft_size must be >= win_len ({self.win_len}), got {self.fft_size}"]
+        if bad:
+            raise ValueError("; ".join(bad))
         try:
             get_window(self.window, self.win_len, fftbins=True)
         except (ValueError, TypeError) as exc:

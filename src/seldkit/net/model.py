@@ -39,7 +39,9 @@ class NetConfig:
         if small:
             raise ValueError("; ".join(small))
         if self.f_trimmed < self.total_pool:
-            raise ValueError(f"f_bins {self.f_bins} too small for pooling {self.total_pool}")
+            raise ValueError("; ".join(f"{name} {getattr(self, name)}: freq_pool ** n_blocks = "
+                                       f"{self.total_pool} exceeds f_bins {self.f_bins}"
+                                       for name in ("freq_pool", "n_blocks")))
 
     @property
     def total_pool(self) -> int:

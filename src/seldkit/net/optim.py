@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,11 +22,14 @@ class TrainConfig:
     input_frames: int = 1024
 
     def __post_init__(self):
-        for name in ("lr", "lr_decay", "decay_interval", "batch_size", "input_frames"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+        bad = [f"{name} must be finite, got {value}" for name, value in vars(self).items()
+               if not math.isfinite(value)]
+        bad += [f"{name} must be > 0, got {value}" for name, value in vars(self).items()
+                if name != "weight_decay" and value <= 0]
         if self.weight_decay < 0:
-            raise ValueError(f"weight_decay must be >= 0, got {self.weight_decay}")
+            bad.append(f"weight_decay must be >= 0, got {self.weight_decay}")
+        if bad:
+            raise ValueError("; ".join(bad))
 
 
 def learning_rate(cfg: TrainConfig, iteration: int) -> float:

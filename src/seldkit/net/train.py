@@ -69,9 +69,11 @@ class SceneBatchStream:
         for key, value in (("pool_scenes", pool_scenes), ("secondary_bank", secondary_bank)):
             if value < 1:
                 raise ValueError(f"data.{key} must be >= 1, got {value}")
-        total_samples = scene_cfg.n_label_frames * LABEL_FRAME_SAMPLES
-        if stft_cfg.n_frames(total_samples) < input_frames:
-            raise ValueError("scene too short for the requested input_frames")
+        scene_samples = scene_cfg.n_label_frames * LABEL_FRAME_SAMPLES
+        scene_frames = stft_cfg.n_frames(scene_samples) if scene_samples >= stft_cfg.win_len else 0
+        if scene_frames < input_frames:
+            raise ValueError(f"train.input_frames {input_frames} exceeds the {scene_frames} STFT frames "
+                             f"of a scene.duration_s = {scene_cfg.duration_s} s scene")
 
         pool_rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, 0)))
         self.pool = [synth_scene(scene_cfg, pool_rng) for _ in range(pool_scenes)]

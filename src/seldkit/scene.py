@@ -193,9 +193,9 @@ class SceneConfig:
 
     def __post_init__(self):
         if self.n_classes < 1:
-            raise ValueError("n_classes must be >= 1")
+            raise ValueError(f"n_classes must be >= 1, got {self.n_classes}")
         if self.max_polyphony < 1:
-            raise ValueError("max_polyphony must be >= 1")
+            raise ValueError(f"max_polyphony must be >= 1, got {self.max_polyphony}")
         if self.n_events < 0:
             raise ValueError(f"n_events must be >= 0, got {self.n_events}")
         if self.rng_seed < 0:
@@ -206,7 +206,7 @@ class SceneConfig:
             raise ValueError(f"duration_s must be at least one label frame "
                              f"({1 / LABEL_FRAMES_PER_SECOND} s), got {self.duration_s}")
         if abs(n - round(n)) > 1e-9:
-            raise ValueError("duration_s must be a multiple of 0.1 s")
+            raise ValueError(f"duration_s must be a multiple of 0.1 s, got {self.duration_s}")
 
     @property
     def n_label_frames(self) -> int:

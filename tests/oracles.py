@@ -168,6 +168,21 @@ def brute_force_masked_mse(pred, target, mask) -> float:
     return total / max(count, 1.0)
 
 
+def ensemble_weights_by_descent(outputs, targets, lr: float = 0.1, iters: int = 5000) -> np.ndarray:
+    """Full-batch gradient descent on each class's MSE from weights 1/M: it
+    reaches the least-squares optimum nearest uniform weights, also where
+    the optimum is not unique."""
+    stacked = np.stack([np.asarray(o, float) for o in outputs])
+    m, _, n, _ = stacked.shape
+    w = np.full((n, m), 1.0 / m)
+    for c in range(n):
+        a = stacked[:, :, c, :].reshape(m, -1).T
+        y = np.asarray(targets, float)[:, c, :].reshape(-1)
+        for _ in range(iters):
+            w[c] -= lr * 2.0 * (a.T @ (a @ w[c] - y)) / len(y)
+    return w
+
+
 def feature_stack_by_mod(spec: np.ndarray) -> np.ndarray:
     """(7, T, F) features the direct way: amplitudes, then each channel's
     `np.angle` minus W's wrapped by `np.mod`, zeroed where W is zero."""

@@ -8,7 +8,7 @@ import pytest
 from scipy.io import wavfile
 
 from seldkit.accdoa import dump_accdoa, load_accdoa, encode_accdoa
-from seldkit.cli import _configs_from, main, read_config
+from seldkit.cli import _CONFIG_DEFAULTS, _configs_from, main, read_config
 from seldkit.ensemble import EnsembleWeights, write_weights_csv
 from seldkit.features import StftConfig
 from seldkit.net.checkpoint import KIND_ACCDOA, load_checkpoint, save_intensity_checkpoint, save_model
@@ -35,6 +35,45 @@ train.input_frames = 32
 data.pool_scenes = 4
 data.secondary_bank = 4
 """
+
+# one out-of-domain value for every config key, over TINY_CONFIG, and the
+# complaint about it that `train` prints
+OUT_OF_DOMAIN = [
+    ("scene.n_classes", "0", "scene.n_classes must be >= 1, got 0"),
+    ("scene.duration_s", "0.15", "scene.duration_s must be a multiple of 0.1 s, got 0.15"),
+    ("scene.max_polyphony", "0", "scene.max_polyphony must be >= 1, got 0"),
+    ("scene.n_events", "-1", "scene.n_events must be >= 0, got -1"),
+    ("stft.win_len", "1000", "stft.win_len must be <= fft_size (256), got 1000"),
+    ("stft.hop", "0", "stft.hop 0: the label grid needs a 10 ms hop, 240 samples"),
+    ("stft.fft_size", "100", "stft.fft_size must be >= win_len (256), got 100"),
+    ("stft.window", "nope", "stft.window 'nope' is not a scipy window"),
+    ("net.stem_channels", "-1", "net.stem_channels must be >= 1, got -1"),
+    ("net.growth", "-1", "net.growth must be >= 1, got -1"),
+    ("net.layers_per_block", "-1", "net.layers_per_block must be >= 1, got -1"),
+    ("net.n_blocks", "8", "net.n_blocks 8: freq_pool ** n_blocks = 256 exceeds f_bins 129"),
+    ("net.freq_pool", "200", "net.freq_pool 200: freq_pool ** n_blocks = 40000 exceeds f_bins 129"),
+    ("net.gru_hidden", "-1", "net.gru_hidden must be >= 1, got -1"),
+    ("train.lr", "nan", "train.lr must be finite, got nan"),
+    ("train.lr_decay", "0.0", "train.lr_decay must be > 0, got 0.0"),
+    ("train.decay_interval", "0", "train.decay_interval must be > 0, got 0"),
+    ("train.weight_decay", "inf", "train.weight_decay must be finite, got inf"),
+    ("train.batch_size", "0", "train.batch_size must be > 0, got 0"),
+    ("train.input_frames", "200",
+     "train.input_frames 200 exceeds the 199 STFT frames of a scene.duration_s = 2.0 s scene"),
+    ("data.pool_scenes", "0", "data.pool_scenes must be >= 1, got 0"),
+    ("data.secondary_bank", "0", "data.secondary_bank must be >= 1, got 0"),
+]
+
+# the smallest value in every config key's domain
+SMALLEST = {
+    "scene.n_classes": 1, "scene.duration_s": 0.1, "scene.max_polyphony": 1, "scene.n_events": 0,
+    "stft.win_len": 240, "stft.hop": 240, "stft.fft_size": 240, "stft.window": "boxcar",
+    "net.stem_channels": 1, "net.growth": 1, "net.layers_per_block": 1, "net.n_blocks": 1,
+    "net.freq_pool": 1, "net.gru_hidden": 1,
+    "train.lr": 5e-324, "train.lr_decay": 5e-324, "train.decay_interval": 1, "train.weight_decay": 0.0,
+    "train.batch_size": 1, "train.input_frames": 1,
+    "data.pool_scenes": 1, "data.secondary_bank": 1,
+}
 
 TINY_NET = NetConfig(n_classes=3, f_bins=129, stem_channels=4, growth=3,
                      layers_per_block=2, n_blocks=2, freq_pool=2, gru_hidden=4)
@@ -202,6 +241,9 @@ class TestTrain:
         ("train.weight_decay = -1.0", [], "train.weight_decay must be >= 0, got -1.0"),
         ("", ["--workers", "0"], "--workers must be >= 1, got 0"),
         ("", ["--workers", "-3"], "--workers must be >= 1, got -3"),
+        # a scene shorter than one STFT window has no frames at all
+        ("scene.duration_s = 0.1\nstft.win_len = 4800\nstft.fft_size = 8192", [],
+         "train.input_frames 32 exceeds the 0 STFT frames of a scene.duration_s = 0.1 s scene"),
     ])
     def test_out_of_domain_setting_exits_2_naming_it(self, tmp_path, tiny_config, capsys,
                                                      config_line, argv, message):
@@ -210,6 +252,31 @@ class TestTrain:
         ckpt = tmp_path / "model.ckpt"
         assert main(["train", "--config", str(config), "--iters", "0", "--out", str(ckpt)] + argv) == 2
         assert f"error: {message}" in capsys.readouterr().err
+        assert not ckpt.exists()
+
+    @pytest.mark.parametrize("mode", ["accdoa", "two-stage"])
+    def test_smallest_in_domain_values_train_save_infer(self, tmp_path, mode):
+        config = tmp_path / "smallest.cfg"
+        config.write_text("\n".join(f"{key} = {value}" for key, value in SMALLEST.items()))
+        assert main(["synth", "--scenes", "1", "--classes", "1", "--duration", "0.1", "--events", "0",
+                     "--polyphony", "1", "--out", str(tmp_path / "data")]) == 0
+        ckpt = tmp_path / "model.ckpt"
+        assert main(["train", "--mode", mode, "--config", str(config), "--iters", "2", "--emda", "--rotate",
+                     "--specaug", "--out", str(ckpt)]) == 0
+        assert main(["infer", "--ckpt", str(ckpt), "--in", str(tmp_path / "data" / "audio" / "scene000.wav"),
+                     "--tta", "--out", str(tmp_path / "pred.csv")]) == 0
+
+    def test_every_config_key_has_both_cases(self):
+        assert [key for key, _, _ in OUT_OF_DOMAIN] == list(SMALLEST) == list(_CONFIG_DEFAULTS)
+
+    @pytest.mark.parametrize("key, value, message", OUT_OF_DOMAIN, ids=[key for key, _, _ in OUT_OF_DOMAIN])
+    def test_out_of_domain_config_key_exits_2_naming_it(self, tmp_path, tiny_config, capsys, key, value, message):
+        config = Path(tiny_config)
+        config.write_text(config.read_text() + f"{key} = {value}\n")
+        ckpt = tmp_path / "model.ckpt"
+        assert main(["train", "--config", str(config), "--iters", "0", "--out", str(ckpt)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
         assert not ckpt.exists()
 
     @pytest.mark.parametrize("flag, value, expected", [
@@ -411,8 +478,7 @@ class TestEnsembleCli:
         dump_accdoa(tmp_path / "m1.acc", noise)
         weights = tmp_path / "w.csv"
         assert main(["ensemble", "fit", "--preds", str(tmp_path / "m0.acc"), str(tmp_path / "m1.acc"),
-                     "--labels", str(labels), "--classes", "2", "--weights", str(weights),
-                     "--lr", "0.2", "--iters", "2000"]) == 0
+                     "--labels", str(labels), "--weights", str(weights)]) == 0
         w = np.loadtxt(weights, delimiter=",", skiprows=1)[:, 1:]
         assert np.all(np.abs(w[:, 0] - 1.0) < 0.2)
         assert np.all(np.abs(w[:, 1]) < 0.2)
@@ -427,6 +493,11 @@ class TestEnsembleCli:
         pytest.param(struct.pack("<3q", -1, 3, 3) + bytes(72), "header dims (-1, 3, 3)", id="negative-dim"),
         pytest.param(struct.pack("<3q", 2, 3, 3) + bytes(68), "68 data bytes", id="truncated-data"),
         pytest.param(struct.pack("<3q", 2, 1, 4) + bytes(32), "header dims (2, 1, 4)", id="last-dim-not-3"),
+        # decoding would split the event at the NaN frame and drop that frame
+        pytest.param(struct.pack("<3q", 3, 1, 3) + np.array([0.9, np.nan, 0.9], "<f4").repeat(3).tobytes(),
+                     "non-finite value at frame 1", id="nan"),
+        pytest.param(struct.pack("<3q", 3, 1, 3) + np.array([0, 0, 1, 0, 0, 0, 0, 0, -np.inf], "<f4").tobytes(),
+                     "non-finite value at frame 2", id="inf"),
     ])
     def test_bad_prediction_file_is_error_exit(self, tmp_path, capsys, raw, message):
         bad = tmp_path / "bad.acc"
@@ -438,8 +509,31 @@ class TestEnsembleCli:
         assert f"error: {bad}: {message}" in capsys.readouterr().err
 
     def test_fit_requires_labels(self):
-        with pytest.raises(SystemExit):
+        with pytest.raises(SystemExit) as exc:
             main(["ensemble", "fit", "--preds", "x.acc", "--weights", "w.csv"])
+        assert exc.value.code == 2
+
+    def test_apply_requires_out(self):
+        with pytest.raises(SystemExit) as exc:
+            main(["ensemble", "apply", "--preds", "x.acc", "--weights", "w.csv"])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("flag", ["--lr", "--iters", "--batch", "--seed", "--classes"])
+    def test_fit_has_no_tuning_flags(self, tmp_path, flag):
+        dump_accdoa(tmp_path / "m.acc", np.zeros((4, 2, 3)))
+        write_label_csv(tmp_path / "ref.csv", EventList([], 4))
+        with pytest.raises(SystemExit) as exc:
+            main(["ensemble", "fit", "--preds", str(tmp_path / "m.acc"), "--labels", str(tmp_path / "ref.csv"),
+                  "--weights", str(tmp_path / "w.csv"), flag, "2"])
+        assert exc.value.code == 2
+        assert not (tmp_path / "w.csv").exists()
+
+    def test_fit_rejects_label_class_beyond_the_outputs(self, tmp_path, capsys):
+        dump_accdoa(tmp_path / "m.acc", np.zeros((4, 2, 3)))
+        write_label_csv(tmp_path / "ref.csv", EventList([Event(2, 0, 2, [DoaAngles(0.0, 0.0)] * 2)], 4))
+        assert main(["ensemble", "fit", "--preds", str(tmp_path / "m.acc"), "--labels", str(tmp_path / "ref.csv"),
+                     "--weights", str(tmp_path / "w.csv")]) == 2
+        assert "error: class_id 2 >= n_classes 2" in capsys.readouterr().err
 
 
 class TestPlot:

@@ -3,7 +3,7 @@ import re
 import numpy as np
 import pytest
 
-from oracles import random_event_list
+from oracles import ensemble_weights_by_descent, random_event_list
 from seldkit.accdoa import encode_accdoa
 from seldkit.ensemble import (
     EnsembleWeights,
@@ -16,7 +16,8 @@ from seldkit.ensemble import (
 
 
 def normal_equation_weights(outputs, targets):
-    """Per-class least squares via lstsq; independent of the SGD path."""
+    """Per-class least squares via lstsq from zero weights; where the design
+    has full column rank this is the unique optimum."""
     stacked = np.stack([np.asarray(o, float) for o in outputs])
     m, t, n, _ = stacked.shape
     w = np.zeros((n, m))
@@ -66,7 +67,7 @@ class TestCombine:
 class TestFitWeights:
     def test_oracle_plus_noise(self):
         outputs, targets = make_outputs(seed=4)
-        w = fit_weights(outputs, targets, lr=0.2, iters=3000).w
+        w = fit_weights(outputs, targets).w
         np.testing.assert_allclose(w[:, 0], 1.0, atol=0.05)
         np.testing.assert_allclose(w[:, 1], 0.0, atol=0.05)
 
@@ -77,13 +78,13 @@ class TestFitWeights:
             targets + 0.2 * rng.standard_normal(targets.shape),
             rng.standard_normal(targets.shape),
         ]
-        w = fit_weights(outputs, targets, lr=0.2, iters=5000).w
+        w = fit_weights(outputs, targets).w
         expected = normal_equation_weights(outputs, targets)
-        np.testing.assert_allclose(w, expected, atol=1e-3)
+        np.testing.assert_allclose(w, expected, rtol=1e-10)
 
     def test_beats_every_single_member(self):
         outputs, targets = make_outputs(seed=6, noise=0.5)
-        w = fit_weights(outputs, targets, lr=0.2, iters=3000)
+        w = fit_weights(outputs, targets)
         fitted = ensemble_mse(outputs, w, targets)
         for m in range(len(outputs)):
             solo = np.zeros((targets.shape[1], len(outputs)))
@@ -92,34 +93,42 @@ class TestFitWeights:
 
     def test_classes_decouple(self):
         outputs, targets = make_outputs(seed=7)
-        w_full = fit_weights(outputs, targets, lr=0.1, iters=500).w
+        w_full = fit_weights(outputs, targets).w
         # permute the data of every class except class 0
         perm = np.random.default_rng(8).permutation(targets.shape[0])
         outputs_p = [o.copy() for o in outputs]
         targets_p = targets.copy()
         for arr in outputs_p + [targets_p]:
             arr[:, 1:, :] = arr[perm][:, 1:, :]
-        w_perm = fit_weights(outputs_p, targets_p, lr=0.1, iters=500).w
-        np.testing.assert_allclose(w_perm[0], w_full[0], atol=1e-12)
+        w_perm = fit_weights(outputs_p, targets_p).w
+        np.testing.assert_array_equal(w_perm[0], w_full[0])
 
-    def test_loss_history_non_increasing(self):
-        outputs, targets = make_outputs(seed=9)
-        losses = [
-            ensemble_mse(outputs, fit_weights(outputs, targets, lr=0.05, iters=n), targets)
-            for n in range(50, 401, 50)
-        ]
-        assert all(b <= a + 1e-12 for a, b in zip(losses, losses[1:]))
+    def test_large_member_is_scaled_down(self):
+        # a step size fixed in advance diverges on a member this large
+        rng = np.random.default_rng(0)
+        targets = encode_accdoa(random_event_list(rng, 3, 60, max_events=6), 3)
+        assert np.all(np.any(targets, axis=(0, 2)))  # no class is silent
+        np.testing.assert_allclose(fit_weights([10 * targets], targets).w, 0.1, rtol=1e-12)
 
-    def test_minibatch_mode_deterministic(self):
-        outputs, targets = make_outputs(seed=10)
-        w1 = fit_weights(outputs, targets, lr=0.05, iters=200, batch=16, seed=3).w
-        w2 = fit_weights(outputs, targets, lr=0.05, iters=200, batch=16, seed=3).w
-        np.testing.assert_array_equal(w1, w2)
+    def test_identical_members_split_the_weight(self):
+        (oracle, noise), targets = make_outputs(seed=10)
+        member = oracle + noise
+        single = normal_equation_weights([member], targets)
+        w = fit_weights([member] * 3, targets).w
+        np.testing.assert_allclose(w, np.repeat(single / 3, 3, axis=1), rtol=1e-12)
+        np.testing.assert_allclose(w, ensemble_weights_by_descent([member] * 3, targets), atol=1e-12)
 
-    def test_init_is_uniform(self):
-        outputs, targets = make_outputs(seed=11)
-        w = fit_weights(outputs, targets, lr=0.0, iters=1).w
-        np.testing.assert_allclose(w, 0.5)
+    def test_silent_class_keeps_uniform_weights(self):
+        rng = np.random.default_rng(0)
+        targets = encode_accdoa(random_event_list(rng, 3, 60, max_events=6), 3)
+        assert np.all(np.any(targets, axis=(0, 2)))
+        outputs = [targets + 0.3 * rng.standard_normal(targets.shape) for _ in range(3)]
+        for arr in outputs + [targets]:
+            arr[:, 1] = 0.0
+        w = fit_weights(outputs, targets).w
+        np.testing.assert_array_equal(w[1], 1.0 / 3.0)
+        np.testing.assert_allclose(w[[0, 2]], normal_equation_weights(outputs, targets)[[0, 2]], rtol=1e-10)
+        np.testing.assert_allclose(w, ensemble_weights_by_descent(outputs, targets), atol=1e-12)
 
 
 class TestWeightsCsv:

@@ -13,7 +13,8 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "seldkit"
 MODULES = sorted(p for p in SRC.rglob("*.py") if p.name != "__init__.py")
-# read as text only: the demos are slow to run and bench/ is not imported here
+# read as text only: `test_demos.py` runs three of the demos, and bench/ is
+# not imported here
 CLIENTS = sorted([*ROOT.glob("demos/*.py"), *ROOT.glob("bench/*.py")])
 SCRIPTS = sorted([*ROOT.glob("tests/*.py"), *ROOT.glob("demos/*.py")])
 
