@@ -202,7 +202,10 @@ def _eval_one(pred_spec: str, ref: Path, n_classes: int, threshold: float):
             if not (pred / name).exists():
                 raise SystemExit(f"missing prediction {pred / name}")
         pairs = [(pred / name, ref / name) for name in names]
-    acc = MetricsAccumulator(n_classes=n_classes, threshold_deg=threshold)
+    try:
+        acc = MetricsAccumulator(n_classes=n_classes, threshold_deg=threshold)
+    except ValueError as exc:
+        raise _renamed(exc, {"n_classes": "--classes", "threshold_deg": "--threshold"}) from None
     for pred_path, ref_path in pairs:
         pred_events, ref_events = read_label_csv(pred_path), read_label_csv(ref_path)
         # one timeline through the last frame of either file; frames where
@@ -259,9 +262,14 @@ def cmd_ensemble(args) -> int:
 
 def cmd_plot(args) -> int:
     events = read_label_csv(args.pred)
-    n_classes = args.classes or (1 + max((ev.class_id for ev in events.events), default=0))
+    n_classes = args.classes
+    if n_classes is None:
+        n_classes = 1 + max((ev.class_id for ev in events.events), default=0)
     csv_path = args.out_csv or str(Path(args.out).with_suffix(".csv"))
-    write_timeline(args.out, csv_path, events, n_classes)
+    try:
+        write_timeline(args.out, csv_path, events, n_classes)
+    except ValueError as exc:
+        raise _renamed(exc, {"n_classes": "--classes"}) from None
     print(f"wrote {args.out} and {csv_path}")
     return 0
 

@@ -101,48 +101,44 @@ def sliding_inference(
     return _overlap_average(data.shape[1], seg_len, outputs())[:fs.data.shape[1]]
 
 
-def _edge_gates(branch, x: np.ndarray, left: bool, starts, window, at, halo: int) -> dict:
-    """{(segment start, left): (halo, 6 * gru_hidden)}: the BiGRU input
-    projections of one edge's rows of each segment at `starts`, that edge
-    lying at row at[i] of window window[i] of `x`, the window batch that
-    `branch.forward_trunk` has just run.  An edge reads at most 2 * halo
-    rows a layer, so a call takes at most TRUNK_BATCH * seg_len rows."""
-    per_call = TRUNK_BATCH * x.shape[2] // (2 * halo)
-    gates = {}
-    for lo in range(0, len(starts), per_call):
-        part = slice(lo, lo + per_call)
-        rows = branch.forward_edges(x, window[part], at[part], left)
-        gates.update(zip([(s, left) for s in starts[part].tolist()], branch.gru.project(rows)))
-    return gates
+def _segment_gates(branch, data: np.ndarray, seg_len: int, shift: int, halo: int):
+    """Yield, in start order, the BiGRU input projections of each segment
+    of `_segment_starts(data.shape[1], seg_len, shift)` on its own,
+    (seg_len, 6 * gru_hidden).
 
-
-def _clip_gate_pieces(branch, data: np.ndarray, seg_len: int, shift: int, halo: int):
-    """Yield, window batch by window batch, (projections, edges): the BiGRU
-    input projections of the branch's trunk output over the whole clip,
-    (frames, 6 * gru_hidden), in consecutive pieces from frame 0 on; and
-    `_edge_gates` of the segments (every `shift` frames) whose edges are
-    taken from the batch's windows.
-
-    Windows of `seg_len` frames start every step = seg_len - 2 * halo
-    frames, plus one flush against the end; each contributes the frames at
-    least `halo` from any edge it does not share with the clip, where it
-    equals the whole-clip trunk.  TRUNK_BATCH windows go through the trunk
-    per call, and the frames they contribute are projected together.  The
-    segment at s takes its left edge from window s // step and its right
-    edge from window ceil(s / step) (the last window where that is past
-    the grid): there the window equals the clip on every row the edge reads.
+    Where a segment's edge rows would overlap, each `_segment_batches`
+    batch goes through the trunk as it is, TRUNK_BATCH segments per call.
+    Otherwise the clip goes through the trunk in windows of seg_len frames
+    every step = seg_len - 2 * halo frames (plus one flush against the
+    end), TRUNK_BATCH per call; each window gives the frames at least
+    `halo` from its edges inside the clip, where it equals the whole-clip
+    trunk, and these are projected together.  A segment's rows within
+    `halo` of an edge inside the clip come from edge rows: its left edge
+    at s from window s // step, its right from window ceil(s / step) (the
+    last window where that is past the grid), each equal to the clip on
+    every row the edge reads.  An edge reads at most 2 * halo rows a
+    layer, so an edge call takes at most TRUNK_BATCH * seg_len rows.
+    A segment is yielded once the window of its right edge has run, and
+    clip frames are kept only from the first segment not yet yielded, so
+    memory does not grow with the clip.
     """
+    if seg_len <= 2 * halo:
+        for _, x in _segment_batches(data, seg_len, shift):
+            for lo in range(0, len(x), TRUNK_BATCH):
+                yield from branch.gru.project(branch.forward_trunk(x[lo:lo + TRUNK_BATCH]))
+        return
     n_t = data.shape[1]
     step = seg_len - 2 * halo
+    per_call = TRUNK_BATCH * seg_len // (2 * halo)
     windows = _segment_starts(n_t, seg_len, step)
     starts = np.array(_segment_starts(n_t, seg_len, shift))
-    sides = []  # (left, segment starts, window, edge row in the window), for edges inside the clip
-    for left, w, e in ((True, starts // step, starts), (False, -(-starts // step), starts + seg_len)):
-        inside = (0 < e) & (e < n_t)
-        sides.append((left, starts[inside], w[inside], e[inside] - np.take(windows, w[inside])))
-    end = 0
-    for lo in range(0, len(windows), TRUNK_BATCH):
-        part = windows[lo:lo + TRUNK_BATCH]
+    last = -(-starts // step)  # the right edge's window; for the end segment, the last window
+    frames = np.empty((0, 6 * branch.cfg.gru_hidden), dtype=branch.dtype)
+    lo = end = 0  # the clip frames of frames[0] and frames[-1] + 1
+    edges = {}  # (segment index, left) -> (halo, 6 * gru_hidden) projections
+    i = 0  # the first segment not yet yielded
+    for w0 in range(0, len(windows), TRUNK_BATCH):
+        part = windows[w0:w0 + TRUNK_BATCH]
         x = np.stack([data[:, s:s + seg_len] for s in part])
         ys = branch.forward_trunk(x)
         kept = []
@@ -150,69 +146,28 @@ def _clip_gate_pieces(branch, data: np.ndarray, seg_len: int, shift: int, halo: 
             hi = s + seg_len - halo if s + seg_len < n_t else n_t
             kept.append(y[end - s:hi - s])
             end = hi
-        piece = branch.gru.project(np.concatenate(kept))
-        gates = {}
-        for left, s, w, at in sides:
-            mine = (lo <= w) & (w < lo + len(part))
-            gates.update(_edge_gates(branch, x, left, s[mine], w[mine] - lo, at[mine], halo))
+        frames = np.concatenate([frames, branch.gru.project(np.concatenate(kept))])
+        for left, w, e in ((True, starts // step, starts), (False, last, starts + seg_len)):
+            mine = np.flatnonzero((w0 <= w) & (w < w0 + len(part)) & (0 < e) & (e < n_t))
+            for c in range(0, len(mine), per_call):  # the edges inside the clip, in this batch's windows
+                k = mine[c:c + per_call]
+                rows = branch.forward_edges(x, w[k] - w0, e[k] - np.take(windows, w[k]), left)
+                edges.update(zip([(j, left) for j in k.tolist()], branch.gru.project(rows)))
         del x, ys, kept  # not held while the segments run
-        yield piece, gates
-
-
-class _ClipGates:
-    """A branch's whole-clip BiGRU input projections and its segments'
-    edge projections, computed ahead of the segments that need them and
-    dropped behind them, so memory does not grow with the clip."""
-
-    def __init__(self, branch, data: np.ndarray, seg_len: int, shift: int, halo: int):
-        self._pieces = _clip_gate_pieces(branch, data, seg_len, shift, halo)
-        self._frames = np.empty((0, 6 * branch.cfg.gru_hidden), dtype=branch.dtype)
-        self._lo = 0  # clip frame of self._frames[0]
-        self.edges = {}  # (segment start, left) -> (halo, 6 * gru_hidden) projections
-
-    def span(self, a: int, b: int) -> np.ndarray:
-        """Frames [a, b), with the edges of the segments in it starting at
-        or after `a` in `edges`; `a` never decreases and never passes the
-        last `b`."""
-        kept = self._frames[a - self._lo:]
-        self._lo = a
-        self.edges = {k: v for k, v in self.edges.items() if k[0] >= a}
-        pieces, have = [kept], a + len(kept)
-        while have < b:
-            piece, edges = next(self._pieces)
-            pieces.append(piece)
-            self.edges.update(edges)
-            have += len(piece)
-        if len(pieces) > 1:
-            kept = np.concatenate(pieces)
-        self._frames = kept
-        return kept[:b - a]
-
-
-def _segment_gates(branch, clip_gates: _ClipGates, x: np.ndarray, starts, n_t: int, halo: int):
-    """The BiGRU input projections of each segment of `x` (at `starts`)
-    on its own, (len(starts), seg_len, 6 * gru_hidden).
-
-    Frames further than `halo` from a segment edge come from the clip,
-    and those within `halo` of an edge the clip does not share from the
-    edge rows.  When the edge rows of a segment would overlap, the segment
-    goes through the trunk as it is, TRUNK_BATCH segments per call.
-    """
-    seg_len = x.shape[2]
-    if seg_len <= 2 * halo:
-        return np.concatenate([
-            branch.gru.project(branch.forward_trunk(x[lo:lo + TRUNK_BATCH]))
-            for lo in range(0, len(x), TRUNK_BATCH)
-        ])
-    a = starts[0]
-    span = clip_gates.span(a, starts[-1] + seg_len)
-    seg = np.stack([span[s - a:s - a + seg_len] for s in starts])
-    for i, s in enumerate(starts):
-        if s > 0:
-            seg[i, :halo] = clip_gates.edges[s, True]
-        if s + seg_len < n_t:
-            seg[i, -halo:] = clip_gates.edges[s, False]
-    return seg
+        while i < len(starts) and last[i] < w0 + len(part):
+            s = starts[i]
+            g = np.empty((seg_len, frames.shape[1]), dtype=frames.dtype)
+            clip = frames[s - lo:s - lo + seg_len]  # short by the right edge rows while they are not projected
+            g[:len(clip)] = clip
+            if s > 0:
+                g[:halo] = edges.pop((i, True))
+            if s + seg_len < n_t:
+                g[-halo:] = edges.pop((i, False))
+            i += 1
+            if i < len(starts):
+                keep = min(starts[i], end)  # the next segment may start past the frames projected so far
+                frames, lo = frames[keep - lo:], keep
+            yield g
 
 
 def _shared_trunk_inference(model, fs: FeatureStack, seg_len: int, shift: int) -> np.ndarray:
@@ -224,25 +179,22 @@ def _shared_trunk_inference(model, fs: FeatureStack, seg_len: int, shift: int) -
     (NetDeconv is pointwise and pooling is over frequency), so a segment's
     trunk output is the clip's except near its edges (`NetConfig.time_halo`).
     The BiGRU's input projection is per frame too, so it is computed once
-    over the clip and the segments' edge rows.  The `predict_batch` handed
-    to `sliding_inference` splices each segment's projections from the
-    clip and its edges, then runs the recurrence and head on the whole
-    batch of segments; outputs are averaged as for any model.
+    over the clip and the segments' edge rows (`_segment_gates`).  The
+    `predict_batch` handed to `sliding_inference` runs the recurrence and
+    head on each branch's next len(x) segments; outputs are averaged as
+    for any model.
     """
     if model.training:
         # batch statistics would make outputs depend on how segments are batched
         raise ValueError("the network is in training mode; call .eval() before inference")
     data = _pad_to_segment(fs.data, seg_len)
-    n_t = data.shape[1]
-    halo = model.cfg.time_halo
-    clip_gates = [_ClipGates(b, data, seg_len, shift, halo) for b in model.branches]
-    starts = iter(_segment_starts(n_t, seg_len, shift))
+    gates = [_segment_gates(b, data, seg_len, shift, model.cfg.time_halo) for b in model.branches]
 
     def predict_batch(x):
-        batch = [next(starts) for _ in range(len(x))]  # segments arrive in start order
+        # segments arrive in start order, as the generators yield them
         return model.combine(*(
-            b.forward_head(_segment_gates(b, g, x, batch, n_t, halo))
-            for b, g in zip(model.branches, clip_gates)
+            b.forward_head(np.stack([next(g) for _ in range(len(x))]))
+            for b, g in zip(model.branches, gates)
         ))
 
     return sliding_inference(predict_batch, fs, seg_len, shift)

@@ -85,6 +85,17 @@ class MetricsAccumulator:
     d_sum: float = 0.0
     n_ref: int = 0
 
+    def __post_init__(self):
+        errors = []
+        if self.n_classes < 1:
+            errors.append(f"n_classes must be >= 1, got {self.n_classes}")
+        # a pair counts when its distance is below the threshold, so above
+        # 180 every matched pair counts; at 0 or below (or NaN) none does
+        if not self.threshold_deg > 0:
+            errors.append(f"threshold_deg must be > 0 degrees, got {self.threshold_deg}")
+        if errors:
+            raise ValueError("; ".join(errors))
+
     def update(self, pred: EventList, ref: EventList) -> None:
         if pred.n_frames != ref.n_frames:
             raise ValueError(

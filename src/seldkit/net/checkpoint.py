@@ -80,18 +80,23 @@ def load_checkpoint(path) -> Checkpoint:
     tensors: dict = {}
     in_manifest = False
     kind = ""
-    for line in lines[1:]:
+    for number, line in enumerate(lines[1:], start=2):
         line = line.strip()
         if not line:
             continue
+        where = f"{path}:{number}"
         if line == "[tensors]":
             in_manifest = True
-            continue
-        if in_manifest:
-            name, shape_s, offset_s = line.split()
-            shape = () if shape_s == "scalar" else tuple(int(d) for d in shape_s.split("x"))
+        elif in_manifest:
+            fields = line.split()  # name, shape (9x4 or scalar), byte offset
+            dims = fields[1].split("x") if len(fields) == 3 and fields[1] != "scalar" else []
+            if len(fields) != 3 or not all(d.isdecimal() for d in dims + fields[2:]):
+                raise ValueError(f"{where}: expected 'name shape offset' with a shape such as 9x4 "
+                                 f"or 'scalar' and an offset >= 0, got {line!r}")
+            name, shape, start = fields[0], tuple(int(d) for d in dims), int(fields[2])
+            if name in tensors:
+                raise ValueError(f"{where}: tensor {name} is listed twice")
             count = int(np.prod(shape)) if shape else 1
-            start = int(offset_s)
             if start + 4 * count > len(payload):
                 raise ValueError(f"{path}: tensor {name} runs past the end of the data (truncated file?)")
             arr = np.frombuffer(payload, dtype="<f4", count=count, offset=start)
@@ -99,7 +104,9 @@ def load_checkpoint(path) -> Checkpoint:
                 raise ValueError(f"{path}: tensor {name} holds non-finite values")
             tensors[name] = arr.reshape(shape).astype(np.float32)
         else:
-            key, _, value = line.partition("=")
+            key, eq, value = line.partition("=")
+            if not eq:
+                raise ValueError(f"{where}: expected 'key = value', got {line!r}")
             key, value = key.strip(), value.strip()
             if key == "kind":
                 kind = value

@@ -19,7 +19,7 @@ _GAP = 25
 
 
 def _class_color(class_id: int, n_classes: int) -> str:
-    hue = int(360 * class_id / max(n_classes, 1))
+    hue = int(360 * class_id / n_classes)
     return f"hsl({hue}, 70%, 45%)"
 
 
@@ -36,7 +36,13 @@ def _polyline(points, color):
 
 
 def render_timeline_svg(events: EventList, n_classes: int) -> str:
-    """SVG text with activity / azimuth / elevation panels."""
+    """SVG text with activity / azimuth / elevation panels; the activity
+    panel has one row per class, so every class id must be below `n_classes`."""
+    if n_classes < 1:
+        raise ValueError(f"n_classes must be >= 1, got {n_classes}")
+    top = max((ev.class_id for ev in events.events), default=0)
+    if top >= n_classes:
+        raise ValueError(f"n_classes {n_classes} has no activity row for event class_id {top}")
     n_frames = max(events.n_frames, 1)
     width = _PANEL_W + 2 * _MARGIN
     x0 = _MARGIN
@@ -51,7 +57,7 @@ def render_timeline_svg(events: EventList, n_classes: int) -> str:
         return x0 + _PANEL_W * frame / n_frames
 
     def fy_activity(class_id):
-        row_h = _PANEL_H / max(n_classes, 1)
+        row_h = _PANEL_H / n_classes
         return panels["activity"] + class_id * row_h, max(row_h - 2, 2)
 
     def fy_angle(panel, value_deg, lo, hi):
@@ -94,8 +100,9 @@ def render_timeline_svg(events: EventList, n_classes: int) -> str:
 
 def write_timeline(svg_path, csv_path, events: EventList, n_classes: int) -> None:
     """Emit the SVG plus a tidy CSV of the plotted tracks."""
+    svg = render_timeline_svg(events, n_classes)
     with open(svg_path, "w") as f:
-        f.write(render_timeline_svg(events, n_classes))
+        f.write(svg)
     with open(csv_path, "w", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(["event_id", "class_id", "label_frame", "azimuth_deg", "elevation_deg"])

@@ -461,6 +461,19 @@ class TestInferEval:
                      "--ref", str(tmp_path / "nope.csv"), "--classes", "3"])
         assert code == 2
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--threshold", "-5"), ("--threshold", "0"), ("--threshold", "nan"), ("--threshold", "-inf"),
+        ("--classes", "0"),
+    ])
+    def test_out_of_domain_flag_exits_2_naming_it(self, tmp_path, capsys, flag, value):
+        # no distance is below these thresholds, so pred = ref would score
+        # ER 1 and F 0; a class count below 1 has no class to score
+        _, labels = self.setup_scene(tmp_path)
+        argv = ["eval", "--pred", str(labels), "--ref", str(labels), "--classes", "3"]
+        code = main(argv + [f"{flag}={value}"])  # "=": argparse takes "-inf" alone for an option
+        assert code == 2
+        assert f"error: {flag} must be" in capsys.readouterr().err
+
 
 class TestEnsembleCli:
     def test_fit_and_apply(self, tmp_path):
@@ -555,6 +568,23 @@ class TestPlot:
         rows = (tmp_path / "p.csv").read_text().strip().splitlines()
         assert rows[0] == "event_id,class_id,label_frame,azimuth_deg,elevation_deg"
         assert len(rows) == 3
+
+    @pytest.mark.parametrize("classes, message", [
+        ("1", "--classes 1 has no activity row for event class_id 2"),
+        ("0", "--classes must be >= 1, got 0"),
+        ("-1", "--classes must be >= 1, got -1"),
+    ])
+    def test_classes_must_cover_every_event(self, tmp_path, capsys, classes, message):
+        # class rows are 120 / classes high from the top of the activity
+        # panel, so a class at or above --classes lands on the angle panels
+        events = EventList([Event(1, 0, 2, [DoaAngles(0.0, 0.0)] * 2),
+                            Event(2, 1, 3, [DoaAngles(0.3, 0.1)] * 2)], 4)
+        pred = tmp_path / "pred.csv"
+        write_label_csv(pred, events)
+        svg = tmp_path / "p.svg"
+        assert main(["plot", "--pred", str(pred), "--out", str(svg), "--classes", classes]) == 2
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not svg.exists()
 
 
 class TestVersion:

@@ -1,6 +1,6 @@
-"""Three demos run to the end as scripts (about 1.5 s each, mostly
-imports); every demo is checked for the seldkit names it uses in
-`test_imports.py`."""
+"""Every demo but 04 (about 90 s of training) runs to the end as a script
+(about 1.5 s each, mostly imports); every demo is checked for the seldkit
+names it uses in `test_imports.py`."""
 
 import os
 import subprocess
@@ -12,7 +12,10 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-@pytest.mark.parametrize("name", ["03_accdoa_targets.py", "06_metrics.py", "07_ensemble.py"])
+@pytest.mark.parametrize("name", [
+    "01_synthesize_scenes.py", "02_features_and_augmentation.py", "03_accdoa_targets.py",
+    "05_inference_and_tta.py", "06_metrics.py", "07_ensemble.py",
+])
 def test_demo_runs(tmp_path, name):
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     result = subprocess.run([sys.executable, str(ROOT / "demos" / name)], cwd=tmp_path,

@@ -154,6 +154,18 @@ class TestPredictorNetworks:
         np.testing.assert_allclose(out, segment_by_segment(forward, data, seg_len, shift), atol=1e-6)
 
     @pytest.mark.parametrize("kind", ["rd3net", "two-stage"])
+    def test_segment_starting_past_the_projected_frames(self, kind):
+        # windows every 50 - 2 * 7 = 36 frames, 8 per trunk call: the first
+        # call projects the clip up to frame 7 * 36 + 50 - 7 = 295 and
+        # completes the segment at 250; the next one starts at 300
+        model, forward = self.network(kind)
+        data = np.random.default_rng(3).standard_normal((7, 400, NET.f_bins))
+        out = Predictor(model, STFT, seg_len=50, shift=50).predict_features(FeatureStack(data))
+        assert infer.TRUNK_BATCH == 8 and NET.time_halo == 7
+        # float32 sums on N(0, 1) inputs round apart by up to about 1e-6
+        np.testing.assert_allclose(out, segment_by_segment(forward, data, 50, 50), atol=1e-5)
+
+    @pytest.mark.parametrize("kind", ["rd3net", "two-stage"])
     def test_training_mode_rejected(self, kind):
         model, _ = self.network(kind)
         model.train()

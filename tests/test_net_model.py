@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -260,6 +262,28 @@ class TestCheckpoint:
         self.add_header_lines(path, line)
         with pytest.raises(ValueError, match=f"model.ckpt: .*{key}"):
             load_model(path)
+
+    @pytest.mark.parametrize("before, line, message", [
+        (b"[tensors]", "net.growth 2", "expected 'key = value', got 'net.growth 2'"),
+        (b"[data]", "extra.W 9x4", "expected 'name shape offset'"),
+        (b"[data]", "extra.W 9xZx4 0", "expected 'name shape offset'"),
+        (b"[data]", "extra.W -9x4 0", "expected 'name shape offset'"),
+        (b"[data]", "extra.W 9x4 -8", "expected 'name shape offset'"),
+        (b"[data]", None, "tensor branch.head.W is listed twice"),
+    ], ids=["no-equals", "two-fields", "bad-shape", "negative-size", "negative-offset", "listed-twice"])
+    def test_malformed_line_named_by_file_and_line(self, tmp_path, before, line, message):
+        # `line` goes just before the `before` mark: a header line before
+        # [tensors], a manifest line before [data]; None copies an entry
+        _model, path = self.saved_model(tmp_path)
+        head, mark, rest = path.read_bytes().partition(before + b"\n")
+        if line is None:
+            line = re.search(rb"^branch\.head\.W .*$", head, re.M).group().decode()
+        path.write_bytes(head + f"{line}\n".encode() + mark + rest)
+        number = head.count(b"\n") + 1
+        with pytest.raises(ValueError, match=re.escape(f"model.ckpt:{number}: {message}")) as exc:
+            load_checkpoint(path)
+        if message.startswith("expected"):
+            assert str(exc.value).endswith(f"got {line!r}")
 
     def test_integral_header_values_load_as_integers(self, tmp_path):
         # the same rule as `cli.read_config`: "2.0" is the integer 2
