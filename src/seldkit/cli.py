@@ -207,7 +207,10 @@ def _eval_one(pred_spec: str, ref: Path, n_classes: int, threshold: float):
     except ValueError as exc:
         raise _renamed(exc, {"n_classes": "--classes", "threshold_deg": "--threshold"}) from None
     for pred_path, ref_path in pairs:
-        pred_events, ref_events = read_label_csv(pred_path), read_label_csv(ref_path)
+        try:
+            pred_events, ref_events = (read_label_csv(p, n_classes=n_classes) for p in (pred_path, ref_path))
+        except ValueError as exc:
+            raise ValueError(str(exc).replace(">= n_classes", ">= --classes")) from None
         # one timeline through the last frame of either file; frames where
         # neither has an event add no counts
         n_frames = max(pred_events.n_frames, ref_events.n_frames)

@@ -9,9 +9,13 @@ contiguous shifts along the rows, and its output lands in its own channel
 slice with no pad, concatenation or transpose copy.  The (B, T, F, C)
 arrays the layers hand on are views of the grid's valid region.  Backward
 passes work channels-last, so channel gradients stay contiguous row
-slices.  Every layer caches what its backward pass needs, unless put in
-eval mode with `backward` False; workspaces are reused across iterations
-to avoid repeated large allocations.
+slices; a dense block accumulates its gradient in place, in a workspace
+the pool after it writes into.  Every layer caches what its backward pass
+needs, unless put in eval mode with `backward` False; workspaces are
+reused across iterations to avoid repeated large allocations.  Units run
+one at a time, so inside a conv trunk the convs and norms keep the
+workspaces that live only during their own pass in one shared `scratch`
+module, sized for the largest unit; a bare layer keeps its own.
 """
 
 from __future__ import annotations
@@ -204,12 +208,12 @@ class Module:
 
     def _bordered(self, name: str, shape, p: int, axis: int, dtype) -> np.ndarray:
         """`_ws(name, shape, dtype)` with a zero p-wide border on axes
-        `axis` and `axis` + 1: zeroed whenever the shape changes, so whoever
-        writes into the border must zero it again."""
+        `axis` and `axis` + 1: zeroed whenever the shape or p changes, so
+        whoever writes into the border must zero it again."""
         buf = self._ws(name, shape, dtype)
-        if self._border_shapes.get(name) != shape:
+        if self._border_shapes.get(name) != (shape, p):
             _zero_ring(buf, p, axis)
-            self._border_shapes[name] = shape
+            self._border_shapes[name] = (shape, p)
         return buf
 
     # subclasses implement forward(x) and backward(dy)
@@ -233,14 +237,16 @@ class Conv2d(Module):
     their valid region) and writes its output into grid `dst`, whose
     border it zeroes (see `DenseBlock`); otherwise it copies x onto a grid
     of its own, P = d.  While `folded` holds (W, b), forward uses them in
-    place of the parameters (see `ConvUnit`).  `scratch`, when set, is the
-    module whose workspace holds the stacked products, so convs that run
-    one at a time share it.  Backward runs channels-last on the same
-    grid: dy is written once into a zero-bordered padded workspace, each
-    tap's gW is one GEMM of a row slice of the forward's input grid with
-    dy, and dx, the convolution of dy with the flipped kernel, is one GEMM
-    per tap into a padded workspace, returned as a strided view of its
-    valid region.
+    place of the parameters (see `ConvUnit`).  Backward runs channels-last
+    on the same grid: dy is written once into a zero-bordered padded
+    workspace; gW goes through the rows in pieces of STACK_ROWS, each
+    tap's share of a piece one GEMM of a row slice of the forward's input
+    grid with dy, all nine taps on one piece while it is in cache; and dx,
+    the convolution of dy with the flipped kernel, is one GEMM per tap over
+    all rows into a padded workspace, returned as a strided view of its
+    valid region.  `scratch`, when set, is the module whose workspaces
+    hold the stacked products, padded dy and padded dx, so convs that run
+    one at a time share them.
     """
 
     def __init__(self, in_ch: int, out_ch: int, dilation: int, rng, dtype=np.float32):
@@ -346,21 +352,25 @@ class Conv2d(Module):
     def backward(self, dy: np.ndarray):
         B, T, F, p = self._shape
         C, Co = self.in_ch, self.out_ch
+        ws = self.scratch or self
         dy2 = np.ascontiguousarray(dy, dtype=self.dtype).reshape(-1, Co)
         self.grads["b"] += dy2.sum(axis=0)
-        dyp = self._bordered("dyp", (B, T + 2 * p, F + 2 * p, Co), p, 1, self.dtype)
+        dyp = ws._bordered("dyp", (B, T + 2 * p, F + 2 * p, Co), p, 1, self.dtype)
         dyp[:, p:p + T, p:p + F, :] = dy2.reshape(B, T, F, Co)
         x2, dyf = self._src.reshape(len(self._src), -1)[:C], dyp.reshape(-1, Co)
         lo, hi, offs = self._rows(len(dyf), F, p)
         gW = self.grads["W"]
-        for idx, off in enumerate(offs):
-            # dy is zero on the padding, so those rows add nothing
-            gW[idx] += x2[:, lo + off:hi + off] @ dyf[lo:hi]
+        # dy is zero on the padding, so those rows add nothing; all nine
+        # taps run on one piece of rows while its input rows are in cache
+        for s in range(lo, hi, STACK_ROWS):
+            e = min(s + STACK_ROWS, hi)
+            for idx, off in enumerate(offs):
+                gW[idx] += x2[:, s + off:e + off] @ dyf[s:e]
         if not self.needs_input_grad:
             return None
         # dx is dy convolved with the flipped kernel: tap idx reads dy -off rows away
         W = self.params["W"]
-        dxp = self._ws("dxp", dyp.shape[:3] + (C,), self.dtype)
+        dxp = ws._ws("dxp", dyp.shape[:3] + (C,), self.dtype)
         dx = dxp.reshape(-1, C)[lo:hi]
         dx[...] = 0
         for idx in range(8, -1, -1):
@@ -383,7 +393,9 @@ class NetDeconv(Module):
     inverse square root of the (WHITEN_EPS-regularized) channel covariance,
     both computed over all batch/time/freq locations and treated as
     constants in the backward pass.  Running statistics (momentum 0.1) are
-    used in eval mode.
+    used in eval mode.  `scratch`, when set, is the module whose workspaces
+    hold the centred input, the output and the input gradient, which live
+    only during one pass: consume the output before the next call.
     """
 
     def __init__(self, channels: int, dtype=np.float32):
@@ -392,6 +404,7 @@ class NetDeconv(Module):
         self.dtype = dtype
         self.register_buffer("running_mean", np.zeros(channels, dtype=dtype))
         self.register_buffer("running_cov", np.eye(channels, dtype=dtype))
+        self.scratch = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         shape = x.shape
@@ -399,7 +412,8 @@ class NetDeconv(Module):
         if c != self.channels:
             raise ValueError(f"expected {self.channels} channels, got {c}")
         n = x.size // c
-        xc = self._ws("xc", (n, c), self.dtype)
+        ws = self.scratch or self
+        xc = ws._ws("xc", (n, c), self.dtype)
         if self.training:
             if n < 2:
                 raise ValueError("need at least 2 locations for batch statistics")
@@ -418,7 +432,7 @@ class NetDeconv(Module):
             cov = self.buffers["running_cov"]
             np.subtract(x, mu, out=xc.reshape(shape))
         self._whiten = _inv_sqrt_psd(cov).astype(self.dtype)
-        y = self._ws("y", xc.shape, self.dtype)
+        y = ws._ws("y", xc.shape, self.dtype)
         np.matmul(xc, self._whiten, out=y)
         return y.reshape(shape)
 
@@ -426,7 +440,7 @@ class NetDeconv(Module):
         shape = dy.shape
         dy2 = np.ascontiguousarray(dy, dtype=self.dtype).reshape(-1, self.channels)
         # statistics are constants, and the whitening matrix is symmetric
-        dx = self._ws("dx", dy2.shape, self.dtype)
+        dx = (self.scratch or self)._ws("dx", dy2.shape, self.dtype)
         np.matmul(dy2, self._whiten, out=dx)
         return dx.reshape(shape)
 
@@ -512,8 +526,16 @@ class FreqPool(Module):
         y /= k
         return y
 
-    def backward(self, dy: np.ndarray) -> np.ndarray:
-        return np.repeat(dy * (1.0 / self.factor), self.factor, axis=2)
+    def backward(self, dy: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """dy / k repeated k times along frequency, with np.repeat's bits,
+        written into `out` when given."""
+        B, T, F, C = dy.shape
+        k = self.factor
+        if out is None:
+            out = np.empty((B, T, F * k, C), dy.dtype)
+        # splitting the frequency axis in two is a view of any out
+        np.multiply(dy[:, :, :, None], 1.0 / k, out=out.reshape(B, T, F, k, C))
+        return out
 
 
 class Gru(Module):
@@ -694,7 +716,9 @@ class DenseBlock(Module):
     its own channel slice, and its ELU runs over that slice.  forward
     returns the (B, T, F, out_ch) view of the grid's valid region: consume
     or copy it before the next call on the same instance.  Backward runs
-    channels-last on a copy of dy.
+    channels-last in the block's gradient workspace (`grad`), where each
+    layer's input gradient accumulates onto the channels it read in place,
+    and returns the view of the block input's channels there.
     """
 
     def __init__(self, in_ch: int, growth: int, n_layers: int, rng, dtype=np.float32):
@@ -733,10 +757,15 @@ class DenseBlock(Module):
                 _put(_valid(dst, p), unit.forward(_valid(g[:lo], p)))
         return _valid(g, p)
 
+    def grad(self, B: int, T: int, F: int) -> np.ndarray:
+        """The block's (B, T, F, out_ch) gradient workspace."""
+        return self._ws("grad", (B, T, F, self.out_ch), self.dtype)
+
     def backward(self, dy: np.ndarray) -> np.ndarray:
-        grad = np.array(dy, copy=True)
+        """dy may already be `grad`, written there by the layer after."""
+        grad = self.grad(*dy.shape[:3])
+        _put(grad, dy)
         for layer in range(self.n_layers - 1, -1, -1):
             lo = self.in_ch + layer * self.growth
-            dx = self.units[layer].backward(grad[..., lo:lo + self.growth])
-            grad[..., :lo] += dx
-        return grad[..., :self.in_ch].copy()
+            grad[..., :lo] += self.units[layer].backward(grad[..., lo:lo + self.growth])
+        return grad[..., :self.in_ch]

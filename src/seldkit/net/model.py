@@ -17,7 +17,8 @@ import numpy as np
 from ..accdoa import compose_accdoa
 from ..features import FEATURE_CHANNELS
 from .layers import (
-    BiGru, Conv2d, ConvUnit, DenseBlock, FreqPool, Linear, Module, Sigmoid, Tanh, _edge_columns, _put, _valid,
+    BiGru, Conv2d, ConvUnit, DenseBlock, FreqPool, Linear, Module, NetDeconv, Sigmoid, Tanh,
+    _edge_columns, _put, _valid,
 )
 
 
@@ -84,8 +85,11 @@ class ConvTrunk(Module):
     features from a zero-bordered channel-major grid with the first block's
     border and writes its output into that block's grid, and each pool
     writes into the next block's grid, the last into the (B, T, f_out, C)
-    array the BiGRU input is a reshape of.  All convs share one module's
-    workspace for their stacked products.
+    array the BiGRU input is a reshape of.  All convs and norms share one
+    module's workspaces for what lives only during one unit's pass (see
+    `Conv2d` and `NetDeconv`).  Backward runs the other way: each pool
+    writes its gradient into the gradient workspace of the block before
+    it, which accumulates there in place.
     """
 
     def __init__(self, cfg: NetConfig, rng, dtype=np.float32):
@@ -109,7 +113,7 @@ class ConvTrunk(Module):
         while stack:
             mod = stack.pop()
             stack.extend(mod._children.values())
-            if isinstance(mod, Conv2d):
+            if isinstance(mod, (Conv2d, NetDeconv)):
                 mod.scratch = scratch
 
     def forward(self, x: np.ndarray) -> np.ndarray:
@@ -193,7 +197,8 @@ class ConvTrunk(Module):
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
         for block, pool in reversed(self.stages):
-            dy = block.backward(pool.backward(dy))
+            B, T, F, _ = dy.shape
+            dy = block.backward(pool.backward(dy, out=block.grad(B, T, F * pool.factor)))
         return self.stem.backward(dy)
 
 

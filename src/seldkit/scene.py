@@ -385,12 +385,13 @@ def write_label_csv(path, events: EventList) -> None:
         writer.writerows(rows)
 
 
-def read_label_csv(path, n_frames: int | None = None) -> EventList:
+def read_label_csv(path, n_frames: int | None = None, n_classes: int | None = None) -> EventList:
     """Read the label CSV back into an EventList.
 
     Rows of one (class, track) pair are grouped; contiguous label frames
     form one event.  `n_frames` defaults to the highest frame + 1.  Line 1
-    may be a header; a malformed or repeated row raises `ValueError("path:line: ...")`.
+    may be a header; a malformed or repeated row, or one whose class id is
+    not below `n_classes` when given, raises `ValueError("path:line: ...")`.
     """
     per_track: dict = {}
     with open(path, newline="") as f:
@@ -410,6 +411,8 @@ def read_label_csv(path, n_frames: int | None = None) -> EventList:
                 d = DoaAngles(math.radians(az), math.radians(el))
             except ValueError as exc:
                 raise ValueError(f"{where}: bad row {','.join(row)!r}: {exc}") from None
+            if n_classes is not None and class_id >= n_classes:
+                raise ValueError(f"{where}: class_id {class_id} >= n_classes {n_classes}")
             frames = per_track.setdefault((class_id, track), {})
             if frame in frames:
                 raise ValueError(f"{where}: class {class_id} track {track} frame {frame} listed twice")

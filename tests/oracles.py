@@ -348,3 +348,58 @@ def edge_rows_by_batch(trunk, x: np.ndarray, window: np.ndarray, at: np.ndarray,
             lo += block.growth
         own = pool.forward(near(g, reach))
     return own
+
+
+def conv2d_backward_whole_rows(conv, dy: np.ndarray):
+    """`Conv2d.backward` after the conv's last forward, with workspaces of
+    its own and each tap's weight gradient one GEMM over every row of the
+    grid: dy written into a fresh zero-bordered padded array, gW[t] +=
+    (a row slice of the input grid) @ dy, and dx accumulating one BLAS
+    GEMM per tap of the flipped kernel, from W[8].  Accumulates into the
+    conv's gradients and returns dx, or None when it needs no input
+    gradient."""
+    B, T, F, p = conv._shape
+    C, Co = conv.in_ch, conv.out_ch
+    dy2 = np.ascontiguousarray(dy, dtype=conv.dtype).reshape(-1, Co)
+    conv.grads["b"] += dy2.sum(axis=0)
+    dyp = np.zeros((B, T + 2 * p, F + 2 * p, Co), conv.dtype)
+    dyp[:, p:p + T, p:p + F] = dy2.reshape(B, T, F, Co)
+    x2, dyf = conv._src.reshape(len(conv._src), -1)[:C], dyp.reshape(-1, Co)
+    Fp = F + 2 * p
+    lo, hi = p * Fp + p, len(dyf) - p * Fp - p
+    offs = [conv.dilation * ((i - 1) * Fp + j - 1) for i in range(3) for j in range(3)]
+    for idx, off in enumerate(offs):
+        conv.grads["W"][idx] += x2[:, lo + off:hi + off] @ dyf[lo:hi]
+    if not conv.needs_input_grad:
+        return None
+    dx = np.zeros((hi - lo, C), conv.dtype)
+    gemm = get_blas_funcs("gemm", (dx,))
+    for idx in range(8, -1, -1):
+        Wt = np.ascontiguousarray(conv.params["W"][idx].T)
+        # dx.T = Wt.T @ dy.T + dx.T, in place on the Fortran-ordered transpose
+        dx = gemm(1.0, Wt.T, dyf[lo - offs[idx]:hi - offs[idx]].T, 1.0, dx.T, overwrite_c=1).T
+    dxp = np.zeros(dyp.shape[:3] + (C,), conv.dtype)
+    dxp.reshape(-1, C)[lo:hi] = dx
+    return dxp[:, p:p + T, p:p + F]
+
+
+def trunk_backward_per_unit(trunk, dy: np.ndarray) -> None:
+    """`ConvTrunk.backward` after the trunk's last forward, every layer
+    with arrays of its own: each pool's gradient `np.repeat` of dy / k, a
+    copy of it that the dense block's layers accumulate their input
+    gradients in, the block's input-channel gradient copied out of it, and
+    each conv unit's backward the ELU's, then dy times NetDeconv's
+    whitening matrix, then `conv2d_backward_whole_rows`."""
+
+    def unit_backward(unit, dy):
+        dy = np.ascontiguousarray(unit.act.backward(dy), dtype=unit.norm.dtype)
+        dy = (dy.reshape(-1, unit.norm.channels) @ unit.norm._whiten).reshape(dy.shape)
+        return conv2d_backward_whole_rows(unit.conv, dy)
+
+    for block, pool in reversed(trunk.stages):
+        grad = np.array(np.repeat(dy * (1.0 / pool.factor), pool.factor, axis=2), copy=True)
+        for layer in range(block.n_layers - 1, -1, -1):
+            lo = block.in_ch + layer * block.growth
+            grad[..., :lo] += unit_backward(block.units[layer], grad[..., lo:lo + block.growth])
+        dy = grad[..., :block.in_ch].copy()
+    unit_backward(trunk.stem, dy)

@@ -345,6 +345,17 @@ class TestInferEval:
         assert code == 2
         assert "pred.csv:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("side", ["pred", "ref"])
+    def test_eval_class_beyond_classes_named_by_file_line_and_flag(self, tmp_path, capsys, side):
+        rows = {"pred": "0,0,0,10,20\n1,1,0,10,20\n", "ref": "0,0,0,10,20\n1,1,0,10,20\n"}
+        rows[side] += "2,2,0,30,0\n"
+        for name, text in rows.items():
+            (tmp_path / f"{name}.csv").write_text(text)
+        code = main(["eval", "--pred", str(tmp_path / "pred.csv"), "--ref", str(tmp_path / "ref.csv"),
+                     "--classes", "2"])
+        assert code == 2
+        assert f"{side}.csv:3: class_id 2 >= --classes 2" in capsys.readouterr().err
+
     def test_infer_rejects_unknown_checkpoint_key(self, tmp_path, capsys):
         wav, _ = self.setup_scene(tmp_path)
         ckpt = tmp_path / "model.ckpt"

@@ -325,7 +325,7 @@ class TestEdgeRows:
         rng = np.random.default_rng(9)
         seg_len, halo = 64, cfg.time_halo
         x = rng.standard_normal((3, 7, seg_len, cfg.f_bins)).astype(np.float32)
-        n_edges = 2 * infer.TRUNK_BATCH * seg_len // (2 * halo) + 5  # more than two `_edge_gates` calls take
+        n_edges = 2 * infer.TRUNK_BATCH * seg_len // (2 * halo) + 5  # more than two of `_segment_gates`' edge calls take
         window = rng.integers(0, len(x), n_edges)
         at = rng.integers(0, seg_len - 2 * halo + 1, n_edges) + (0 if left else 2 * halo)
         for branch in model.branches:

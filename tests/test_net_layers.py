@@ -257,6 +257,23 @@ class TestConvBackward:
         assert same_bits(conv.grads["b"], gb_ref)
         self.assert_gw_close(conv.grads["W"], gW_ref, dtype)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("dilation", [1, 2])
+    @pytest.mark.parametrize("rows", [10 ** 6, 107, 50, 1])
+    def test_weight_gradient_by_row_pieces(self, dtype, dilation, rows, monkeypatch):
+        # gW takes the grid rows STACK_ROWS at a time: at dilation 1 the
+        # 214 rows are one piece, two of 107, five with a ragged last of
+        # 14, or one row each; dx and the bias gradient keep their bits
+        from seldkit.net import layers
+
+        conv, x, dy, (dx_ref, gW_ref, gb_ref) = self.setup(dtype, dilation, (2, 8, 10, 3, 4))
+        monkeypatch.setattr(layers, "STACK_ROWS", rows)
+        conv.forward(x)
+        dx = conv.backward(dy)
+        assert same_bits(np.ascontiguousarray(dx), dx_ref)
+        assert same_bits(conv.grads["b"], gb_ref)
+        self.assert_gw_close(conv.grads["W"], gW_ref, dtype)
+
     @pytest.mark.parametrize("dilation", [1, 2, 4])
     def test_alternating_shapes_share_one_workspace(self, dilation):
         # after the first call of each shape, alternating them allocates
@@ -332,6 +349,21 @@ class TestConvOnGrid:
         assert same_bits(np.ascontiguousarray(dx), dx_ref)
         assert same_bits(conv.grads["b"], gb_ref)
         TestConvBackward().assert_gw_close(conv.grads["W"], gW_ref, dtype)
+
+    def test_backward_after_a_narrower_border_of_the_same_shape(self):
+        # off the grid, T 9 x F 12 at border 1 pads dy to the 11 x 14 rows
+        # that T 3 x F 6 take at border 4; the wider border is zeroed again
+        conv, x, grid = self.setup(np.float64, 1, (2, 3, 6, 3), Co=2)
+        rng = np.random.default_rng(42)
+        conv.forward(rng.standard_normal((2, 9, 12, 3)))
+        conv.backward(rng.standard_normal((2, 9, 12, 2)))
+        conv.zero_grad()
+        dy = rng.standard_normal((2, 3, 6, 2))
+        dx_ref, gW_ref, gb_ref = conv2d_backward_by_tap_copies(x, conv.params["W"], dy, 1)
+        self.forward(conv, grid)
+        dx = conv.backward(dy)
+        assert same_bits(np.ascontiguousarray(dx), dx_ref)
+        TestConvBackward().assert_gw_close(conv.grads["W"], gW_ref, np.float64)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("rows", [1, 700, 10 ** 6])
@@ -490,6 +522,23 @@ class TestPoolGradients:
         got = FreqPool(factor).backward(dy)
         assert got.dtype == dtype
         assert same_bits(got, np.repeat(dy, factor, axis=2) * (1.0 / factor))
+
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("factor", [1, 2, 3, 4])
+    def test_backward_into_out_is_repeat_bit_for_bit(self, dtype, factor):
+        # written into a channel prefix of a wider array, whose other
+        # channels keep their values
+        rng = np.random.default_rng(36)
+        scale = rng.choice([1e-40, 1.0, 1e30], size=(2, 3, 6, 5))
+        dy = (rng.standard_normal(scale.shape) * scale).astype(dtype)
+        dy[0, 0, 0, :4] = [-0.0, np.inf, -np.inf, np.nan]
+        wide = rng.standard_normal((2, 3, 6 * factor, 7)).astype(dtype)
+        beyond = wide[..., 5:].copy()
+        got = FreqPool(factor).backward(dy, out=wide[..., :5])
+        assert np.shares_memory(got, wide)
+        assert same_bits(got, np.repeat(dy * (1.0 / factor), factor, axis=2))
+        assert same_bits(wide[..., 5:], beyond)
 
 
 class TestGruGradients:

@@ -3,6 +3,7 @@ import re
 import numpy as np
 import pytest
 
+from oracles import same_bits, trunk_backward_per_unit
 from seldkit.accdoa import compose_accdoa
 from seldkit.features import StftConfig
 from seldkit.net.checkpoint import (
@@ -13,6 +14,8 @@ from seldkit.net.checkpoint import (
     save_checkpoint,
     save_model,
 )
+from seldkit.net.layers import Conv2d, NetDeconv
+from seldkit.net.losses import loss_bce, loss_mse
 from seldkit.net.model import NetConfig, RD3NetLite, TwoStageNet
 from seldkit.net.optim import Adam, TrainConfig, learning_rate
 
@@ -118,6 +121,77 @@ class TestEvalWithoutBackward:
         assert not loaded.training and not loaded.branch.head.for_backward
         loaded.train()
         assert loaded.branch.head.for_backward
+
+
+def modules(module):
+    """module and every module below it."""
+    yield module
+    for child in module._children.values():
+        yield from modules(child)
+
+
+def train_step(branch, x, rng):
+    """A branch's forward, its training loss against random targets,
+    zero_grad and backward; returns the loss gradient."""
+    pred = branch.forward(x)
+    target = rng.uniform(-1, 1, pred.shape).astype(np.float32)
+    if branch.out_per_class == 1:
+        _, dy = loss_bce(pred, (target > 0).astype(np.float32))
+    else:
+        _, dy = loss_mse(pred, target)
+    branch.zero_grad()
+    branch.backward(dy)
+    return dy
+
+
+class TestTrunkBackward:
+    """The conv trunk's backward in its shared workspaces, against
+    `trunk_backward_per_unit`, where every layer has arrays of its own."""
+
+    DESK = NetConfig(n_classes=3, f_bins=129, stem_channels=12, growth=6)
+
+    @pytest.mark.parametrize("kind", [RD3NetLite, TwoStageNet])
+    def test_desk_step_matches_per_unit_workspaces(self, kind, monkeypatch):
+        # every gradient keeps its bits except the conv weights', whose
+        # row pieces sum in another order: within 2e-6 of the largest entry
+        model = kind(self.DESK, seed=2)
+        rng = np.random.default_rng(3)
+        x = rng.standard_normal((3, 7, 256, self.DESK.f_bins)).astype(np.float32)
+        for branch in model.branches:
+            dy = train_step(branch, x, rng)
+            got = {name: g.copy() for name, g in branch.named_grads()}
+            trunk = branch.trunk
+            monkeypatch.setattr(trunk, "backward", lambda d: trunk_backward_per_unit(trunk, d))
+            branch.zero_grad()
+            branch.backward(dy)
+            for name, expected in branch.named_grads():
+                if name.endswith("conv.W"):
+                    assert np.abs(got[name] - expected).max() <= 2e-6 * np.abs(expected).max(), name
+                else:
+                    assert same_bits(got[name], expected), name
+
+    def test_one_scratch_per_trunk_reused_across_steps(self):
+        model = TwoStageNet(tiny_config(), seed=0)
+        rng = np.random.default_rng(4)
+        x = rng.standard_normal((2, 7, 24, 16)).astype(np.float32)
+        for branch in model.branches:
+            train_step(branch, x, rng)
+        scratches = [branch.trunk.stem.conv.scratch for branch in model.branches]
+        assert scratches[0] is not scratches[1]
+        for branch, scratch in zip(model.branches, scratches):
+            assert {"products", "dyp", "dxp", "xc", "y", "dx"} <= scratch._ws_store.keys()
+            for mod in modules(branch.trunk):
+                if isinstance(mod, (Conv2d, NetDeconv)):
+                    assert mod.scratch is scratch
+                    assert not {"dyp", "dxp", "xc", "y", "dx"} & mod._ws_store.keys()
+        # a second step allocates no workspace
+        every = [*modules(model), *scratches]
+        before = [dict(mod._ws_store) for mod in every]
+        for branch in model.branches:
+            train_step(branch, x, rng)
+        for mod, store in zip(every, before):
+            assert mod._ws_store.keys() == store.keys()
+            assert all(mod._ws_store[name] is buf for name, buf in store.items())
 
 
 class TestTimeHalo:
