@@ -248,7 +248,12 @@ def cmd_ensemble(args) -> int:
     outputs = [load_accdoa(p) for p in args.preds]
     if args.action == "fit":
         n_frames, n_classes = outputs[0].shape[:2]
-        targets = encode_accdoa(read_label_csv(args.labels), n_classes, n_frames)
+        try:
+            labels = read_label_csv(args.labels, n_classes=n_classes)
+        except ValueError as exc:
+            raise ValueError(str(exc).replace(
+                f">= n_classes {n_classes}", f">= {n_classes}, the class count of --preds {args.preds[0]}")) from None
+        targets = encode_accdoa(labels, n_classes, n_frames)
         weights = fit_weights(outputs, targets)
         write_weights_csv(args.weights, weights)
         mse = ensemble_mse(outputs, weights, targets)

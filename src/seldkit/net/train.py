@@ -18,7 +18,7 @@ from ..augment import (
     spec_augment,
 )
 from ..features import StftConfig, extract_features
-from ..scene import LABEL_FRAME_SAMPLES, AmbisonicClip, SceneConfig, synth_scene
+from ..scene import LABEL_FRAME_SAMPLES, AmbisonicClip, SceneConfig, place_events, render_scene
 from .losses import loss_bce, loss_masked_mse, loss_mse
 from .model import RD3NetLite, TwoStageNet
 from .optim import Adam, TrainConfig
@@ -37,12 +37,14 @@ class AugmentOptions:
 class SceneBatchStream:
     """Generates (features, targets) batches from synthetic scenes.
 
-    A pool of rendered scenes plus a bank of single-event scenes is drawn
-    once at construction (both read-only afterwards); each training sample
-    then picks a pool scene, optionally mixes in secondaries from the bank,
-    rotates, crops a random window of `input_frames` STFT frames, and masks
-    features.  Batches are a pure function of (seed, iteration), whatever
-    the worker count.
+    A pool of scenes plus a bank of single-event scenes is drawn once at
+    construction and kept as `place_events` returns them: events and their
+    read-only mono signals, not 4-channel audio.  Each training sample
+    renders the pool scene it picks, and any secondaries it mixes in from
+    the bank, into fresh clips with `render_scene`, the same bits
+    `synth_scene` gives; then it rotates, crops a random window of
+    `input_frames` STFT frames, and masks features.  Batches are a pure
+    function of (seed, iteration), whatever the worker count.
     """
 
     def __init__(
@@ -76,20 +78,21 @@ class SceneBatchStream:
                              f"of a scene.duration_s = {scene_cfg.duration_s} s scene")
 
         pool_rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, 0)))
-        self.pool = [synth_scene(scene_cfg, pool_rng) for _ in range(pool_scenes)]
+        self.pool = [place_events(scene_cfg, pool_rng) for _ in range(pool_scenes)]
         secondary_cfg = replace(scene_cfg, n_events=1, max_polyphony=1)
         n_bank = secondary_bank if augment.emda else 0
-        self.bank = [synth_scene(secondary_cfg, pool_rng) for _ in range(n_bank)]
-        # samples are shared by every batch: augmentations must copy, never write
-        for clip, _events in self.pool + self.bank:
-            clip.samples.flags.writeable = False
+        self.bank = [place_events(secondary_cfg, pool_rng) for _ in range(n_bank)]
+        # signals are shared by every batch: rendering must copy, never write
+        for placed, _events in self.pool + self.bank:
+            for _ev, sig in placed:
+                sig.flags.writeable = False
 
     def _sample(self, rng: np.random.Generator):
-        clip, events = self.pool[int(rng.integers(len(self.pool)))]
+        clip, events = render_scene(*self.pool[int(rng.integers(len(self.pool)))])
         if self.augment.emda:
             n_sec = int(rng.integers(0, MAX_SECONDARIES + 1))
             if n_sec:
-                secs = [self.bank[int(rng.integers(len(self.bank)))] for _ in range(n_sec)]
+                secs = [render_scene(*self.bank[int(rng.integers(len(self.bank)))]) for _ in range(n_sec)]
                 clip, events = emda_mix((clip, events), secs, rng)
         if self.augment.rotate:
             r = ALL_PATTERNS[int(rng.integers(len(ALL_PATTERNS)))]

@@ -293,13 +293,14 @@ def render_events(placed, n_label_frames: int) -> AmbisonicClip:
     return AmbisonicClip(mix)
 
 
-def synth_scene(cfg: SceneConfig, rng: np.random.Generator | None = None):
-    """Synthesize one scene; returns (AmbisonicClip, EventList).
+def place_events(cfg: SceneConfig, rng: np.random.Generator | None = None):
+    """Draw one scene's events; returns (placed, EventList).
 
     Events get random classes, onsets, and static DOAs (azimuth uniform,
     elevation uniform over cfg.elevation_range).  At most
     `cfg.max_polyphony` events are simultaneously active and a class never
-    overlaps itself.  The mixture is peak-normalized to 0.5.
+    overlaps itself.  `placed` pairs each Event with its mono signal, gain
+    and fades applied, as `render_events` takes them.
     """
     if rng is None:
         rng = np.random.default_rng(cfg.rng_seed)
@@ -327,12 +328,23 @@ def synth_scene(cfg: SceneConfig, rng: np.random.Generator | None = None):
             poly[span] += 1
             class_busy[span, class_id] = True
             break
-    clip = render_events(placed, n_frames)
+    return placed, EventList([ev for ev, _ in placed], n_frames)
+
+
+def render_scene(placed, events: EventList):
+    """Render placed events into a fresh clip peak-normalized to 0.5;
+    returns (AmbisonicClip, events)."""
+    clip = render_events(placed, events.n_frames)
     peak = np.max(np.abs(clip.samples))
     if peak > 0:
         clip.samples *= 0.5 / peak
-    events = EventList([ev for ev, _ in placed], n_frames)
     return clip, events
+
+
+def synth_scene(cfg: SceneConfig, rng: np.random.Generator | None = None):
+    """Synthesize one scene as `place_events` draws it and `render_scene`
+    renders it; returns (AmbisonicClip, EventList)."""
+    return render_scene(*place_events(cfg, rng))
 
 
 # ---------------------------------------------------------------------------

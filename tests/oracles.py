@@ -8,13 +8,21 @@ from __future__ import annotations
 
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 from scipy.linalg import get_blas_funcs
 
-from seldkit.augment import rotate_accdoa
-from seldkit.features import make_feature_stack
-from seldkit.scene import DoaAngles, Event, EventList
+from seldkit.accdoa import encode_accdoa, expand_to_frame_rate
+from seldkit.augment import (
+    ALL_PATTERNS, MAX_SECONDARIES, emda_mix, rotate_accdoa, rotate_events, rotate_foa, spec_augment,
+)
+from seldkit.features import extract_features, make_feature_stack
+from seldkit.net.train import SceneBatchStream
+from seldkit.scene import (
+    _EVENT_GAIN_RANGE, AmbisonicClip, DoaAngles, Event, EventList, _fade_edges, class_signature,
+    render_events,
+)
 
 
 def great_circle_deg(d1: DoaAngles, d2: DoaAngles) -> float:
@@ -403,3 +411,70 @@ def trunk_backward_per_unit(trunk, dy: np.ndarray) -> None:
             grad[..., :lo] += unit_backward(block.units[layer], grad[..., lo:lo + block.growth])
         dy = grad[..., :block.in_ch].copy()
     unit_backward(trunk.stem, dy)
+
+
+def synth_scene_in_one_pass(cfg, rng: np.random.Generator) -> tuple:
+    """`scene.synth_scene` before it was split into `place_events` and
+    `render_scene`: draw and render in one loop, then peak-normalize to 0.5."""
+    n_frames = cfg.n_label_frames
+    poly = np.zeros(n_frames, dtype=int)
+    class_busy = np.zeros((n_frames, cfg.n_classes), dtype=bool)
+    placed = []
+    for _ in range(cfg.n_events):
+        for _attempt in range(20):
+            class_id = int(rng.integers(cfg.n_classes))
+            dur = min(int(rng.integers(cfg.min_event_frames, cfg.max_event_frames + 1)), n_frames)
+            onset = int(rng.integers(0, n_frames - dur + 1))
+            span = slice(onset, onset + dur)
+            if np.any(poly[span] >= cfg.max_polyphony) or np.any(class_busy[span, class_id]):
+                continue
+            d = DoaAngles(rng.uniform(-math.pi, math.pi), rng.uniform(*cfg.elevation_range))
+            gain = rng.uniform(*_EVENT_GAIN_RANGE)
+            sig = _fade_edges(class_signature(class_id, dur * 0.1, rng, cfg.n_classes) * gain)
+            placed.append((Event(class_id, onset, onset + dur, [d] * dur), sig))
+            poly[span] += 1
+            class_busy[span, class_id] = True
+            break
+    clip = render_events(placed, n_frames)
+    peak = np.max(np.abs(clip.samples))
+    if peak > 0:
+        clip.samples *= 0.5 / peak
+    return clip, EventList([ev for ev, _ in placed], n_frames)
+
+
+class DensePoolStream(SceneBatchStream):
+    """`SceneBatchStream` as it kept its pool and bank before storing event
+    signals: every scene rendered once, at construction, into a read-only
+    dense 4-channel clip, and each sample augmenting those clips."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        pool_rng = np.random.default_rng(np.random.SeedSequence(entropy=(self.seed, 0)))
+        secondary_cfg = replace(self.scene_cfg, n_events=1, max_polyphony=1)
+        self.pool = [synth_scene_in_one_pass(self.scene_cfg, pool_rng) for _ in self.pool]
+        self.bank = [synth_scene_in_one_pass(secondary_cfg, pool_rng) for _ in self.bank]
+        for clip, _events in self.pool + self.bank:
+            clip.samples.flags.writeable = False
+
+    def _sample(self, rng: np.random.Generator):
+        clip, events = self.pool[int(rng.integers(len(self.pool)))]
+        if self.augment.emda:
+            n_sec = int(rng.integers(0, MAX_SECONDARIES + 1))
+            if n_sec:
+                secs = [self.bank[int(rng.integers(len(self.bank)))] for _ in range(n_sec)]
+                clip, events = emda_mix((clip, events), secs, rng)
+        if self.augment.rotate:
+            r = ALL_PATTERNS[int(rng.integers(len(ALL_PATTERNS)))]
+            clip = rotate_foa(clip, r)
+            events = rotate_events(events, r)
+        stft_cfg = self.stft_cfg
+        t0 = int(rng.integers(0, stft_cfg.n_frames(clip.n_samples) - self.input_frames + 1))
+        span = stft_cfg.frame_span(self.input_frames)
+        cropped = AmbisonicClip(clip.samples[:, t0 * stft_cfg.hop: t0 * stft_cfg.hop + span])
+        fs = extract_features(cropped, stft_cfg)
+        if self.augment.specaug:
+            fs = spec_augment(fs, self.augment.spec_cfg, rng)
+        seq = expand_to_frame_rate(encode_accdoa(events, self.scene_cfg.n_classes), t0 + self.input_frames)
+        accdoa = seq[t0:].astype(np.float32)
+        activity = (np.linalg.norm(accdoa, axis=-1) > 0).astype(np.float32)
+        return fs.data.astype(np.float32), activity, accdoa

@@ -553,11 +553,15 @@ class TestEnsembleCli:
         assert not (tmp_path / "w.csv").exists()
 
     def test_fit_rejects_label_class_beyond_the_outputs(self, tmp_path, capsys):
+        # the dumps hold 2 classes; line 3 is the first row of class 2
         dump_accdoa(tmp_path / "m.acc", np.zeros((4, 2, 3)))
-        write_label_csv(tmp_path / "ref.csv", EventList([Event(2, 0, 2, [DoaAngles(0.0, 0.0)] * 2)], 4))
+        events = EventList([Event(0, 0, 2, [DoaAngles(0.0, 0.0)] * 2), Event(2, 2, 4, [DoaAngles(0.0, 0.0)] * 2)], 4)
+        write_label_csv(tmp_path / "ref.csv", events)
         assert main(["ensemble", "fit", "--preds", str(tmp_path / "m.acc"), "--labels", str(tmp_path / "ref.csv"),
                      "--weights", str(tmp_path / "w.csv")]) == 2
-        assert "error: class_id 2 >= n_classes 2" in capsys.readouterr().err
+        assert (f"error: {tmp_path / 'ref.csv'}:3: class_id 2 >= 2, the class count of --preds {tmp_path / 'm.acc'}"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "w.csv").exists()
 
 
 class TestPlot:

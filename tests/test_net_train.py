@@ -3,13 +3,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from oracles import DensePoolStream
 from seldkit.augment import SpecAugmentConfig
 from seldkit.features import StftConfig
 from seldkit.net.losses import loss_masked_mse, loss_mse
 from seldkit.net.model import NetConfig, RD3NetLite, TwoStageNet
 from seldkit.net.optim import Adam, TrainConfig
 from seldkit.net.train import AugmentOptions, SceneBatchStream, train_single_stage, train_two_stage
-from seldkit.scene import SceneConfig
+from seldkit.scene import LABEL_FRAME_SAMPLES, SceneConfig, render_scene
 
 SCENE = SceneConfig(n_classes=3, duration_s=2.0, max_polyphony=2, n_events=2, rng_seed=0)
 STFT = StftConfig(win_len=256, hop=240, fft_size=256)
@@ -18,10 +19,10 @@ NET = NetConfig(n_classes=3, f_bins=129, stem_channels=4, growth=3,
 TRAIN = TrainConfig(batch_size=2, input_frames=32, decay_interval=200, weight_decay=1e-6)
 
 
-def make_stream(seed=0, workers=1, **kwargs):
+def make_stream(seed=0, workers=1, stream_cls=SceneBatchStream, **kwargs):
     defaults = dict(pool_scenes=4, secondary_bank=4)
     defaults.update(kwargs)
-    return SceneBatchStream(
+    return stream_cls(
         SCENE, STFT, TRAIN.batch_size, TRAIN.input_frames, seed=seed,
         augment=AugmentOptions(spec_cfg=SpecAugmentConfig(max_time_width=8, max_freq_width=8)),
         workers=workers, **defaults,
@@ -63,6 +64,16 @@ class TestStream:
         with pytest.raises(ValueError, match=f"data.{key} must be >= 1, got 0"):
             make_stream(**{key: 0})
 
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_batches_match_the_dense_pool_stream(self, workers):
+        # EMDA, rotation and SpecAugment on: every draw of a sample is exercised
+        ours = make_stream(seed=5, workers=workers)
+        dense = make_stream(seed=5, workers=workers, stream_cls=DensePoolStream)
+        for it in range(6):
+            b1, b2 = ours.batch(it), dense.batch(it)
+            for key in b1:
+                assert np.array_equal(b1[key], b2[key]), (it, key)
+
     @pytest.mark.parametrize("emda", [False, True])
     @pytest.mark.parametrize("rotate", [False, True])
     def test_pool_and_bank_are_read_only(self, emda, rotate):
@@ -72,12 +83,35 @@ class TestStream:
         )
         shared = stream.pool + stream.bank
         assert len(shared) == (4 if emda else 2)
-        assert not any(clip.samples.flags.writeable for clip, _events in shared)
-        before = [clip.samples.copy() for clip, _events in shared]
+        signals = [sig for placed, _events in shared for _ev, sig in placed]
+        assert signals and not any(sig.flags.writeable for sig in signals)
+        before = [sig.copy() for sig in signals]
         for it in range(3):
             stream.batch(it)
-        for (clip, _events), samples in zip(shared, before):
-            assert np.array_equal(clip.samples, samples)
+        # writing into a rendered clip does not reach the stored signals
+        for placed, events in shared:
+            render_scene(placed, events)[0].samples[...] = 1.0
+        for sig, samples in zip(signals, before):
+            assert np.array_equal(sig, samples)
+
+    # what a constructed stream may hold beyond its events' mono samples at
+    # 8 B each.  Measured for this stream (pool 4, bank 4, 12 events):
+    # 2,655,186 B held against 2,611,200 B of event samples, 44 kB over;
+    # with dense float64 4-channel clips in place of the event signals it
+    # held 12,331,559 B (numpy 2.4)
+    HELD_MARGIN_B = 64 * 1024
+
+    def test_holds_event_samples_not_clips(self):
+        make_stream(pool_scenes=1, secondary_bank=1)  # first-call allocations outside the count
+        tracemalloc.start()  # numpy reports its array data to tracemalloc
+        try:
+            stream = make_stream()
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        shared = stream.pool + stream.bank
+        event_samples = sum(ev.n_frames for _, events in shared for ev in events.events) * LABEL_FRAME_SAMPLES
+        assert held <= event_samples * 8 + self.HELD_MARGIN_B, f"{held} B held, {event_samples} event samples"
 
     def test_scene_too_short_rejected(self):
         with pytest.raises(ValueError, match="input_frames"):

@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.io import wavfile
 
+from oracles import synth_scene_in_one_pass
 from strategies import event_lists
 from seldkit.accdoa import encode_accdoa
 from seldkit.scene import (
@@ -15,9 +16,11 @@ from seldkit.scene import (
     SceneConfig,
     class_signature,
     encode_plane_wave,
+    place_events,
     read_label_csv,
     read_wav,
     render_events,
+    render_scene,
     synth_scene,
     write_label_csv,
     write_wav,
@@ -166,6 +169,33 @@ class TestSynthScene:
         both = render_events(list(zip(evs, sigs)), 8)
         solo = [render_events([(evs[i], sigs[i])], 8) for i in range(2)]
         np.testing.assert_array_equal(both.samples, solo[0].samples + solo[1].samples)
+
+
+def same_scene(a, b) -> bool:
+    (clip_a, ev_a), (clip_b, ev_b) = a, b
+    return (np.array_equal(clip_a.samples, clip_b.samples) and ev_a.n_frames == ev_b.n_frames
+            and [(e.class_id, e.onset, e.offset, e.trajectory) for e in ev_a.events]
+            == [(e.class_id, e.onset, e.offset, e.trajectory) for e in ev_b.events])
+
+
+class TestPlaceAndRender:
+    CONFIGS = [
+        pytest.param(SceneConfig(n_classes=3, duration_s=2.0, n_events=2), id="small"),
+        pytest.param(SceneConfig(n_classes=3, duration_s=1.0, n_events=0), id="no-events"),
+        pytest.param(SceneConfig(n_classes=4, duration_s=4.0, max_polyphony=1, n_events=6), id="polyphony-1"),
+        pytest.param(SceneConfig(n_classes=2, duration_s=4.0, n_events=8), id="crowded"),
+        pytest.param(SceneConfig(), id="11s-default"),
+    ]
+
+    @pytest.mark.parametrize("cfg", CONFIGS)
+    @pytest.mark.parametrize("seed", [0, 5])
+    def test_render_of_placed_events_is_the_one_pass_scene(self, cfg, seed):
+        rngs = [np.random.default_rng(seed) for _ in range(3)]
+        split = render_scene(*place_events(cfg, rngs[0]))
+        assert same_scene(split, synth_scene(cfg, rngs[1]))
+        assert same_scene(split, synth_scene_in_one_pass(cfg, rngs[2]))
+        # the split draws the same numbers, so what follows in a shared rng does not move
+        assert rngs[0].bit_generator.state == rngs[2].bit_generator.state
 
 
 class TestFileFormats:
