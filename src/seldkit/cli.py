@@ -179,6 +179,10 @@ def cmd_train(args) -> int:
 def cmd_infer(args) -> int:
     kind, model, _net_cfg, stft_cfg, _cfg = load_model(args.ckpt)
     clip = read_wav(args.wav)
+    try:
+        stft_cfg.n_frames(clip.n_samples)
+    except ValueError as exc:
+        raise ValueError(f"{args.wav}: {exc}") from None
     predictor = Predictor(model, stft_cfg, seg_len=args.seg_len, shift=args.shift)
     seq = predictor.label_rate_sequence(clip, tta=args.tta)
     if args.dump_accdoa:

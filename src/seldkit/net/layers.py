@@ -8,14 +8,17 @@ channel prefix in place as one (channels, rows) GEMM operand, its taps are
 contiguous shifts along the rows, and its output lands in its own channel
 slice with no pad, concatenation or transpose copy.  The (B, T, F, C)
 arrays the layers hand on are views of the grid's valid region.  Backward
-passes work channels-last, so channel gradients stay contiguous row
-slices; a dense block accumulates its gradient in place, in a workspace
-the pool after it writes into.  Every layer caches what its backward pass
-needs, unless put in eval mode with `backward` False; workspaces are
-reused across iterations to avoid repeated large allocations.  Units run
-one at a time, so inside a conv trunk the convs and norms keep the
-workspaces that live only during their own pass in one shared `scratch`
-module, sized for the largest unit; a bare layer keeps its own.
+runs on a gradient grid of the same shape: each conv unit works in place
+on its own channel slice and adds its input gradient onto the channel
+prefix it read, and the pool after a block writes the block's gradient
+into its valid region.  The pointwise layers and the norms go through
+their rows in pieces, so their temporaries are piece-sized.  Every layer
+caches what its backward pass needs, unless put in eval mode with
+`backward` False; workspaces are reused across iterations to avoid
+repeated large allocations.  Units run one at a time, so inside a conv
+trunk the convs and norms keep the workspaces that live only during their
+own pass in one shared `scratch` module, sized for the largest unit; a
+bare layer keeps its own.
 """
 
 from __future__ import annotations
@@ -84,6 +87,19 @@ def _stacked_conv(x2, y2, W, b, offs, lo: int, hi: int, scratch) -> None:
                     y += tap
                 else:
                     np.add(tap, b[:, None], out=y)
+
+
+def _pieces(shape):
+    """Index tuples that cut an array of `shape` (..., F, C) in order into
+    runs of whole (F, C) lines along axis -3, each about STACK_ROWS rows of
+    C and at least one line; arrays of fewer than three axes are one piece."""
+    if len(shape) < 3:
+        yield ()
+        return
+    step = max(1, STACK_ROWS // max(1, shape[-2]))
+    for lead in np.ndindex(*shape[:-3]):
+        for s in range(0, shape[-3], step):
+            yield lead + (slice(s, s + step),)
 
 
 def _zero_ring(a: np.ndarray, p: int, axis: int) -> None:
@@ -237,16 +253,23 @@ class Conv2d(Module):
     their valid region) and writes its output into grid `dst`, whose
     border it zeroes (see `DenseBlock`); otherwise it copies x onto a grid
     of its own, P = d.  While `folded` holds (W, b), forward uses them in
-    place of the parameters (see `ConvUnit`).  Backward runs channels-last
-    on the same grid: dy is written once into a zero-bordered padded
-    workspace; gW goes through the rows in pieces of STACK_ROWS, each
-    tap's share of a piece one GEMM of a row slice of the forward's input
-    grid with dy, all nine taps on one piece while it is in cache; and dx,
-    the convolution of dy with the flipped kernel, is one GEMM per tap over
-    all rows into a padded workspace, returned as a strided view of its
-    valid region.  `scratch`, when set, is the module whose workspaces
-    hold the stacked products, padded dy and padded dx, so convs that run
-    one at a time share them.
+    place of the parameters (see `ConvUnit`).  Backward runs on gradient
+    grids of the same shape and border: while `grid` holds (src, dst), dy
+    goes into the valid region of `dst`, whose border is zero, and dx is
+    added onto the channel prefix of `src`, whose border it zeroes again;
+    otherwise both are fresh grids.  The rows go in pieces of STACK_ROWS,
+    each copied channels-last once with the rows its taps read.  gW adds
+    each tap's GEMM of a row slice of the forward's input grid with the
+    piece; dx, the convolution of dy with the flipped kernel, adds one GEMM
+    per tap onto a zeroed piece (`_gemm_acc`), which keeps the rows on the
+    axis whose edges OpenBLAS rounds like the rest (stacked (3 C, rows)
+    products put them on the other, where float64 rounds a call's last
+    rows apart).  The bias gradient sums each piece after the running sum,
+    so the rows add in order, as numpy sums a contiguous (rows, Co) copy of
+    dy for Co > 1; the border's zeros change no sum, except that a channel
+    of only -0.0 sums to +0.0.  `scratch`, when set, is the module whose
+    workspace holds the stacked products and backward's pieces, so convs
+    that run one at a time share it.
     """
 
     def __init__(self, in_ch: int, out_ch: int, dilation: int, rng, dtype=np.float32):
@@ -266,7 +289,8 @@ class Conv2d(Module):
     @contextlib.contextmanager
     def on_grid(self, src: np.ndarray, dst: np.ndarray):
         """Within the `with` block, forward and forward_edges read grid
-        `src` and write grid `dst`."""
+        `src` and write grid `dst`, and backward takes dy from grid `dst`
+        and adds dx onto grid `src`."""
         self.grid = (src, dst)
         try:
             yield
@@ -274,7 +298,8 @@ class Conv2d(Module):
             self.grid = None
 
     def _products(self, size: int) -> np.ndarray:
-        """The stacked-product buffer: `size` elements of the shared scratch."""
+        """The buffer of the stacked products and of backward's pieces:
+        `size` elements of the shared scratch."""
         return (self.scratch or self)._ws("products", (size,), self.dtype)
 
     def _rows(self, n_rows: int, F: int, p: int):
@@ -352,30 +377,44 @@ class Conv2d(Module):
     def backward(self, dy: np.ndarray):
         B, T, F, p = self._shape
         C, Co = self.in_ch, self.out_ch
-        ws = self.scratch or self
-        dy2 = np.ascontiguousarray(dy, dtype=self.dtype).reshape(-1, Co)
-        self.grads["b"] += dy2.sum(axis=0)
-        dyp = ws._bordered("dyp", (B, T + 2 * p, F + 2 * p, Co), p, 1, self.dtype)
-        dyp[:, p:p + T, p:p + F, :] = dy2.reshape(B, T, F, Co)
-        x2, dyf = self._src.reshape(len(self._src), -1)[:C], dyp.reshape(-1, Co)
-        lo, hi, offs = self._rows(len(dyf), F, p)
-        gW = self.grads["W"]
-        # dy is zero on the padding, so those rows add nothing; all nine
-        # taps run on one piece of rows while its input rows are in cache
+        if self.grid is None:
+            grid = (B, T + 2 * p, F + 2 * p)
+            src, dst = np.zeros((C,) + grid, self.dtype), np.zeros((Co,) + grid, self.dtype)
+        else:
+            src, dst = self.grid
+        _put(_valid(dst, p), dy)
+        x2, g2 = self._src.reshape(len(self._src), -1)[:C], dst.reshape(Co, -1)
+        lo, hi, offs = self._rows(g2.shape[1], F, p)
+        dx2 = src[:C].reshape(C, -1) if self.needs_input_grad else None
+        flipped = np.ascontiguousarray(self.params["W"][::-1].transpose(0, 2, 1))  # W[8 - t].T
+        gW, reach, total = self.grads["W"], offs[8], None
+        buf = self._products((STACK_ROWS + 2 * reach) * Co + STACK_ROWS * C)
         for s in range(lo, hi, STACK_ROWS):
             e = min(s + STACK_ROWS, hi)
+            # the piece's rows of dy, and every row its taps read, channels-last
+            g = buf[:(e - s + 2 * reach) * Co].reshape(-1, Co)
+            g[...] = g2[:, s - reach:e + reach].T
+            piece = g[reach:reach + e - s]
             for idx, off in enumerate(offs):
-                gW[idx] += x2[:, s + off:e + off] @ dyf[s:e]
-        if not self.needs_input_grad:
+                gW[idx] += x2[:, s + off:e + off] @ piece
+            if dx2 is not None:
+                # dy convolved with the flipped kernel: tap t reads dy
+                # offs[t] rows away with W[8 - t], as offs[8 - t] = -offs[t]
+                acc = buf[len(buf) - (e - s) * C:].reshape(e - s, C)
+                acc[...] = 0
+                for t, off in enumerate(offs):
+                    _gemm_acc(acc, g[reach + off:reach + off + e - s], flipped[t])
+                dx2[:, s:e] += acc.T
+            if total is None:
+                total = piece.sum(axis=0)
+            else:  # the running sum heads the piece, so the rows add in order
+                g[reach - 1] = total
+                total = g[reach - 1:reach + e - s].sum(axis=0)
+        self.grads["b"] += total
+        if dx2 is None:
             return None
-        # dx is dy convolved with the flipped kernel: tap idx reads dy -off rows away
-        W = self.params["W"]
-        dxp = ws._ws("dxp", dyp.shape[:3] + (C,), self.dtype)
-        dx = dxp.reshape(-1, C)[lo:hi]
-        dx[...] = 0
-        for idx in range(8, -1, -1):
-            _gemm_acc(dx, dyf[lo - offs[idx]:hi - offs[idx]], np.ascontiguousarray(W[idx].T))
-        return dxp[:, p:p + T, p:p + F, :]
+        _zero_ring(src[:C], p, 2)
+        return _valid(src[:C], p)
 
 
 def _inv_sqrt_psd(cov: np.ndarray) -> np.ndarray:
@@ -393,9 +432,11 @@ class NetDeconv(Module):
     inverse square root of the (WHITEN_EPS-regularized) channel covariance,
     both computed over all batch/time/freq locations and treated as
     constants in the backward pass.  Running statistics (momentum 0.1) are
-    used in eval mode.  `scratch`, when set, is the module whose workspaces
-    hold the centred input, the output and the input gradient, which live
-    only during one pass: consume the output before the next call.
+    used in eval mode.  The centred input is whitened piece by piece
+    (`_pieces`) through one piece-sized workspace, in place or into `out`.
+    `scratch`, when set, is the module whose workspaces hold the centred
+    input and the piece, which live only during one pass: consume the
+    output before the next call.
     """
 
     def __init__(self, channels: int, dtype=np.float32):
@@ -406,7 +447,9 @@ class NetDeconv(Module):
         self.register_buffer("running_cov", np.eye(channels, dtype=dtype))
         self.scratch = None
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
+    def forward(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """The whitened x, written into `out` when given, which may be x
+        itself; otherwise a view of the centred-input workspace."""
         shape = x.shape
         c = shape[-1]
         if c != self.channels:
@@ -432,36 +475,62 @@ class NetDeconv(Module):
             cov = self.buffers["running_cov"]
             np.subtract(x, mu, out=xc.reshape(shape))
         self._whiten = _inv_sqrt_psd(cov).astype(self.dtype)
-        y = ws._ws("y", xc.shape, self.dtype)
-        np.matmul(xc, self._whiten, out=y)
-        return y.reshape(shape)
+        y = xc.reshape(shape)
+        out = y if out is None else out
+        for idx in _pieces(shape):
+            piece = y[idx]
+            rows = piece.reshape(-1, c)
+            whitened = np.matmul(rows, self._whiten, out=ws._ws("piece", rows.shape, self.dtype))
+            out[idx] = whitened.reshape(piece.shape)
+        return out
 
-    def backward(self, dy: np.ndarray) -> np.ndarray:
-        shape = dy.shape
-        dy2 = np.ascontiguousarray(dy, dtype=self.dtype).reshape(-1, self.channels)
-        # statistics are constants, and the whitening matrix is symmetric
-        dx = (self.scratch or self)._ws("dx", dy2.shape, self.dtype)
-        np.matmul(dy2, self._whiten, out=dx)
-        return dx.reshape(shape)
+    def backward(self, dy: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """dy times the whitening matrix (the statistics are constants, and
+        the matrix is symmetric), written into `out` when given, which may
+        be dy itself: in a conv trunk, (rows, channels), the transpose of a
+        channel-major grid slice.  The rows go STACK_ROWS at a time, each
+        piece `whiten.T @ piece.T` through one piece-sized workspace."""
+        if out is None:
+            out = np.array(dy, dtype=self.dtype)
+        else:
+            _put(out, dy)
+        rows = out.reshape(-1, self.channels)
+        step = max(STACK_ROWS, 2)  # numpy would hand one row to BLAS as a matrix-vector product
+        buf = (self.scratch or self)._ws("piece", (self.channels, step), self.dtype)
+        for s in range(0, len(rows), step):
+            piece = rows[s:s + step].T
+            piece[...] = np.matmul(self._whiten.T, piece, out=buf[:, :piece.shape[1]])
+        return out
 
 
 class Elu(Module):
     """ELU activation; continuously differentiable, so finite-difference
-    gradient checks are meaningful everywhere.  forward writes into `out`
-    when given, which may be x itself."""
+    gradient checks are meaningful everywhere.  forward and backward write
+    into `out` when given, which may be their input; both run in pieces
+    (`_pieces`), so their temporaries are piece-sized."""
 
     def forward(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        em1 = np.minimum(x, 0)
-        np.expm1(em1, out=em1)
-        y = np.maximum(x, 0, out=out)
-        y += em1
+        y = np.empty_like(x) if out is None else out
+        for idx in _pieces(x.shape):
+            em1 = np.minimum(x[idx], 0)
+            np.expm1(em1, out=em1)
+            piece = y[idx]
+            np.maximum(x[idx], 0, out=piece)
+            piece += em1
         self._y = y if self.for_backward else None
         return y
 
-    def backward(self, dy: np.ndarray) -> np.ndarray:
+    def backward(self, dy: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         # d/dx = exp(min(x, 0)) = min(y, 0) + 1: y = expm1(x) where x <= 0,
         # and y > 0 where x > 0
-        return dy * (np.minimum(self._y, 0) + 1)
+        y = self._y
+        if out is None:
+            out = np.empty_like(dy, dtype=np.result_type(dy, y))
+        for idx in _pieces(dy.shape):
+            d = np.minimum(y[idx], 0)
+            d += 1
+            np.multiply(dy[idx], d, out=out[idx])
+        return out
 
 
 class Tanh(Module):
@@ -533,8 +602,11 @@ class FreqPool(Module):
         k = self.factor
         if out is None:
             out = np.empty((B, T, F * k, C), dy.dtype)
-        # splitting the frequency axis in two is a view of any out
-        np.multiply(dy[:, :, :, None], 1.0 / k, out=out.reshape(B, T, F, k, C))
+        # splitting the frequency axis in two is a view of any out; one
+        # multiply per offset keeps frequency in the inner loop on grids
+        parts = out.reshape(B, T, F, k, C)
+        for j in range(k):
+            np.multiply(dy, 1.0 / k, out=parts[:, :, :, j])
         return out
 
 
@@ -675,11 +747,11 @@ class ConvUnit(Module):
         self.act = self.register_child("act", Elu())
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        """On a grid (`Conv2d.on_grid`) the ELU overwrites the conv's
-        output there; otherwise it is a new array."""
+        """On a grid (`Conv2d.on_grid`) the norm and the ELU overwrite the
+        conv's output there; otherwise the output is a new array."""
         y = self.conv.forward(x) if self.training else self._folded(self.conv.forward, x)
         out = y if self.conv.grid is not None else None
-        return self.act.forward(self.norm.forward(y) if self.training else y, out=out)
+        return self.act.forward(self.norm.forward(y, out=out) if self.training else y, out=out)
 
     def forward_edges(self, x: np.ndarray, left: bool) -> np.ndarray:
         """The eval-mode unit on E segment edges at once, time-major (see
@@ -702,7 +774,19 @@ class ConvUnit(Module):
             conv.folded = None
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
-        return self.conv.backward(self.norm.backward(self.act.backward(dy)))
+        """On a grid (`Conv2d.on_grid` with the gradient grids), dy goes
+        into the valid region of grid `dst`, where the ELU's and then the
+        norm's gradient replace it in place before the conv's backward."""
+        conv = self.conv
+        if conv.grid is None:
+            return conv.backward(self.norm.backward(self.act.backward(dy)))
+        dst = conv.grid[1]
+        g = _valid(dst, conv._shape[3])
+        _put(g, dy)
+        self.act.backward(g, out=g)
+        rows = dst.reshape(len(dst), -1).T
+        self.norm.backward(rows, out=rows)
+        return conv.backward(g)
 
 
 class DenseBlock(Module):
@@ -716,9 +800,10 @@ class DenseBlock(Module):
     its own channel slice, and its ELU runs over that slice.  forward
     returns the (B, T, F, out_ch) view of the grid's valid region: consume
     or copy it before the next call on the same instance.  Backward runs
-    channels-last in the block's gradient workspace (`grad`), where each
-    layer's input gradient accumulates onto the channels it read in place,
-    and returns the view of the block input's channels there.
+    on a gradient grid of the same shape and border (`grad`): each layer
+    works on its own channel slice in place and adds its input gradient
+    onto the channel prefix it read, and the view of the block input's
+    channels there is returned.
     """
 
     def __init__(self, in_ch: int, growth: int, n_layers: int, rng, dtype=np.float32):
@@ -758,14 +843,19 @@ class DenseBlock(Module):
         return _valid(g, p)
 
     def grad(self, B: int, T: int, F: int) -> np.ndarray:
-        """The block's (B, T, F, out_ch) gradient workspace."""
-        return self._ws("grad", (B, T, F, self.out_ch), self.dtype)
+        """The block's zero-bordered gradient grid, shaped like `grid`."""
+        p = self.pad
+        return self._bordered("grad", (self.out_ch, B, T + 2 * p, F + 2 * p), p, 2, self.dtype)
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
-        """dy may already be `grad`, written there by the layer after."""
-        grad = self.grad(*dy.shape[:3])
-        _put(grad, dy)
-        for layer in range(self.n_layers - 1, -1, -1):
-            lo = self.in_ch + layer * self.growth
-            grad[..., :lo] += self.units[layer].backward(grad[..., lo:lo + self.growth])
-        return grad[..., :self.in_ch]
+        """dy may already be the valid region of `grad`, written there by
+        the layer after."""
+        B, T, F, _ = dy.shape
+        g, p = self.grad(B, T, F), self.pad
+        _put(_valid(g, p), dy)
+        for unit in reversed(self.units):
+            lo = unit.conv.in_ch
+            dst = g[lo:lo + self.growth]
+            with unit.conv.on_grid(g, dst):
+                unit.backward(_valid(dst, p))
+        return _valid(g[:self.in_ch], p)

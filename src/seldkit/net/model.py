@@ -87,9 +87,11 @@ class ConvTrunk(Module):
     writes into the next block's grid, the last into the (B, T, f_out, C)
     array the BiGRU input is a reshape of.  All convs and norms share one
     module's workspaces for what lives only during one unit's pass (see
-    `Conv2d` and `NetDeconv`).  Backward runs the other way: each pool
-    writes its gradient into the gradient workspace of the block before
-    it, which accumulates there in place.
+    `Conv2d` and `NetDeconv`).  Backward runs the other way, in place on
+    gradient grids shaped like the forward's: each pool writes its
+    gradient into the valid region of the gradient grid of the block
+    before it (see `DenseBlock`), and the stem takes its own from the
+    first block's, whose leading channels are the stem's output.
     """
 
     def __init__(self, cfg: NetConfig, rng, dtype=np.float32):
@@ -198,8 +200,11 @@ class ConvTrunk(Module):
     def backward(self, dy: np.ndarray) -> np.ndarray:
         for block, pool in reversed(self.stages):
             B, T, F, _ = dy.shape
-            dy = block.backward(pool.backward(dy, out=block.grad(B, T, F * pool.factor)))
-        return self.stem.backward(dy)
+            F *= pool.factor
+            dy = block.backward(pool.backward(dy, out=_valid(block.grad(B, T, F), block.pad)))
+        # the stem's output channels lead the first block's gradient grid
+        with self.stem.conv.on_grid(None, block.grad(B, T, F)[:self.stem.conv.out_ch]):
+            return self.stem.backward(dy)
 
 
 class SeldBranch(Module):

@@ -116,7 +116,11 @@ class AmbisonicClip:
         if self.samples.ndim != 2 or self.samples.shape[0] != 4:
             raise ValueError(f"expected (4, L) samples, got {self.samples.shape}")
         if not np.all(np.isfinite(self.samples)):
-            raise ValueError("non-finite samples")
+            bad = ~np.isfinite(self.samples)
+            sample = int(bad.any(axis=0).argmax())
+            channel = int(bad[:, sample].argmax())
+            raise ValueError(f"non-finite sample {self.samples[channel, sample]} at channel {channel}, "
+                             f"sample {sample}")
 
     @property
     def n_samples(self) -> int:
@@ -369,7 +373,10 @@ def read_wav(path) -> AmbisonicClip:
         half = (float(info.max) - float(info.min) + 1.0) / 2.0
         # the midpoint is 0 for signed PCM and 128 for unsigned 8-bit PCM
         samples = (samples - (info.min + half)) / half
-    return AmbisonicClip(samples)
+    try:
+        return AmbisonicClip(samples)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def write_label_csv(path, events: EventList) -> None:

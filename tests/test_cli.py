@@ -328,6 +328,27 @@ class TestInferEval:
         assert "48000" in err and "24000" in err
         assert not (tmp_path / "pred.csv").exists()
 
+    @pytest.mark.parametrize("value, shown", [(np.nan, "nan"), (np.inf, "inf"), (-np.inf, "-inf")])
+    def test_infer_names_the_wav_and_its_first_non_finite_sample(self, tmp_path, capsys, value, shown):
+        data = np.zeros((4800, 4), dtype=np.float32)
+        data[3000, 0] = data[17, 3] = data[17, 2] = value  # the earliest sample, then the lowest channel
+        wav = tmp_path / "bad.wav"
+        wavfile.write(str(wav), 24000, data)
+        code = main(["infer", "--ckpt", str(self.oracle_ckpt(tmp_path)), "--in", str(wav),
+                     "--out", str(tmp_path / "pred.csv")])
+        assert code == 2
+        assert f"error: {wav}: non-finite sample {shown} at channel 2, sample 17" in capsys.readouterr().err
+        assert not (tmp_path / "pred.csv").exists()
+
+    def test_infer_names_a_wav_shorter_than_one_window(self, tmp_path, capsys):
+        wav = tmp_path / "short.wav"
+        wavfile.write(str(wav), 24000, np.zeros((100, 4), dtype=np.float32))
+        code = main(["infer", "--ckpt", str(self.oracle_ckpt(tmp_path)), "--in", str(wav),
+                     "--out", str(tmp_path / "pred.csv")])
+        assert code == 2
+        assert f"error: {wav}: clip of 100 samples shorter than one window (256)" in capsys.readouterr().err
+        assert not (tmp_path / "pred.csv").exists()
+
     @pytest.mark.parametrize("seg_len, shift", [("64", "0"), ("64", "65"), ("0", "1")])
     def test_infer_rejects_bad_segment_geometry(self, tmp_path, capsys, seg_len, shift):
         wav, _ = self.setup_scene(tmp_path)

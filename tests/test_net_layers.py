@@ -4,6 +4,11 @@ All checks run in float64 with central differences (h = 1e-5) against the
 relative-error measure |analytic - fd| / (|analytic| + |fd| + 1e-8).
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -30,6 +35,7 @@ from seldkit.net.layers import (
     Tanh,
     WHITEN_EPS,
     _valid,
+    _zero_ring,
 )
 from seldkit.net.losses import loss_bce, loss_masked_mse, loss_mse
 
@@ -379,6 +385,91 @@ class TestConvOnGrid:
         monkeypatch.setattr(layers, "STACK_ROWS", rows)
         assert same_bits(np.ascontiguousarray(self.forward(conv, grid)), expected)
         assert same_bits(expected, conv2d_by_tap_copies(x, conv.params["W"], conv.params["b"], 2))
+
+
+class TestBackwardOnGrid:
+    """A conv unit's backward on a dense block's gradient grid, border P = 4
+    at every dilation, after its forward on the block's grid: the unit's
+    channel slice holds dy, the channel prefix before it the gradient that
+    dx is added onto, and the channels beyond noise it must not touch.
+    Checked against the unit's layers run out of place, dy times the
+    whitening matrix and `conv2d_backward_by_tap_copies`."""
+
+    P = 4
+    # odd F, F = 1, T below the dilations, and the input of a desk block's
+    # last layer, whose grid rows take several pieces
+    SHAPES = [(3, 9, 11, 5), (2, 7, 1, 3), (2, 3, 7, 4), (3, 24, 43, 30)]
+
+    def run(self, dtype, dilation, shape, Co=6):
+        """The unit's gradients on the grid and their references."""
+        B, T, F, C = shape
+        rng = np.random.default_rng(dilation)
+        unit = ConvUnit(C, Co, dilation, rng, dtype=dtype)
+        unit.conv.params["b"][...] = rng.standard_normal(Co)
+        p, slice_ = self.P, np.s_[C:C + Co]
+        grid = np.zeros((C + Co + 2, B, T + 2 * p, F + 2 * p), dtype)
+        x = _valid(grid[:C], p)
+        x[...] = 3 * rng.standard_normal(shape)
+        with unit.conv.on_grid(grid, grid[slice_]):
+            unit.forward(x)
+        grad = (100 * rng.standard_normal(grid.shape)).astype(dtype)
+        _zero_ring(grad[:C + Co], p, 2)  # the block keeps these borders zero
+        before = grad.copy()
+        dy = np.ascontiguousarray(_valid(grad[slice_], p))
+        g = np.ascontiguousarray(unit.act.backward(dy))
+        g = (g.reshape(-1, Co) @ unit.norm._whiten).reshape(g.shape)
+        dx_ref, gW_ref, gb_ref = conv2d_backward_by_tap_copies(np.ascontiguousarray(x), unit.conv.params["W"], g,
+                                                               dilation)
+        with unit.conv.on_grid(grad, grad[slice_]):
+            dx = unit.backward(_valid(grad[slice_], p))
+        assert np.shares_memory(dx, grad[:C])
+        return unit, grad, before, (g, dx_ref + _valid(before[:C], p), gW_ref, gb_ref)
+
+    def assert_matches(self, unit, grad, before, expected, dtype):
+        g, dx, gW, gb = expected
+        C, Co, p = unit.conv.in_ch, unit.conv.out_ch, self.P
+        # the slice holds the conv's output gradient, the prefix dx added on
+        assert same_bits(np.ascontiguousarray(_valid(grad[C:C + Co], p)), g)
+        assert same_bits(np.ascontiguousarray(_valid(grad[:C], p)), dx)
+        assert same_bits(unit.conv.grads["b"], gb)
+        # gW sums each entry's rows in another order than the reference: the
+        # rounding differences grow about as sqrt(rows) eps
+        rows = g.size // Co
+        assert np.abs(unit.conv.grads["W"] - gW).max() <= np.sqrt(rows) * np.finfo(dtype).eps * np.abs(gW).max()
+        # both keep a zero border, and the channels beyond are as they were
+        for ring in (grad[:C].copy(), grad[C:C + Co].copy()):
+            _valid(ring, p)[...] = 0
+            assert not ring.any()
+        assert same_bits(grad[C + Co:], before[C + Co:])
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("dilation", [1, 2, 4])
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_matches_the_layers_out_of_place(self, dtype, dilation, shape):
+        self.assert_matches(*self.run(dtype, dilation, shape), dtype)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("rows", [1, 107, 10 ** 6])
+    def test_bits_do_not_depend_on_the_piece_size(self, dtype, rows, monkeypatch):
+        # every piece size gives the reference's bits, so they agree
+        from seldkit.net import layers
+
+        monkeypatch.setattr(layers, "STACK_ROWS", rows)
+        self.assert_matches(*self.run(dtype, 2, (2, 8, 11, 5)), dtype)
+
+    def test_holds_at_one_blas_thread(self):
+        # the bits above are claimed at every thread count: run the class
+        # again with OpenBLAS on one thread (the suite's default is more)
+        root = Path(__file__).resolve().parent.parent
+        path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": "1"}
+        target = f"{Path(__file__).name}::{type(self).__name__}"
+        result = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", target,
+             "-k", "not one_blas_thread"],
+            cwd=Path(__file__).parent, env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert result.returncode == 0, result.stdout[-2000:]
 
 
 class TestConvUnitFold:

@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -170,6 +171,25 @@ class TestTrunkBackward:
                 else:
                     assert same_bits(got[name], expected), name
 
+    def test_warm_backward_allocates_less_than_one_unit_output(self):
+        # the trunk's backward works in place on its gradient grids: besides
+        # its reused workspaces it allocates only piece-sized temporaries
+        cfg = self.DESK
+        trunk = RD3NetLite(cfg, seed=2).branch.trunk
+        rng = np.random.default_rng(5)
+        B, T = 3, 96
+        x = rng.standard_normal((B, T, cfg.f_trimmed, 7)).astype(np.float32)
+        for _ in range(2):  # the second backward runs warm
+            dy = rng.standard_normal(trunk.forward(x).shape).astype(np.float32)
+            tracemalloc.start()  # numpy reports its array data to tracemalloc
+            try:
+                trunk.backward(dy)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        unit = B * T * cfg.f_trimmed * cfg.growth * 4  # bytes of a first-block layer's output
+        assert peak < unit, f"peak {peak} B, one unit's output {unit} B"
+
     def test_one_scratch_per_trunk_reused_across_steps(self):
         model = TwoStageNet(tiny_config(), seed=0)
         rng = np.random.default_rng(4)
@@ -179,11 +199,11 @@ class TestTrunkBackward:
         scratches = [branch.trunk.stem.conv.scratch for branch in model.branches]
         assert scratches[0] is not scratches[1]
         for branch, scratch in zip(model.branches, scratches):
-            assert {"products", "dyp", "dxp", "xc", "y", "dx"} <= scratch._ws_store.keys()
+            assert scratch._ws_store.keys() == {"products", "xc", "piece"}
             for mod in modules(branch.trunk):
                 if isinstance(mod, (Conv2d, NetDeconv)):
                     assert mod.scratch is scratch
-                    assert not {"dyp", "dxp", "xc", "y", "dx"} & mod._ws_store.keys()
+                    assert not scratch._ws_store.keys() & mod._ws_store.keys()
         # a second step allocates no workspace
         every = [*modules(model), *scratches]
         before = [dict(mod._ws_store) for mod in every]

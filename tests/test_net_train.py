@@ -216,10 +216,11 @@ class TestTwoStage:
 class TestMemory:
     # the warm step's peak traced memory: what the model and its
     # workspaces hold, plus what the step allocates on top.  Measured
-    # 13.7 MB with the trunk's shared workspaces and block gradients in
-    # place, 21.5 MB with per-unit workspaces and a fresh copy of each
+    # 11.4 MB with the trunk's backward in place on its gradient grids,
+    # 13.7 MB with padded dy and dx workspaces and channels-last block
+    # gradients, 21.5 MB with per-unit workspaces and a fresh copy of each
     # block's gradient (numpy 2.4, float32)
-    PEAK_MB = 15.0
+    PEAK_MB = 12.0
 
     def test_warm_step_peak(self):
         rng = np.random.default_rng(0)
