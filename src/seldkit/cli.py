@@ -25,7 +25,8 @@ from .net.optim import TrainConfig
 from .net.train import AugmentOptions, SceneBatchStream, train_single_stage, train_two_stage
 from .plot import write_timeline
 from .scene import (
-    EventList, SceneConfig, read_label_csv, read_wav, synth_scene, write_label_csv, write_wav,
+    EventList, SceneConfig, decode_text, read_label_csv, read_wav, synth_scene, write_label_csv,
+    write_wav,
 )
 
 FORMAT_VERSION = 1
@@ -55,7 +56,8 @@ def read_config(path=None) -> dict:
     typed like its default by `parse_value`."""
     merged = dict(_CONFIG_DEFAULTS)
     if path:
-        for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
+        text = decode_text(Path(path).read_bytes(), path)
+        for lineno, line in enumerate(text.splitlines(), 1):
             line = line.split("#", 1)[0].strip()
             if not line:
                 continue

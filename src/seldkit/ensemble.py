@@ -12,6 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .scene import csv_rows
+
 
 @dataclass
 class EnsembleWeights:
@@ -96,8 +98,7 @@ def read_weights_csv(path) -> EnsembleWeights:
     id 0..N-1, in any order, each holding its id and one finite weight per
     model the header names.  Anything else is a ValueError naming the path
     and line."""
-    with open(path, newline="") as f:
-        rows = [(lineno, row) for lineno, row in enumerate(csv.reader(f), start=1) if row]
+    rows = [(lineno, row) for lineno, row in csv_rows(path) if row]
     if not rows or rows[0][1][0] != "class_id" or len(rows[0][1]) < 2:
         raise ValueError(f"{path}:1: not a weights file")
     n_models = len(rows[0][1]) - 1

@@ -145,13 +145,15 @@ def rotated_feature_stacks(spec: np.ndarray, patterns, flipped: np.ndarray | Non
     leaves every amplitude as it is and gives each phase difference one of
     two values: the channel's own, or its negation's.  So the four
     amplitudes (4 `abs`) and the six phase-difference planes (7 `arctan2`)
-    are computed once, and each pattern only copies three planes.  The
+    are computed once, and each pattern copies only the planes whose sign
+    differs from the previous pattern's (11 for `ALL_PATTERNS` in order).  The
     negation's phase is that of `flipped`, the STFT of the clip with Y, Z
     and X negated, when given, and that of the negated spectrum otherwise;
     the two differ only where `augment.zero_signs_matter(spec)`.
 
-    Every stack yielded is one (7, T, F) buffer: the next pattern
-    overwrites its channels 4-6, so use a stack before asking for the next.
+    Every stack yielded is one read-only view of a (7, T, F) buffer: the
+    next pattern overwrites those of its channels 4-6 whose sign differs,
+    so use a stack before asking for the next.
     """
     spec = _check_spec(spec)
     out = np.empty((FEATURE_CHANNELS,) + spec.shape[1:])
@@ -173,10 +175,16 @@ def rotated_feature_stacks(spec: np.ndarray, patterns, flipped: np.ndarray | Non
             np.arctan2(flipped[q + 1].imag, flipped[q + 1].real, out=planes[1, q])
         np.subtract(planes[:, q], ref_phase, out=planes[:, q])
     _wrap_ipd(planes, amp[0])
+    view = out.view()
+    view.flags.writeable = False
+    fs = FeatureStack(view)
+    held = [None] * 3  # which of planes[:, q] channel 4 + q holds; none hold one yet
     for r in patterns:
         for q, sign in enumerate(r.channel_signs[1:]):
-            np.copyto(out[4 + q], planes[int(sign < 0), q])
-        yield r, FeatureStack(out)
+            if held[q] != (sign < 0):
+                held[q] = sign < 0
+                np.copyto(out[4 + q], planes[int(held[q]), q])
+        yield r, fs
 
 
 def extract_features(clip: AmbisonicClip, cfg: StftConfig = StftConfig()) -> FeatureStack:

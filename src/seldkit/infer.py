@@ -207,8 +207,8 @@ def rotation_tta(predict_features, spec: np.ndarray, patterns=ALL_PATTERNS, flip
     which builds the amplitudes and phases once for all patterns; pass
     `flipped`, the STFT of the clip with Y, Z and X negated, where
     `zero_signs_matter(spec)`, as `Predictor.predict_clip_tta` does.
-    `predict_features` gets one stack per pattern in one shared buffer,
-    which the next pattern overwrites, so it must not keep the stack.
+    `predict_features` gets one stack per pattern in one shared read-only
+    buffer, which the next pattern overwrites, so it must not keep the stack.
     Each pattern is its own inverse, so the prediction on the rotated clip
     is mapped back with the same pattern before averaging.
     """

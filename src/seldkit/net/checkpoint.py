@@ -25,6 +25,7 @@ import numpy as np
 
 from ..features import FEATURE_CHANNELS, StftConfig
 from ..intensity import IntensityVectorModel
+from ..scene import decode_text
 from .model import NetConfig, RD3NetLite, TwoStageNet
 
 MAGIC = "seldkit-checkpoint 1"
@@ -71,7 +72,7 @@ def load_checkpoint(path) -> Checkpoint:
     mark = raw.find(_DATA_MARK)
     if mark < 0:
         raise ValueError(f"{path}: not a checkpoint file")
-    header = raw[:mark].decode()
+    header = decode_text(raw[:mark], path)
     payload = raw[mark + len(_DATA_MARK):]
     lines = header.splitlines()
     if not lines or lines[0] != MAGIC:

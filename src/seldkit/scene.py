@@ -14,7 +14,10 @@ act on the channels as pure sign flips.
 from __future__ import annotations
 
 import csv
+import functools
+import io
 import math
+import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -241,6 +244,18 @@ def class_center_frequencies(n_classes: int) -> np.ndarray:
     return np.logspace(math.log10(300.0), math.log10(9000.0), n_classes)
 
 
+@functools.lru_cache()
+def _class_bandpass(class_id: int, n_classes: int) -> tuple:
+    """Second-order sections of the class's 4th-order Butterworth band-pass,
+    as a tuple of rows: designed once per process, and immutable, so no
+    caller can change what a later call gets."""
+    fc = class_center_frequencies(n_classes)[class_id]
+    lo = fc * 2.0 ** (-1.0 / 6.0)
+    hi = fc * 2.0 ** (1.0 / 6.0)  # at most 10.1 kHz, below Nyquist at 24 kHz
+    sos = sps.butter(4, [lo, hi], btype="bandpass", fs=SAMPLE_RATE, output="sos")
+    return tuple(map(tuple, sos.tolist()))
+
+
 def class_signature(
     class_id: int,
     duration_s: float,
@@ -251,17 +266,15 @@ def class_signature(
 
     Band-limited noise (1/3-octave passband around the class center
     frequency) with a class-specific amplitude-modulation rate of
-    0.5 + class_id * 0.35 Hz.  Peak-normalized to 1.
+    0.5 + class_id * 0.35 Hz.  Peak-normalized to 1.  The band-pass
+    depends only on (class_id, n_classes) and is designed once per process.
     """
     if not 0 <= class_id < n_classes:
         raise ValueError(f"class_id {class_id} outside [0, {n_classes})")
     n = int(round(duration_s * SAMPLE_RATE))
-    fc = class_center_frequencies(n_classes)[class_id]
-    lo = fc * 2.0 ** (-1.0 / 6.0)
-    hi = fc * 2.0 ** (1.0 / 6.0)  # at most 10.1 kHz, below Nyquist at 24 kHz
     noise = rng.standard_normal(n)
-    sos = sps.butter(4, [lo, hi], btype="bandpass", fs=SAMPLE_RATE, output="sos")
-    band = sps.sosfiltfilt(sos, noise)
+    # sosfiltfilt wants a writeable array, so each call gets its own
+    band = sps.sosfiltfilt(np.array(_class_bandpass(class_id, n_classes)), noise)
     am_rate = 0.5 + class_id * 0.35
     phase = rng.uniform(0.0, _TWO_PI)
     t = np.arange(n) / SAMPLE_RATE
@@ -355,6 +368,32 @@ def synth_scene(cfg: SceneConfig, rng: np.random.Generator | None = None):
 # File formats: 4-channel float WAV and DCASE-style label CSV
 # ---------------------------------------------------------------------------
 
+def decode_text(raw: bytes, path) -> str:
+    """`raw`, the bytes of the file at `path`, as UTF-8 text; a byte that is
+    not UTF-8 raises `ValueError("path:line: ...")`."""
+    try:
+        return raw.decode()
+    except UnicodeDecodeError as exc:
+        line = raw.count(b"\n", 0, exc.start) + 1
+        raise ValueError(f"{path}:{line}: not UTF-8 text: byte {raw[exc.start]:#04x}, "
+                         f"{exc.reason}") from None
+
+
+def csv_rows(path):
+    """Yield (line, row) for each row of the UTF-8 CSV file at `path`, `line`
+    being the line the row ends on.  Bytes that are not UTF-8, and rows the
+    `csv` module rejects (such as a field over its size limit), raise
+    `ValueError("path:line: ...")`."""
+    with open(path, "rb") as f:
+        text = decode_text(f.read(), path)
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        for row in reader:
+            yield reader.line_num, row
+    except csv.Error as exc:
+        raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
+
+
 def write_wav(path, clip: AmbisonicClip) -> None:
     """Write a 32-bit float WAV, channels as columns."""
     wavfile.write(str(path), SAMPLE_RATE, clip.samples.T.astype(np.float32))
@@ -362,7 +401,11 @@ def write_wav(path, clip: AmbisonicClip) -> None:
 
 def read_wav(path) -> AmbisonicClip:
     """Read a 4-channel 24 kHz WAV; integer PCM is scaled to [-1, 1) by its full scale."""
-    rate, data = wavfile.read(str(path))
+    try:
+        rate, data = wavfile.read(str(path))
+    except (ValueError, TypeError, ZeroDivisionError, UnboundLocalError, struct.error) as exc:
+        # what scipy's reader raises on malformed or truncated files
+        raise ValueError(f"{path}: not a readable WAV file: {exc}") from None
     if rate != SAMPLE_RATE:
         raise ValueError(f"{path}: sample rate {rate} Hz, but seldkit runs at {SAMPLE_RATE} Hz")
     if data.ndim != 2 or data.shape[1] != 4:
@@ -413,29 +456,27 @@ def read_label_csv(path, n_frames: int | None = None, n_classes: int | None = No
     not below `n_classes` when given, raises `ValueError("path:line: ...")`.
     """
     per_track: dict = {}
-    with open(path, newline="") as f:
-        reader = csv.reader(f)
-        for row in reader:
-            if not row or (reader.line_num == 1 and not row[0].strip().lstrip("-").isdigit()):
-                continue  # blank line, or a header on line 1
-            where = f"{path}:{reader.line_num}"
-            if len(row) != 5:
-                raise ValueError(f"{where}: expected 5 fields "
-                                 f"(frame,class,track,azimuth,elevation), got {len(row)}")
-            try:
-                frame, class_id, track = (int(v) for v in row[:3])
-                az, el = float(row[3]), float(row[4])
-                if min(frame, class_id, track) < 0 or not (math.isfinite(az) and math.isfinite(el)):
-                    raise ValueError("negative frame, class or track, or non-finite angle")
-                d = DoaAngles(math.radians(az), math.radians(el))
-            except ValueError as exc:
-                raise ValueError(f"{where}: bad row {','.join(row)!r}: {exc}") from None
-            if n_classes is not None and class_id >= n_classes:
-                raise ValueError(f"{where}: class_id {class_id} >= n_classes {n_classes}")
-            frames = per_track.setdefault((class_id, track), {})
-            if frame in frames:
-                raise ValueError(f"{where}: class {class_id} track {track} frame {frame} listed twice")
-            frames[frame] = d
+    for line, row in csv_rows(path):
+        if not row or (line == 1 and not row[0].strip().lstrip("-").isdigit()):
+            continue  # blank line, or a header on line 1
+        where = f"{path}:{line}"
+        if len(row) != 5:
+            raise ValueError(f"{where}: expected 5 fields "
+                             f"(frame,class,track,azimuth,elevation), got {len(row)}")
+        try:
+            frame, class_id, track = (int(v) for v in row[:3])
+            az, el = float(row[3]), float(row[4])
+            if min(frame, class_id, track) < 0 or not (math.isfinite(az) and math.isfinite(el)):
+                raise ValueError("negative frame, class or track, or non-finite angle")
+            d = DoaAngles(math.radians(az), math.radians(el))
+        except ValueError as exc:
+            raise ValueError(f"{where}: bad row {','.join(row)!r}: {exc}") from None
+        if n_classes is not None and class_id >= n_classes:
+            raise ValueError(f"{where}: class_id {class_id} >= n_classes {n_classes}")
+        frames = per_track.setdefault((class_id, track), {})
+        if frame in frames:
+            raise ValueError(f"{where}: class {class_id} track {track} frame {frame} listed twice")
+        frames[frame] = d
     if n_frames is None:
         n_frames = 1 + max((f for track in per_track.values() for f in track), default=-1)
     events = []

@@ -11,6 +11,7 @@ import math
 from dataclasses import replace
 
 import numpy as np
+from scipy import signal as sps
 from scipy.linalg import get_blas_funcs
 
 from seldkit.accdoa import encode_accdoa, expand_to_frame_rate
@@ -20,8 +21,8 @@ from seldkit.augment import (
 from seldkit.features import extract_features, make_feature_stack
 from seldkit.net.train import SceneBatchStream
 from seldkit.scene import (
-    _EVENT_GAIN_RANGE, AmbisonicClip, DoaAngles, Event, EventList, _fade_edges, class_signature,
-    render_events,
+    _EVENT_GAIN_RANGE, SAMPLE_RATE, AmbisonicClip, DoaAngles, Event, EventList, _fade_edges,
+    class_center_frequencies, class_signature, render_events,
 )
 
 
@@ -411,6 +412,30 @@ def trunk_backward_per_unit(trunk, dy: np.ndarray) -> None:
             grad[..., :lo] += unit_backward(block.units[layer], grad[..., lo:lo + block.growth])
         dy = grad[..., :block.in_ch].copy()
     unit_backward(trunk.stem, dy)
+
+
+def class_signature_designed_per_call(class_id: int, duration_s: float, rng: np.random.Generator,
+                                      n_classes: int = 14) -> np.ndarray:
+    """`scene.class_signature` before its band-pass was cached: the filter
+    is designed anew on every call."""
+    if not 0 <= class_id < n_classes:
+        raise ValueError(f"class_id {class_id} outside [0, {n_classes})")
+    n = int(round(duration_s * SAMPLE_RATE))
+    fc = class_center_frequencies(n_classes)[class_id]
+    lo = fc * 2.0 ** (-1.0 / 6.0)
+    hi = fc * 2.0 ** (1.0 / 6.0)
+    noise = rng.standard_normal(n)
+    sos = sps.butter(4, [lo, hi], btype="bandpass", fs=SAMPLE_RATE, output="sos")
+    band = sps.sosfiltfilt(sos, noise)
+    am_rate = 0.5 + class_id * 0.35
+    phase = rng.uniform(0.0, 2.0 * math.pi)
+    t = np.arange(n) / SAMPLE_RATE
+    env = 0.6 + 0.4 * np.sin(2.0 * math.pi * am_rate * t + phase)
+    out = band * env
+    peak = np.max(np.abs(out))
+    if peak > 0:
+        out = out / peak
+    return out
 
 
 def synth_scene_in_one_pass(cfg, rng: np.random.Generator) -> tuple:

@@ -218,6 +218,44 @@ class TestRotatedFeatureStacks:
         assert sum(1 for _ in rotated_feature_stacks(spec, ALL_PATTERNS, flipped)) == 8
         assert len(calls) == 7
 
+    @pytest.mark.parametrize("silent_z", [False, True])
+    def test_any_pattern_order(self, silent_z):
+        # a plane skipped because its sign did not change must still be right
+        order = ALL_PATTERNS[::-1] + ALL_PATTERNS[2:3] * 2 + ALL_PATTERNS[:5] + ALL_PATTERNS[6:]
+        samples = np.random.default_rng(11).standard_normal((4, 2416))
+        if silent_z:
+            samples[2, 600:1500] = 0.0
+        clip = AmbisonicClip(samples)
+        spec = stft(clip, STFT)
+        assert zero_signs_matter(spec) == silent_z
+        flipped = stft(rotate_foa(clip, FLIP_YZX), STFT) if silent_z else None
+        got = [(r, fs.data.copy()) for r, fs in rotated_feature_stacks(spec, order, flipped)]
+        assert [r for r, _ in got] == list(order)
+        for r, data in got:
+            assert same_bits(data, make_feature_stack(rotate_stft(spec, r, flipped)).data), r
+
+    def test_copies_only_the_planes_whose_sign_changes(self, monkeypatch):
+        spec = stft(AmbisonicClip(np.random.default_rng(12).standard_normal((4, 2416))), STFT)
+        copies = []
+        copyto = np.copyto
+        monkeypatch.setattr(np, "copyto", lambda *a, **k: copies.append(1) or copyto(*a, **k))
+        stacks = rotated_feature_stacks(spec, ALL_PATTERNS)
+        next(stacks)
+        counts = []
+        for previous, r in zip(ALL_PATTERNS, ALL_PATTERNS[1:]):
+            copies.clear()
+            assert next(stacks)[0] == r
+            counts.append(len(copies))
+            assert counts[-1] == np.sum(previous.channel_signs != r.channel_signs), r
+        assert sum(counts) == 8  # 11 plane copies with the first pattern's 3, where 24 were made
+
+    def test_stacks_are_read_only(self):
+        spec = stft(AmbisonicClip(np.random.default_rng(13).standard_normal((4, 2416))), STFT)
+        for r, fs in rotated_feature_stacks(spec, ALL_PATTERNS):
+            assert not fs.data.flags.writeable, r
+            with pytest.raises(ValueError, match="read-only"):
+                fs.data[4, 0, 0] = 0.0
+
     def test_one_buffer_overwritten_by_the_next_pattern(self):
         spec = stft(AmbisonicClip(np.random.default_rng(9).standard_normal((4, 2416))), STFT)
         stacks = rotated_feature_stacks(spec, ALL_PATTERNS[:2])

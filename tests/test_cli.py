@@ -180,6 +180,12 @@ class TestTrain:
         bad.write_text("train.batch_size = 3.0\n")
         assert read_config(bad)["train.batch_size"] == 3
 
+    def test_config_bytes_not_utf8_named(self, tmp_path):
+        bad = tmp_path / "bad.cfg"
+        bad.write_bytes(b"# comment\ntrain.lr = 0.001 # \xb5s\n")
+        with pytest.raises(ValueError, match="bad.cfg:2: not UTF-8 text: byte 0xb5"):
+            read_config(bad)
+
     def test_bad_config_exits_2_naming_the_line(self, tmp_path, capsys):
         # the exit code of a typing error in a checkpoint header
         bad = tmp_path / "bad.cfg"
@@ -365,6 +371,28 @@ class TestInferEval:
         code = main(["eval", "--pred", str(pred), "--ref", str(labels), "--classes", "3"])
         assert code == 2
         assert "pred.csv:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("row, message", [
+        (b"5,1,0," + b"1" * 200_000 + b",0\n", "field larger than field limit (131072)"),
+        (b"5,1,0,10,\xb9\n", "not UTF-8 text: byte 0xb9, invalid start byte"),
+    ], ids=["field-over-limit", "not-utf8"])
+    def test_eval_names_an_unreadable_label_csv(self, tmp_path, capsys, row, message):
+        # the oversized field used to end in a `_csv.Error` traceback
+        _, labels = self.setup_scene(tmp_path)
+        pred = tmp_path / "pred.csv"
+        pred.write_bytes(b"0,1,0,10,0\n" + row)
+        code = main(["eval", "--pred", str(pred), "--ref", str(labels), "--classes", "3"])
+        assert code == 2
+        assert f"error: {pred}:2: {message}" in capsys.readouterr().err
+
+    def test_infer_names_a_truncated_wav(self, tmp_path, capsys):
+        wav, _ = self.setup_scene(tmp_path)
+        wav.write_bytes(wav.read_bytes()[:-6])
+        code = main(["infer", "--ckpt", str(self.oracle_ckpt(tmp_path)), "--in", str(wav),
+                     "--out", str(tmp_path / "pred.csv")])
+        assert code == 2
+        assert f"error: {wav}: not a readable WAV file: cannot reshape" in capsys.readouterr().err
+        assert not (tmp_path / "pred.csv").exists()
 
     @pytest.mark.parametrize("side", ["pred", "ref"])
     def test_eval_class_beyond_classes_named_by_file_line_and_flag(self, tmp_path, capsys, side):

@@ -150,6 +150,16 @@ class TestWeightsCsv:
         path.write_text("class_id,model_0\n1,2.0\n0,1.0\n")
         np.testing.assert_array_equal(read_weights_csv(path).w, [[1.0], [2.0]])
 
+    @pytest.mark.parametrize("raw, line, message", [
+        (b"0,1,2\n1," + b"3" * 200_000 + b",4\n", 3, "field larger than field limit"),
+        (b"0,1,2\n1,\xb9,4\n", 3, "not UTF-8 text: byte 0xb9"),
+    ], ids=["field-over-limit", "not-utf8"])
+    def test_unreadable_rows_named(self, tmp_path, raw, line, message):
+        path = tmp_path / "weights.csv"
+        path.write_bytes(b"class_id,model_0,model_1\n" + raw)
+        with pytest.raises(ValueError, match=re.escape(f"{path}:{line}: {message}")):
+            read_weights_csv(path)
+
     @pytest.mark.parametrize("rows, line, message", [
         pytest.param("0,1,2\n2,3,4\n", 3, "class id 2; expected each of 0..1 once", id="class-id-gap"),
         pytest.param("0,1,2\n0,3,4\n", 3, "class id 0; expected each of 0..1 once", id="class-id-twice"),

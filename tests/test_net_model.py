@@ -379,6 +379,14 @@ class TestCheckpoint:
         if message.startswith("expected"):
             assert str(exc.value).endswith(f"got {line!r}")
 
+    def test_header_bytes_not_utf8_named(self, tmp_path):
+        _model, path = self.saved_model(tmp_path)
+        head, mark, rest = path.read_bytes().partition(b"[tensors]\n")
+        path.write_bytes(head + b"note = caf\xe9\n" + mark + rest)
+        number = head.count(b"\n") + 1
+        with pytest.raises(ValueError, match=re.escape(f"model.ckpt:{number}: not UTF-8 text: byte 0xe9")):
+            load_checkpoint(path)
+
     def test_integral_header_values_load_as_integers(self, tmp_path):
         # the same rule as `cli.read_config`: "2.0" is the integer 2
         model, path = self.saved_model(tmp_path)

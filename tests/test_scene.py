@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -6,10 +7,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.io import wavfile
 
-from oracles import synth_scene_in_one_pass
+from oracles import class_signature_designed_per_call, synth_scene_in_one_pass
 from strategies import event_lists
+from seldkit import scene
 from seldkit.accdoa import encode_accdoa
+from seldkit.features import StftConfig
+from seldkit.net.train import SceneBatchStream
 from seldkit.scene import (
+    AmbisonicClip,
     DoaAngles,
     Event,
     EventList,
@@ -110,6 +115,49 @@ class TestClassSignature:
     def test_class_id_validated(self):
         with pytest.raises(ValueError):
             class_signature(5, 1.0, np.random.default_rng(0), n_classes=5)
+
+
+class TestClassBandpassDesignedOnce:
+    """`class_signature` designs each class's band-pass once per process;
+    its output keeps the bits of a filter designed on every call."""
+
+    def test_matches_the_filter_designed_per_call(self):
+        for n_classes in range(1, 15):
+            for class_id in range(n_classes):
+                for duration_s, seed in [(0.1, 0), (0.5, 1), (0.5, 2), (1.5, 3)]:
+                    rngs = [np.random.default_rng((seed, class_id, n_classes)) for _ in range(2)]
+                    got = class_signature(class_id, duration_s, rngs[0], n_classes)
+                    want = class_signature_designed_per_call(class_id, duration_s, rngs[1], n_classes)
+                    assert np.array_equal(got, want), (n_classes, class_id, duration_s)
+                    assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
+
+    def test_desk_stream_designs_each_filter_once(self, monkeypatch):
+        # the train_desk stream: 3 classes, a pool of 64 and a bank of 32 scenes of 3 s;
+        # designing per event made 224 designs
+        designs = []
+        butter = scene.sps.butter
+        monkeypatch.setattr(scene.sps, "butter", lambda *a, **k: designs.append(a) or butter(*a, **k))
+        scene._class_bandpass.cache_clear()
+        stream = SceneBatchStream(SceneConfig(n_classes=3, duration_s=3.0), StftConfig(), 3, 256,
+                                  seed=0, pool_scenes=64, secondary_bank=32)
+        n_events = sum(len(events.events) for _placed, events in stream.pool + stream.bank)
+        assert n_events > 3 * 20
+        assert len(designs) <= 3
+
+    def test_a_caller_cannot_change_what_later_calls_get(self, monkeypatch):
+        want = class_signature_designed_per_call(2, 0.5, np.random.default_rng(4), 5)
+        sosfiltfilt = scene.sps.sosfiltfilt
+
+        def filter_then_scribble(sos, x):
+            out = sosfiltfilt(sos, x)
+            sos[...] = 0.0
+            return out
+
+        monkeypatch.setattr(scene.sps, "sosfiltfilt", filter_then_scribble)
+        first = class_signature(2, 0.5, np.random.default_rng(4), 5)
+        first[...] = 0.0
+        monkeypatch.undo()
+        assert np.array_equal(class_signature(2, 0.5, np.random.default_rng(4), 5), want)
 
 
 class TestSynthScene:
@@ -213,6 +261,18 @@ class TestFileFormats:
         with pytest.raises(ValueError, match=r"48k\.wav: sample rate 48000 Hz, but seldkit runs at 24000 Hz"):
             read_wav(path)
 
+    @pytest.mark.parametrize("mutate, message", [
+        (lambda raw: raw[:-2], "cannot reshape"),
+        (lambda raw: raw[:32] + b"\0\0" + raw[34:], "division"),  # block align 0
+    ], ids=["truncated", "zero-block-align"])
+    def test_unreadable_wav_named(self, tmp_path, mutate, message):
+        # scipy's own errors carried no path, and some were not ValueErrors
+        path = tmp_path / "clip.wav"
+        write_wav(path, AmbisonicClip(np.zeros((4, 2400))))
+        path.write_bytes(mutate(path.read_bytes()))
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: not a readable WAV file: .*{message}"):
+            read_wav(path)
+
     def test_int16_wav_scaled_by_full_scale(self, tmp_path):
         path = tmp_path / "pcm16.wav"
         data = np.array([[16384, -32768, 32767, 0]] * 5, dtype=np.int16)
@@ -304,6 +364,17 @@ class TestLabelCsvRejects:
     def test_bad_rows_rejected_with_path_and_line(self, tmp_path, text, line, message):
         with pytest.raises(ValueError, match=f"labels.csv:{line}: .*{message}"):
             self.read(tmp_path, text)
+
+    def test_field_over_the_csv_limit_named(self, tmp_path):
+        # csv.Error is no ValueError, so `seldkit eval` printed a traceback
+        with pytest.raises(ValueError, match=r"labels.csv:2: field larger than field limit"):
+            self.read(tmp_path, self.GOOD[:11] + "1,1,0," + "1" * 200_000 + ",0\n")
+
+    def test_bytes_not_utf8_named(self, tmp_path):
+        path = tmp_path / "labels.csv"
+        path.write_bytes(self.GOOD.encode() + b"2,1,0,\xb9,0\n")
+        with pytest.raises(ValueError, match=r"labels.csv:3: not UTF-8 text: byte 0xb9"):
+            read_label_csv(path)
 
     def test_same_frame_on_two_tracks_allowed(self, tmp_path):
         loaded = self.read(tmp_path, "0,1,0,10,0\n0,1,1,-90,0\n")
