@@ -6,8 +6,8 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .accdoa import pool_to_label_rate
-from .augment import ALL_PATTERNS, RotationPattern, rotate_accdoa, rotate_foa, zero_signs_matter
-from .features import FeatureStack, StftConfig, extract_features, rotated_feature_stacks, stft
+from .augment import ALL_PATTERNS, rotate_accdoa
+from .features import FeatureStack, StftConfig, extract_features, rotated_feature_stacks
 from .net.layers import Module
 from .scene import AmbisonicClip
 
@@ -15,7 +15,6 @@ DEFAULT_SEG_LEN = 1024
 DEFAULT_SHIFT = 20
 MAX_BATCH = 32  # segments per predict_batch call
 TRUNK_BATCH = 8  # a network's trunk takes at most this many segments' frames per call
-_FLIP_YZX = RotationPattern(add_pi=True, elevation_sign=-1)  # negates Y, Z and X
 
 
 def _check_geometry(seg_len: int, shift: int) -> None:
@@ -200,20 +199,19 @@ def _shared_trunk_inference(model, fs: FeatureStack, seg_len: int, shift: int) -
     return sliding_inference(predict_batch, fs, seg_len, shift)
 
 
-def rotation_tta(predict_features, spec: np.ndarray, patterns=ALL_PATTERNS, flipped=None) -> np.ndarray:
-    """Average predictions over FOA rotations of one clip, from its (4, T, F) STFT.
+def rotation_tta(predict_features, clip: AmbisonicClip, cfg: StftConfig, patterns=ALL_PATTERNS) -> np.ndarray:
+    """Average predictions over FOA rotations of one clip.
 
     Each pattern's features come from `features.rotated_feature_stacks`,
-    which builds the amplitudes and phases once for all patterns; pass
-    `flipped`, the STFT of the clip with Y, Z and X negated, where
-    `zero_signs_matter(spec)`, as `Predictor.predict_clip_tta` does.
-    `predict_features` gets one stack per pattern in one shared read-only
-    buffer, which the next pattern overwrites, so it must not keep the stack.
-    Each pattern is its own inverse, so the prediction on the rotated clip
-    is mapped back with the same pattern before averaging.
+    which builds the amplitudes and phases once for all patterns, a chunk
+    of frames at a time.  `predict_features` gets one stack per pattern in
+    one shared read-only buffer, which the next pattern overwrites, so it
+    must not keep the stack.  Each pattern is its own inverse, so the
+    prediction on the rotated clip is mapped back with the same pattern
+    before averaging.
     """
     total = None
-    for r, fs in rotated_feature_stacks(spec, patterns, flipped):
+    for r, fs in rotated_feature_stacks(clip, patterns, cfg):
         out = rotate_accdoa(predict_features(fs), r)
         total = out if total is None else total + out
     return total / len(patterns)
@@ -249,14 +247,13 @@ class Predictor:
         return sliding_inference(self.model.predict_batch, fs, self.seg_len, self.shift)
 
     def predict_clip(self, clip: AmbisonicClip) -> np.ndarray:
-        return self.predict_features(extract_features(clip, self.stft_cfg))
+        """Features in a network's dtype, which its trunk casts them to
+        anyway, and in float64 for other models."""
+        dtype = self.model.branches[0].dtype if isinstance(self.model, Module) else np.float64
+        return self.predict_features(extract_features(clip, self.stft_cfg, dtype))
 
     def predict_clip_tta(self, clip: AmbisonicClip) -> np.ndarray:
-        """`rotation_tta` from one STFT of the clip, and a second of the
-        clip with Y, Z and X negated only where `zero_signs_matter`."""
-        spec = stft(clip, self.stft_cfg)
-        flipped = stft(rotate_foa(clip, _FLIP_YZX), self.stft_cfg) if zero_signs_matter(spec) else None
-        return rotation_tta(self.predict_features, spec, flipped=flipped)
+        return rotation_tta(self.predict_features, clip, self.stft_cfg)
 
     def label_rate_sequence(self, clip: AmbisonicClip, tta: bool = False) -> np.ndarray:
         seq = self.predict_clip_tta(clip) if tta else self.predict_clip(clip)

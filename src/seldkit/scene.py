@@ -18,6 +18,7 @@ import functools
 import io
 import math
 import struct
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -400,22 +401,32 @@ def write_wav(path, clip: AmbisonicClip) -> None:
 
 
 def read_wav(path) -> AmbisonicClip:
-    """Read a 4-channel 24 kHz WAV; integer PCM is scaled to [-1, 1) by its full scale."""
-    try:
-        rate, data = wavfile.read(str(path))
-    except (ValueError, TypeError, ZeroDivisionError, UnboundLocalError, struct.error) as exc:
-        # what scipy's reader raises on malformed or truncated files
-        raise ValueError(f"{path}: not a readable WAV file: {exc}") from None
+    """Read a 4-channel 24 kHz WAV; integer PCM is scaled to [-1, 1) by its full scale.
+
+    A file shorter than its header declares is rejected, not read as a
+    shorter clip.
+    """
+    with warnings.catch_warnings():
+        # scipy only warns when the data ends before the size the header gives
+        warnings.filterwarnings("error", "Reached EOF prematurely", wavfile.WavFileWarning)
+        try:
+            rate, data = wavfile.read(str(path))
+        except wavfile.WavFileWarning as exc:
+            raise ValueError(f"{path}: truncated WAV file: {exc}") from None
+        except (ValueError, TypeError, ZeroDivisionError, UnboundLocalError, struct.error) as exc:
+            # what scipy's reader raises on malformed or truncated files
+            raise ValueError(f"{path}: not a readable WAV file: {exc}") from None
     if rate != SAMPLE_RATE:
         raise ValueError(f"{path}: sample rate {rate} Hz, but seldkit runs at {SAMPLE_RATE} Hz")
     if data.ndim != 2 or data.shape[1] != 4:
         raise ValueError(f"{path}: expected 4-channel WAV")
-    samples = data.T.astype(float)
+    samples = np.array(data.T, dtype=float)
     if data.dtype.kind in "iu":
         info = np.iinfo(data.dtype)
         half = (float(info.max) - float(info.min) + 1.0) / 2.0
         # the midpoint is 0 for signed PCM and 128 for unsigned 8-bit PCM
-        samples = (samples - (info.min + half)) / half
+        samples -= info.min + half
+        samples /= half
     try:
         return AmbisonicClip(samples)
     except ValueError as exc:

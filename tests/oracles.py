@@ -18,7 +18,7 @@ from seldkit.accdoa import encode_accdoa, expand_to_frame_rate
 from seldkit.augment import (
     ALL_PATTERNS, MAX_SECONDARIES, emda_mix, rotate_accdoa, rotate_events, rotate_foa, spec_augment,
 )
-from seldkit.features import extract_features, make_feature_stack
+from seldkit.features import FEATURE_CHANNELS, FeatureStack, extract_features, make_feature_stack
 from seldkit.net.train import SceneBatchStream
 from seldkit.scene import (
     _EVENT_GAIN_RANGE, SAMPLE_RATE, AmbisonicClip, DoaAngles, Event, EventList, _fade_edges,
@@ -221,6 +221,65 @@ def rotation_tta_by_rotated_stfts(predict_features, spec: np.ndarray, patterns, 
     total = None
     for r in patterns:
         out = rotate_accdoa(predict_features(make_feature_stack(rotate_stft(spec, r, flipped))), r)
+        total = out if total is None else total + out
+    return total / len(patterns)
+
+
+def stft_whole_clip(clip: AmbisonicClip, cfg) -> np.ndarray:
+    """(4, T, F) complex STFT with every windowed frame of the clip made at
+    once and transformed in one `rfft` call."""
+    win = sps.get_window(cfg.window, cfg.win_len, fftbins=True)
+    n_frames = cfg.n_frames(clip.n_samples)
+    frames = np.lib.stride_tricks.sliding_window_view(clip.samples, cfg.win_len, axis=1)[:, :: cfg.hop][:, :n_frames]
+    return np.fft.rfft(frames * win, n=cfg.fft_size, axis=-1)
+
+
+def rotated_feature_stacks_from_spec(spec: np.ndarray, patterns, flipped: np.ndarray | None = None):
+    """Yield (pattern, FeatureStack) for each FOA rotation pattern from the
+    clip's whole (4, T, F) STFT: the four amplitudes and the six
+    phase-difference planes are computed once over the clip, and each
+    pattern copies into one read-only (7, T, F) buffer the planes whose
+    sign differs from the previous pattern's.  The negation's phase is that
+    of `flipped`, the STFT of the clip with Y, Z and X negated, when given,
+    and that of the negated spectrum otherwise.  Differences are wrapped by
+    `np.mod`, as in `feature_stack_by_mod`."""
+    spec = np.asarray(spec)
+    out = np.empty((FEATURE_CHANNELS,) + spec.shape[1:])
+    amp = out[:4]
+    np.abs(spec, out=amp)
+    planes = np.empty((2, 3) + spec.shape[1:])
+    ref_phase = np.arctan2(spec[0].imag, spec[0].real, out=out[6])
+    re, im = out[4], out[5]
+    for q in range(3):
+        np.copyto(re, spec[q + 1].real)
+        np.copyto(im, spec[q + 1].imag)
+        np.arctan2(im, re, out=planes[0, q])
+        if flipped is None:
+            np.arctan2(np.negative(im, out=im), np.negative(re, out=re), out=planes[1, q])
+        else:
+            np.arctan2(flipped[q + 1].imag, flipped[q + 1].real, out=planes[1, q])
+        np.subtract(planes[:, q], ref_phase, out=planes[:, q])
+    np.mod(planes, 2.0 * math.pi, out=planes)
+    planes[:, :, amp[0] == 0] = 0.0
+    view = out.view()
+    view.flags.writeable = False
+    fs = FeatureStack(view)
+    held = [None] * 3
+    for r in patterns:
+        for q, sign in enumerate(r.channel_signs[1:]):
+            if held[q] != (sign < 0):
+                held[q] = sign < 0
+                np.copyto(out[4 + q], planes[int(held[q]), q])
+        yield r, fs
+
+
+def rotation_tta_from_spec(predict_features, spec: np.ndarray, patterns=ALL_PATTERNS, flipped=None) -> np.ndarray:
+    """Rotation averaging from the clip's whole STFT, and `flipped`, the
+    whole STFT of the clip with Y, Z and X negated, where
+    `zero_signs_matter(spec)`, through `rotated_feature_stacks_from_spec`."""
+    total = None
+    for r, fs in rotated_feature_stacks_from_spec(spec, patterns, flipped):
+        out = rotate_accdoa(predict_features(fs), r)
         total = out if total is None else total + out
     return total / len(patterns)
 

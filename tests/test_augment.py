@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from seldkit.augment import (
     spec_augment,
     zero_signs_matter,
 )
+from seldkit import features
 from seldkit.features import StftConfig, extract_features, make_feature_stack, rotated_feature_stacks, stft
 from seldkit.scene import AmbisonicClip, DoaAngles, Event, EventList, encode_plane_wave, synth_scene, SceneConfig
 
@@ -170,29 +172,33 @@ class TestRotateStft:
 
 
 class TestRotatedFeatureStacks:
-    """One set of amplitudes and phases for all eight patterns, against one
-    rotated STFT and one fresh feature stack per pattern."""
+    """One set of amplitudes and phases for all eight patterns, a chunk of
+    frames at a time, against one rotated STFT and one fresh feature stack
+    per pattern."""
 
     @staticmethod
-    def assert_match_per_pattern_stacks(spec, flipped):
-        got = [(r, fs.data.copy()) for r, fs in rotated_feature_stacks(spec, ALL_PATTERNS, flipped)]
+    def assert_match_per_pattern_stacks(clip, always_flipped=False):
+        # the reference takes the flipped STFT for the whole clip where its
+        # zero signs matter (or always); the stacks decide it chunk by chunk
+        spec = stft(clip, STFT)
+        needed = always_flipped or zero_signs_matter(spec)
+        flipped = stft(rotate_foa(clip, FLIP_YZX), STFT) if needed else None
+        got = [(r, fs.data.copy()) for r, fs in rotated_feature_stacks(clip, ALL_PATTERNS, STFT)]
         assert [r for r, _ in got] == list(ALL_PATTERNS)
         for r, data in got:
             assert same_bits(data, make_feature_stack(rotate_stft(spec, r, flipped)).data), r
 
-    @given(clip=foa_clips(), always_flipped=st.booleans())
-    def test_match_per_pattern_stacks(self, clip, always_flipped):
-        spec = stft(clip, STFT)
-        needed = always_flipped or zero_signs_matter(spec)
-        self.assert_match_per_pattern_stacks(spec, stft(rotate_foa(clip, FLIP_YZX), STFT) if needed else None)
+    @given(clip=foa_clips(), always_flipped=st.booleans(), chunk=st.sampled_from([1, 2, 3, 256]))
+    def test_match_per_pattern_stacks(self, clip, always_flipped, chunk):
+        with mock.patch.object(features, "FRAME_CHUNK", chunk):
+            self.assert_match_per_pattern_stacks(clip, always_flipped)
 
     def test_silent_y_with_flipped_stft(self):
         samples = np.random.default_rng(7).standard_normal((4, 2416))
         samples[1, 480:1700] = 0.0
         clip = AmbisonicClip(samples)
-        spec = stft(clip, STFT)
-        assert zero_signs_matter(spec)
-        self.assert_match_per_pattern_stacks(spec, stft(rotate_foa(clip, FLIP_YZX), STFT))
+        assert zero_signs_matter(stft(clip, STFT))
+        self.assert_match_per_pattern_stacks(clip)
 
     @pytest.mark.parametrize("quantized", [False, True])
     def test_zero_w_bins(self, quantized):
@@ -201,21 +207,22 @@ class TestRotatedFeatureStacks:
             samples = np.round(4.0 * samples) / 4.0
         samples[0, :1200] = 0.0
         clip = AmbisonicClip(samples)
-        spec = stft(clip, STFT)
-        assert np.any(spec[0] == 0)
-        flipped = stft(rotate_foa(clip, FLIP_YZX), STFT) if zero_signs_matter(spec) else None
-        self.assert_match_per_pattern_stacks(spec, flipped)
+        assert np.any(stft(clip, STFT)[0] == 0)
+        self.assert_match_per_pattern_stacks(clip)
 
     @pytest.mark.parametrize("with_flipped", [False, True])
     def test_seven_phases_per_clip(self, monkeypatch, with_flipped):
-        # W's phase, and each of Y, Z and X's own and negated phase
-        clip = AmbisonicClip(np.random.default_rng(10).standard_normal((4, 2416)))
-        spec = stft(clip, STFT)
-        flipped = stft(rotate_foa(clip, FLIP_YZX), STFT) if with_flipped else None
+        # W's phase, and each of Y, Z and X's own and negated phase, the
+        # latter from the flipped STFT where zero signs matter (silent Y)
+        samples = np.random.default_rng(10).standard_normal((4, 2416))
+        if with_flipped:
+            samples[1, 480:1700] = 0.0
+        clip = AmbisonicClip(samples)
+        assert zero_signs_matter(stft(clip, STFT)) == with_flipped
         calls = []
         arctan2 = np.arctan2
         monkeypatch.setattr(np, "arctan2", lambda *a, **k: calls.append(1) or arctan2(*a, **k))
-        assert sum(1 for _ in rotated_feature_stacks(spec, ALL_PATTERNS, flipped)) == 8
+        assert sum(1 for _ in rotated_feature_stacks(clip, ALL_PATTERNS, STFT)) == 8
         assert len(calls) == 7
 
     @pytest.mark.parametrize("silent_z", [False, True])
@@ -229,36 +236,37 @@ class TestRotatedFeatureStacks:
         spec = stft(clip, STFT)
         assert zero_signs_matter(spec) == silent_z
         flipped = stft(rotate_foa(clip, FLIP_YZX), STFT) if silent_z else None
-        got = [(r, fs.data.copy()) for r, fs in rotated_feature_stacks(spec, order, flipped)]
+        got = [(r, fs.data.copy()) for r, fs in rotated_feature_stacks(clip, order, STFT)]
         assert [r for r, _ in got] == list(order)
         for r, data in got:
             assert same_bits(data, make_feature_stack(rotate_stft(spec, r, flipped)).data), r
 
     def test_copies_only_the_planes_whose_sign_changes(self, monkeypatch):
-        spec = stft(AmbisonicClip(np.random.default_rng(12).standard_normal((4, 2416))), STFT)
+        clip = AmbisonicClip(np.random.default_rng(12).standard_normal((4, 2416)))
         copies = []
         copyto = np.copyto
         monkeypatch.setattr(np, "copyto", lambda *a, **k: copies.append(1) or copyto(*a, **k))
-        stacks = rotated_feature_stacks(spec, ALL_PATTERNS)
+        stacks = rotated_feature_stacks(clip, ALL_PATTERNS, STFT)
         next(stacks)
         counts = []
         for previous, r in zip(ALL_PATTERNS, ALL_PATTERNS[1:]):
             copies.clear()
             assert next(stacks)[0] == r
             counts.append(len(copies))
-            assert counts[-1] == np.sum(previous.channel_signs != r.channel_signs), r
-        assert sum(counts) == 8  # 11 plane copies with the first pattern's 3, where 24 were made
+            # a plane swaps with its negation's in three copies through a chunk buffer
+            assert counts[-1] == 3 * np.sum(previous.channel_signs != r.channel_signs), r
+        assert sum(counts) == 3 * 8  # 8 swaps for the eight patterns
 
     def test_stacks_are_read_only(self):
-        spec = stft(AmbisonicClip(np.random.default_rng(13).standard_normal((4, 2416))), STFT)
-        for r, fs in rotated_feature_stacks(spec, ALL_PATTERNS):
+        clip = AmbisonicClip(np.random.default_rng(13).standard_normal((4, 2416)))
+        for r, fs in rotated_feature_stacks(clip, ALL_PATTERNS, STFT):
             assert not fs.data.flags.writeable, r
             with pytest.raises(ValueError, match="read-only"):
                 fs.data[4, 0, 0] = 0.0
 
     def test_one_buffer_overwritten_by_the_next_pattern(self):
-        spec = stft(AmbisonicClip(np.random.default_rng(9).standard_normal((4, 2416))), STFT)
-        stacks = rotated_feature_stacks(spec, ALL_PATTERNS[:2])
+        clip = AmbisonicClip(np.random.default_rng(9).standard_normal((4, 2416)))
+        stacks = rotated_feature_stacks(clip, ALL_PATTERNS[:2], STFT)
         _, first = next(stacks)
         ipd_y = first.data[4].copy()
         _, second = next(stacks)

@@ -3,11 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from oracles import feature_stack_by_mod, same_bits
+from oracles import feature_stack_by_mod, rotated_feature_stacks_from_spec, same_bits, stft_whole_clip
+from seldkit.augment import ALL_PATTERNS, RotationPattern, rotate_foa, zero_signs_matter
 from seldkit.features import (
+    FRAME_CHUNK,
     StftConfig,
     extract_features,
     make_feature_stack,
+    rotated_feature_stacks,
     stft,
 )
 from seldkit.scene import AmbisonicClip, SceneConfig, synth_scene
@@ -144,3 +147,59 @@ class TestFeatureStackOracle:
         spec[2] = 0.0
         spec[3] = complex(-0.0, -0.0)
         assert same_bits(make_feature_stack(spec).data, feature_stack_by_mod(spec))
+
+
+CHUNK_EDGES = [FRAME_CHUNK - 1, FRAME_CHUNK, FRAME_CHUNK + 1, 2 * FRAME_CHUNK + 7]
+SHAPES = [StftConfig(win_len=256, hop=240, fft_size=256), StftConfig()]
+
+
+def noise_clip(cfg, n_frames, seed=0, silent_y=None):
+    """Noise of exactly `n_frames` frames; `silent_y` = (first, last) frame
+    of a span where Y is exactly zero."""
+    samples = np.random.default_rng(seed).standard_normal((4, cfg.frame_span(n_frames)))
+    if silent_y is not None:
+        first, last = silent_y
+        samples[1, first * cfg.hop:last * cfg.hop + cfg.win_len] = 0.0
+    return AmbisonicClip(samples)
+
+
+class TestFrameChunks:
+    """Chunked STFT, features and TTA stacks against the whole-clip paths,
+    byte for byte, at frame counts around the chunk size."""
+
+    @pytest.mark.parametrize("cfg", SHAPES, ids=["256-256", "480-512"])
+    @pytest.mark.parametrize("n_frames", CHUNK_EDGES)
+    def test_stft_and_features_equal_whole_clip(self, cfg, n_frames):
+        clip = noise_clip(cfg, n_frames)
+        whole = stft_whole_clip(clip, cfg)
+        assert whole.shape[1] == n_frames
+        assert same_bits(stft(clip, cfg), whole)
+        features = extract_features(clip, cfg).data
+        assert same_bits(features, feature_stack_by_mod(whole))
+        assert same_bits(extract_features(clip, cfg, np.float32).data, features.astype(np.float32))
+        # frame ranges that start and stop inside chunks
+        for lo, hi in [(0, 1), (FRAME_CHUNK - 2, n_frames), (3, n_frames - 1), (n_frames - 1, n_frames)]:
+            assert same_bits(stft(clip, cfg, lo, hi), whole[:, lo:hi]), (lo, hi)
+
+    @pytest.mark.parametrize("start, stop", [(-1, 5), (5, 5), (6, 5), (0, 11)])
+    def test_frame_range_outside_the_clip(self, start, stop):
+        cfg = SHAPES[0]
+        with pytest.raises(ValueError, match=r"outside the clip's 10"):
+            stft(noise_clip(cfg, 10), cfg, start, stop)
+
+    @pytest.mark.parametrize("cfg", SHAPES, ids=["256-256", "480-512"])
+    @pytest.mark.parametrize("n_frames", CHUNK_EDGES)
+    @pytest.mark.parametrize("silent_y", [None, (FRAME_CHUNK - 40, FRAME_CHUNK + 20)], ids=["noise", "silent-y"])
+    def test_rotated_stacks_equal_whole_clip(self, cfg, n_frames, silent_y):
+        # Y is silent from 40 frames before the first chunk edge to 20 after
+        # it, or to the clip's end where that comes first
+        clip = noise_clip(cfg, n_frames, seed=1, silent_y=silent_y)
+        spec = stft_whole_clip(clip, cfg)
+        assert zero_signs_matter(spec) == (silent_y is not None)
+        flip = RotationPattern(add_pi=True, elevation_sign=-1)
+        flipped = stft_whole_clip(rotate_foa(clip, flip), cfg) if silent_y else None
+        expected = [fs.data.copy() for _, fs in rotated_feature_stacks_from_spec(spec, ALL_PATTERNS, flipped)]
+        got = [fs.data.copy() for _, fs in rotated_feature_stacks(clip, ALL_PATTERNS, cfg)]
+        assert len(got) == 8
+        for r, a, b in zip(ALL_PATTERNS, got, expected):
+            assert same_bits(a, b), r

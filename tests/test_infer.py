@@ -5,13 +5,13 @@ import numpy as np
 import pytest
 
 from oracles import (
-    edge_rows_by_batch, feature_stack_by_mod, intensity_over_all_bins, rotation_tta_by_rotated_stfts, same_bits,
-    trunk_by_layer,
+    edge_rows_by_batch, feature_stack_by_mod, intensity_over_all_bins, rotation_tta_by_rotated_stfts,
+    rotation_tta_from_spec, same_bits, stft_whole_clip, trunk_by_layer,
 )
 from seldkit.accdoa import compose_accdoa, decode_accdoa, pool_to_label_rate
 from seldkit.augment import ALL_PATTERNS, RotationPattern, rotate_accdoa, rotate_foa, zero_signs_matter
-from seldkit.features import FeatureStack, StftConfig, extract_features, stft
-from seldkit import infer
+from seldkit.features import FRAME_CHUNK, FeatureStack, StftConfig, extract_features, stft
+from seldkit import features, infer
 from seldkit.infer import Predictor, rotation_tta, sliding_inference
 from seldkit.intensity import IntensityVectorModel
 from seldkit.metrics import evaluate
@@ -258,6 +258,23 @@ class TestPredictorNetworks:
         peak(200)  # allocates the layers' workspaces
         growth = peak(1600) - peak(400)
         assert growth < 1200 * NET.gru_in * 4 / 4
+
+    @pytest.mark.parametrize("kind", ["rd3net", "two-stage"])
+    @pytest.mark.parametrize("seg_len, shift", [(64, 20), (10, 3)], ids=["shared-trunk", "per-segment"])
+    def test_float32_features_equal_the_float64_cast(self, kind, seg_len, shift, monkeypatch):
+        # 2 FRAME_CHUNK + 7 frames: the network's features are made in its
+        # float32, which its trunk casts float64 features to anyway
+        model, _ = self.network(kind)
+        n_frames = 2 * FRAME_CHUNK + 7
+        clip = AmbisonicClip(np.random.default_rng(5).standard_normal((4, STFT.frame_span(n_frames))))
+        predictor = Predictor(model, STFT, seg_len=seg_len, shift=shift)
+        expected = predictor.predict_features(FeatureStack(feature_stack_by_mod(stft_whole_clip(clip, STFT))))
+        dtypes = []
+        predict_features = predictor.predict_features
+        monkeypatch.setattr(predictor, "predict_features",
+                            lambda fs: dtypes.append(fs.data.dtype) or predict_features(fs))
+        assert same_bits(predictor.predict_clip(clip), expected)
+        assert dtypes == [np.float32]
 
     @staticmethod
     def network(kind):
@@ -511,7 +528,7 @@ class TestRotationTta:
         model = IntensityVectorModel.for_scene_classes(3, STFT)
         predictor = Predictor(model, STFT, seg_len=64, shift=16)
         plain = predictor.predict_clip(clip)
-        tta = rotation_tta(predictor.predict_features, stft(clip, STFT))
+        tta = rotation_tta(predictor.predict_features, clip, STFT)
         assert np.abs(tta - plain).max() < 1e-9
 
     def test_constant_model_averages_to_zero(self):
@@ -533,7 +550,7 @@ class TestRotationTta:
         model = IntensityVectorModel.for_scene_classes(3, STFT)
         predictor = Predictor(model, STFT, seg_len=64, shift=16)
         plain = predictor.predict_clip(clip)
-        tta = rotation_tta(predictor.predict_features, stft(clip, STFT), patterns=(RotationPattern(),))
+        tta = rotation_tta(predictor.predict_features, clip, STFT, patterns=(RotationPattern(),))
         np.testing.assert_array_equal(tta, plain)
 
     @staticmethod
@@ -564,11 +581,18 @@ class TestRotationTta:
         clip = AmbisonicClip(samples)
         predictor = self.predictor(kind)
         expected = self.audio_rotation_tta(predictor, clip)
-        calls = []
-        monkeypatch.setattr(infer, "stft", lambda *a: calls.append(1) or stft(*a))
+        # 99 frames in chunks of 16; Y is silent in frames 20-68 (chunks 1-4)
+        monkeypatch.setattr(features, "FRAME_CHUNK", 16)
+        flips = []
+        flipped_stft = features._flipped_stft
+        monkeypatch.setattr(features, "_flipped_stft", lambda *a: flips.append(a[2:]) or flipped_stft(*a))
         assert same_bits(predictor.predict_clip_tta(clip), expected)
-        # a second STFT, of the clip with Y, Z and X negated, only for the silent Y
-        assert len(calls) == 1 + silent_y
+        # the STFT of the chunk's audio with Y, Z and X negated, only on the
+        # chunks where zero signs matter, which only the silent Y has
+        matter = [(lo, min(lo + 16, 99)) for lo in range(0, 99, 16)
+                  if zero_signs_matter(stft(clip, STFT, lo, min(lo + 16, 99)))]
+        assert flips == matter
+        assert bool(flips) == silent_y and len(flips) < 7
 
 
     @pytest.mark.parametrize("kind", ["intensity", "desk-rd3net"])
@@ -589,6 +613,63 @@ class TestRotationTta:
         assert zero_signs_matter(spec) == silent_y
         expected = rotation_tta_by_rotated_stfts(predictor.predict_features, spec, ALL_PATTERNS, flipped)
         assert same_bits(predictor.predict_clip_tta(clip), expected)
+
+    @pytest.mark.parametrize("kind", ["intensity", "rd3net"])
+    @pytest.mark.parametrize("n_frames", [FRAME_CHUNK - 1, FRAME_CHUNK, FRAME_CHUNK + 1, 2 * FRAME_CHUNK + 7])
+    def test_equals_whole_clip_stft_at_chunk_edges(self, kind, n_frames):
+        # Y is silent from 40 frames before the first chunk edge to 20 after
+        # it, or to the clip's end where that comes first
+        samples = np.random.default_rng(n_frames).standard_normal((4, STFT.frame_span(n_frames)))
+        samples[1, (FRAME_CHUNK - 40) * STFT.hop:(FRAME_CHUNK + 20) * STFT.hop] = 0.0
+        clip = AmbisonicClip(samples)
+        predictor = self.predictor(kind)
+        spec = stft_whole_clip(clip, STFT)
+        flipped = stft_whole_clip(rotate_foa(clip, RotationPattern(add_pi=True, elevation_sign=-1)), STFT)
+        assert zero_signs_matter(spec)
+        expected = rotation_tta_from_spec(predictor.predict_features, spec, ALL_PATTERNS, flipped)
+        assert same_bits(predictor.predict_clip_tta(clip), expected)
+
+
+class TestFeatureMemory:
+    """Traced peaks on a 30 s clip at the desk STFT, above what the clip holds."""
+
+    N_FRAMES = STFT.n_frames(30 * 24000)
+    PLANE = N_FRAMES * STFT.n_bins * 8  # one (T, F) float64 plane
+    CHUNK_SPECTRUM = 4 * FRAME_CHUNK * STFT.n_bins * 16  # one chunk's (4, FRAME_CHUNK, F) STFT
+
+    @staticmethod
+    def traced_peak(fn, *args):
+        tracemalloc.start()
+        base = tracemalloc.get_traced_memory()[0]
+        try:
+            out = fn(*args)
+            return tracemalloc.get_traced_memory()[1] - base, out
+        finally:
+            tracemalloc.stop()
+
+    @staticmethod
+    def clip(silent_y):
+        samples = np.random.default_rng(0).standard_normal((4, 30 * 24000))
+        if silent_y:
+            samples[1, 5 * 24000:17 * 24000] = 0.0
+        return AmbisonicClip(samples)
+
+    def test_features_hold_one_chunk_spectrum(self):
+        # the whole-clip complex STFT alone is 12 of these chunk spectra
+        peak, fs = self.traced_peak(extract_features, self.clip(False), STFT)
+        assert fs.data.nbytes == 7 * self.PLANE
+        assert peak <= fs.data.nbytes + 3 * self.CHUNK_SPECTRUM
+
+    @pytest.mark.parametrize("silent_y", [False, True], ids=["noise", "silent-y"])
+    def test_tta_holds_ten_planes(self, silent_y):
+        # 4 amplitudes, 3 current and 3 alternate phase-difference planes, plus
+        # a chunk's spectra (its flipped STFT too, where Y is silent) and the
+        # model's per-pattern work
+        clip = self.clip(silent_y)
+        predictor = Predictor(IntensityVectorModel.for_scene_classes(3, STFT), STFT, seg_len=256, shift=256)
+        predictor.predict_clip_tta(AmbisonicClip(clip.samples[:, :48000]))  # the model's caches
+        peak, _ = self.traced_peak(predictor.predict_clip_tta, clip)
+        assert peak <= 10 * self.PLANE + 6 * self.CHUNK_SPECTRUM
 
 
 class TestIntensityOracle:

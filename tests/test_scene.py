@@ -273,6 +273,16 @@ class TestFileFormats:
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: not a readable WAV file: .*{message}"):
             read_wav(path)
 
+    @pytest.mark.parametrize("frames_cut", [1, 1000])
+    def test_wav_shorter_than_its_header_rejected(self, tmp_path, frames_cut):
+        # scipy reads the frames present and only warns
+        path = tmp_path / "clip.wav"
+        write_wav(path, AmbisonicClip(np.zeros((4, 2400))))
+        raw = path.read_bytes()
+        path.write_bytes(raw[:len(raw) - frames_cut * 4 * 4])  # float32 frames of 4 channels
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: truncated WAV file: Reached EOF prematurely"):
+            read_wav(path)
+
     def test_int16_wav_scaled_by_full_scale(self, tmp_path):
         path = tmp_path / "pcm16.wav"
         data = np.array([[16384, -32768, 32767, 0]] * 5, dtype=np.int16)
