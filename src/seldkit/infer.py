@@ -14,7 +14,8 @@ from .scene import AmbisonicClip
 DEFAULT_SEG_LEN = 1024
 DEFAULT_SHIFT = 20
 MAX_BATCH = 32  # segments per predict_batch call
-TRUNK_BATCH = 8  # a network's trunk takes at most this many segments' frames per call
+# frames per trunk call: max(1, TRUNK_FRAMES // seg_len) windows or segments
+TRUNK_FRAMES = 1024
 
 
 def _check_geometry(seg_len: int, shift: int) -> None:
@@ -56,8 +57,8 @@ def _overlap_average(n_t: int, seg_len: int, outputs) -> np.ndarray:
     return total / count[:, None, None]
 
 
-def _segment_batches(data: np.ndarray, seg_len: int, shift: int):
-    """Yield (starts, segments) in start order, at most MAX_BATCH segments
+def _segment_batches(data: np.ndarray, seg_len: int, shift: int, per: int = MAX_BATCH):
+    """Yield (starts, segments) in start order, at most `per` segments
     at a time, for `_segment_starts(data.shape[1], seg_len, shift)`.
 
     `segments` is a read-only strided view of `data`,
@@ -67,8 +68,8 @@ def _segment_batches(data: np.ndarray, seg_len: int, shift: int):
     """
     windows = sliding_window_view(data, seg_len, axis=1).transpose(1, 0, 3, 2)
     grid = range(0, len(windows), shift)
-    for lo in range(0, len(grid), MAX_BATCH):
-        starts = grid[lo:lo + MAX_BATCH]
+    for lo in range(0, len(grid), per):
+        starts = grid[lo:lo + per]
         yield starts, windows[starts.start:starts.stop:shift]
     if grid[-1] != len(windows) - 1:
         yield [len(windows) - 1], windows[-1:]
@@ -105,30 +106,34 @@ def _segment_gates(branch, data: np.ndarray, seg_len: int, shift: int, halo: int
     of `_segment_starts(data.shape[1], seg_len, shift)` on its own,
     (seg_len, 6 * gru_hidden).
 
-    Where a segment's edge rows would overlap, each `_segment_batches`
-    batch goes through the trunk as it is, TRUNK_BATCH segments per call.
-    Otherwise the clip goes through the trunk in windows of seg_len frames
-    every step = seg_len - 2 * halo frames (plus one flush against the
-    end), TRUNK_BATCH per call; each window gives the frames at least
-    `halo` from its edges inside the clip, where it equals the whole-clip
-    trunk, and these are projected together.  A segment's rows within
-    `halo` of an edge inside the clip come from edge rows: its left edge
-    at s from window s // step, its right from window ceil(s / step) (the
-    last window where that is past the grid), each equal to the clip on
-    every row the edge reads.  An edge reads at most 2 * halo rows a
-    layer, so an edge call takes at most TRUNK_BATCH * seg_len rows.
-    A segment is yielded once the window of its right edge has run, and
-    clip frames are kept only from the first segment not yet yielded, so
-    memory does not grow with the clip.
+    A trunk call takes per = max(1, TRUNK_FRAMES // seg_len) windows or
+    segments.  Where a segment's edge rows would overlap, the segments go
+    through the trunk as they are, per at a time.  Otherwise the clip goes
+    through the trunk in windows of seg_len frames every
+    step = seg_len - 2 * halo frames (plus one flush against the end),
+    per at a time; each window gives the frames at least `halo` from its
+    edges inside the clip, where it equals the whole-clip trunk, and these
+    are projected together.  A segment's rows within `halo` of an edge
+    inside the clip come from edge rows: its left edge at s from window
+    s // step, its right from window ceil(s / step) (the last window where
+    that is past the grid), each equal to the clip on every row the edge
+    reads.  A conv of an edge reads at most halo + d rows, d the largest
+    dilation, so an edge call takes at most per * seg_len // (halo + d)
+    edges, no more rows than a trunk call.  An edge's bits do not depend
+    on how many edges share its call, as every conv GEMM stays on
+    OpenBLAS's large kernel however few rows it has (`_stacked_conv` in
+    `net.layers`).  A segment is yielded once the window of its right edge
+    has run, and clip frames are kept only from the first segment not yet
+    yielded, so memory does not grow with the clip.
     """
+    per = max(1, TRUNK_FRAMES // seg_len)
     if seg_len <= 2 * halo:
-        for _, x in _segment_batches(data, seg_len, shift):
-            for lo in range(0, len(x), TRUNK_BATCH):
-                yield from branch.gru.project(branch.forward_trunk(x[lo:lo + TRUNK_BATCH]))
+        for _, x in _segment_batches(data, seg_len, shift, per):
+            yield from branch.gru.project(branch.forward_trunk(x))
         return
     n_t = data.shape[1]
     step = seg_len - 2 * halo
-    per_call = TRUNK_BATCH * seg_len // (2 * halo)
+    edge_cap = per * seg_len // (halo + 2 ** (branch.cfg.layers_per_block - 1))
     windows = _segment_starts(n_t, seg_len, step)
     starts = np.array(_segment_starts(n_t, seg_len, shift))
     last = -(-starts // step)  # the right edge's window; for the end segment, the last window
@@ -136,8 +141,8 @@ def _segment_gates(branch, data: np.ndarray, seg_len: int, shift: int, halo: int
     lo = end = 0  # the clip frames of frames[0] and frames[-1] + 1
     edges = {}  # (segment index, left) -> (halo, 6 * gru_hidden) projections
     i = 0  # the first segment not yet yielded
-    for w0 in range(0, len(windows), TRUNK_BATCH):
-        part = windows[w0:w0 + TRUNK_BATCH]
+    for w0 in range(0, len(windows), per):
+        part = windows[w0:w0 + per]
         x = np.stack([data[:, s:s + seg_len] for s in part])
         ys = branch.forward_trunk(x)
         kept = []
@@ -148,8 +153,8 @@ def _segment_gates(branch, data: np.ndarray, seg_len: int, shift: int, halo: int
         frames = np.concatenate([frames, branch.gru.project(np.concatenate(kept))])
         for left, w, e in ((True, starts // step, starts), (False, last, starts + seg_len)):
             mine = np.flatnonzero((w0 <= w) & (w < w0 + len(part)) & (0 < e) & (e < n_t))
-            for c in range(0, len(mine), per_call):  # the edges inside the clip, in this batch's windows
-                k = mine[c:c + per_call]
+            for c in range(0, len(mine), edge_cap):  # the edges inside the clip, in this call's windows
+                k = mine[c:c + edge_cap]
                 rows = branch.forward_edges(x, w[k] - w0, e[k] - np.take(windows, w[k]), left)
                 edges.update(zip([(j, left) for j in k.tolist()], branch.gru.project(rows)))
         del x, ys, kept  # not held while the segments run

@@ -36,6 +36,12 @@ STACK_ROWS = 4096          # output rows per stacked-tap GEMM, which bounds the 
 _SMALL_GEMM = 1e6
 
 
+def _least_rows(per_row: int) -> int:
+    """The fewest rows that keep a GEMM on OpenBLAS's large kernel, when
+    its other two sizes multiply to `per_row`."""
+    return int(_SMALL_GEMM // per_row) + 1
+
+
 def _gemm_acc(out2d: np.ndarray, a2d: np.ndarray, b2d: np.ndarray) -> np.ndarray:
     """out += a @ b without temporaries.
 
@@ -65,22 +71,30 @@ def _stacked_conv(x2, y2, W, b, offs, lo: int, hi: int, scratch) -> None:
     onto the bias).  Stacking all nine taps would also multiply the rows
     between the first and the last kernel row's reach.  The rows go in
     pieces of about STACK_ROWS, never so few that a GEMM drops to
-    OpenBLAS's small-matrix kernel, so the bits of y do not depend on where
-    the pieces end.  `scratch(size)` gives the flat product buffer.
+    OpenBLAS's small-matrix kernel, and a call of fewer rows than that
+    multiplies a copy of them followed by zero rows, so the bits of y
+    depend neither on where the pieces end nor on how many rows a call
+    takes.  `scratch(size)` gives the flat product buffer.
     """
     C, Co = W.shape[1:]
     stacked = np.ascontiguousarray(W.transpose(0, 2, 1)).reshape(3, 3 * Co, C)
     n = hi - lo
-    least = int(_SMALL_GEMM // (3 * Co * C)) + 1  # rows that keep a GEMM on the large kernel
+    least = _least_rows(3 * Co * C)
     pieces = max(1, min(-(-n // STACK_ROWS), n // least))
     # sized for the longest piece any call can take, so the buffer never grows
     buf = scratch(3 * Co * (max(STACK_ROWS, 2 * least) + offs[2] - offs[0]))
+    wide = None  # the rows of a call too short for the large kernel, then zero rows
     for k in range(pieces):
         s, e = lo + n * k // pieces, lo + n * (k + 1) // pieces
         y = y2[:, s:e]
         for i in range(3):
             a, z = s + offs[3 * i], e + offs[3 * i + 2]
-            prod = _gemm(buf[:3 * Co * (z - a)].reshape(3 * Co, z - a), stacked[i], x2[:, a:z])
+            rows = x2[:, a:z]
+            if z - a < least:  # every kernel row reads as many rows, so the zeros stay
+                wide = np.zeros((C, least), x2.dtype) if wide is None else wide
+                wide[:, :z - a] = rows
+                rows = wide
+            prod = _gemm(buf[:3 * Co * rows.shape[1]].reshape(3 * Co, -1), stacked[i], rows)
             for j in range(3):
                 tap = prod[j * Co:(j + 1) * Co, s + offs[3 * i + j] - a:e + offs[3 * i + j] - a]
                 if i or j:
@@ -640,9 +654,14 @@ class Gru(Module):
 
     def project(self, x: np.ndarray) -> np.ndarray:
         """(..., D) -> (..., 3H): x @ Wx + bx, the gates' input half, which
-        depends on each frame alone."""
+        depends on each frame alone.  Too few frames for OpenBLAS's large
+        kernel are multiplied followed by zero frames, so a frame's bits
+        do not depend on how many frames share the call."""
         x2 = np.ascontiguousarray(x).reshape(-1, self.in_dim)
-        return (x2 @ self.params["Wx"] + self.params["bx"]).reshape(*x.shape[:-1], 3 * self.hidden)
+        n, least = len(x2), _least_rows(self.in_dim * 3 * self.hidden)
+        if n < least:
+            x2 = np.concatenate([x2, np.zeros((least - n, self.in_dim), x2.dtype)])
+        return (x2 @ self.params["Wx"] + self.params["bx"])[:n].reshape(*x.shape[:-1], 3 * self.hidden)
 
     def recur(self, gx: np.ndarray) -> np.ndarray:
         """(B, T, 3H) projected input -> (B, T, H) hidden states, run in

@@ -154,6 +154,8 @@ class ConvTrunk(Module):
         window's grid.  Each conv unit then computes, in place, just the r
         rows of every edge of its channel slice, from the r + d rows flush
         against it; the stem writes the first block's grid the same way.
+        One block's grid is alive at a time (the stem's only while the
+        stem runs): only the pooled rows carry over to the next block.
         This is exact where the window equals the clip on the rows read:
         within seg_len - 2 * time_halo rows of the window's start for a
         left edge, of its end for a right edge.
@@ -186,6 +188,7 @@ class ConvTrunk(Module):
                 with stem.conv.on_grid(src, g[:stem.conv.out_ch]):
                     y = stem.forward_edges(near(features, 2 * reach).transpose(1, 2, 3, 0), left)
                 _put(near(rows, reach)[:stem.conv.out_ch].transpose(1, 2, 3, 0), y)
+                del src, features
             else:
                 near(rows, reach)[:block.in_ch] = own.transpose(3, 0, 1, 2)
             for unit, d in zip(block.units, dilations):
@@ -195,6 +198,7 @@ class ConvTrunk(Module):
                     y = unit.forward_edges(near(rows, reach + d)[:lo].transpose(1, 2, 3, 0), left)
                 _put(near(rows, reach)[lo:lo + block.growth].transpose(1, 2, 3, 0), y)
             own = pool.forward(near(rows, reach).transpose(1, 2, 3, 0))
+            del g, rows, y  # before the next block's grid is made
         return own.swapaxes(0, 1)
 
     def backward(self, dy: np.ndarray) -> np.ndarray:

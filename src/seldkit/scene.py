@@ -119,7 +119,8 @@ class AmbisonicClip:
         self.samples = np.asarray(self.samples, dtype=float)
         if self.samples.ndim != 2 or self.samples.shape[0] != 4:
             raise ValueError(f"expected (4, L) samples, got {self.samples.shape}")
-        if not np.all(np.isfinite(self.samples)):
+        # min and max are finite only when every sample is, and need no mask the size of the clip
+        if self.samples.size and not (np.isfinite(self.samples.min()) and np.isfinite(self.samples.max())):
             bad = ~np.isfinite(self.samples)
             sample = int(bad.any(axis=0).argmax())
             channel = int(bad[:, sample].argmax())
@@ -353,7 +354,7 @@ def render_scene(placed, events: EventList):
     """Render placed events into a fresh clip peak-normalized to 0.5;
     returns (AmbisonicClip, events)."""
     clip = render_events(placed, events.n_frames)
-    peak = np.max(np.abs(clip.samples))
+    peak = max(clip.samples.max(), -clip.samples.min())  # max |sample|, without a temporary
     if peak > 0:
         clip.samples *= 0.5 / peak
     return clip, events

@@ -12,6 +12,7 @@ from seldkit.accdoa import compose_accdoa, decode_accdoa, pool_to_label_rate
 from seldkit.augment import ALL_PATTERNS, RotationPattern, rotate_accdoa, rotate_foa, zero_signs_matter
 from seldkit.features import FRAME_CHUNK, FeatureStack, StftConfig, extract_features, stft
 from seldkit import features, infer
+from seldkit.net import layers
 from seldkit.infer import Predictor, rotation_tta, sliding_inference
 from seldkit.intensity import IntensityVectorModel
 from seldkit.metrics import evaluate
@@ -154,14 +155,20 @@ class TestPredictorNetworks:
         np.testing.assert_allclose(out, segment_by_segment(forward, data, seg_len, shift), atol=1e-6)
 
     @pytest.mark.parametrize("kind", ["rd3net", "two-stage"])
-    def test_segment_starting_past_the_projected_frames(self, kind):
-        # windows every 50 - 2 * 7 = 36 frames, 8 per trunk call: the first
-        # call projects the clip up to frame 7 * 36 + 50 - 7 = 295 and
-        # completes the segment at 250; the next one starts at 300
+    def test_segment_starting_past_the_projected_frames(self, kind, monkeypatch):
+        # 580 frames: 15 windows every 50 - 2 * 7 = 36 frames and one flush
+        # against the end, 8 a call at a budget of 400 frames, so 8 and 8:
+        # the first call projects the clip up to frame 7 * 36 + 50 - 7 = 295
+        # and completes the segment at 250; the next one starts at 300
+        monkeypatch.setattr(infer, "TRUNK_FRAMES", 400)
         model, forward = self.network(kind)
-        data = np.random.default_rng(3).standard_normal((7, 400, NET.f_bins))
+        sizes = []
+        for branch in model.branches:
+            branch.forward_trunk = lambda x, trunk=branch.forward_trunk: sizes.append(len(x)) or trunk(x)
+        data = np.random.default_rng(3).standard_normal((7, 580, NET.f_bins))
         out = Predictor(model, STFT, seg_len=50, shift=50).predict_features(FeatureStack(data))
-        assert infer.TRUNK_BATCH == 8 and NET.time_halo == 7
+        assert NET.time_halo == 7
+        assert sizes == [8] * 2 * len(model.branches)
         # float32 sums on N(0, 1) inputs round apart by up to about 1e-6
         np.testing.assert_allclose(out, segment_by_segment(forward, data, 50, 50), atol=1e-5)
 
@@ -195,16 +202,18 @@ class TestPredictorNetworks:
 
     @pytest.mark.parametrize("seg_len, shift, n_t, segment_frames", [
         pytest.param(40, 4, 300, 0, id="clip-trunk-and-edges"),
+        pytest.param(40, 4, 1400, 0, id="several-calls"),
         pytest.param(14, 4, 300, 1, id="edges-cover-segments"),
     ])
     def test_trunk_work_and_call_size(self, seg_len, shift, n_t, segment_frames, monkeypatch):
-        # every trunk call and every conv call holds at most TRUNK_BATCH
-        # segments' frames.  With room between a segment's edges, each frame
-        # goes through the trunk about once, in windows, and each conv unit
-        # takes a few rows per segment edge (TestEdgeRows.ROWS); otherwise
-        # each segment goes through the trunk once
+        # every trunk call and every conv call holds at most TRUNK_FRAMES //
+        # seg_len segments' frames, and an edge call at most as many rows a
+        # unit.  With room between a segment's edges, each frame goes
+        # through the trunk about once, in windows, and each conv unit takes
+        # a few rows per segment edge (TestEdgeRows.ROWS); otherwise each
+        # segment goes through the trunk once
         model, _ = self.network("rd3net")
-        calls, conv_rows = [], []
+        calls, conv_rows, edge_rows = [], [], []
         trunk = model.branch.forward_trunk
         conv_forward, conv_edges = Conv2d.forward, Conv2d.forward_edges
 
@@ -217,7 +226,7 @@ class TestPredictorNetworks:
             return conv_forward(layer, x)
 
         def edges(layer, x, left):
-            conv_rows.append(x.shape[0] * x.shape[1])
+            edge_rows.append(x.shape[0] * x.shape[1])
             return conv_edges(layer, x, left)
 
         model.branch.forward_trunk = recorded
@@ -228,21 +237,27 @@ class TestPredictorNetworks:
         n_seg = len(range(0, n_t - seg_len + 1, shift)) + ((n_t - seg_len) % shift > 0)
         halo = NET.time_halo
         units = len(TestEdgeRows.ROWS)
-        assert infer.TRUNK_BATCH == 8
-        assert max(calls) <= infer.TRUNK_BATCH * seg_len
-        assert max(conv_rows) <= infer.TRUNK_BATCH * seg_len
+        budget = infer.TRUNK_FRAMES // seg_len * seg_len
+        assert max(calls) <= budget
+        assert max(conv_rows + edge_rows) <= budget
         if segment_frames:
             assert sum(calls) == n_seg * seg_len
             assert sum(conv_rows) == units * n_seg * seg_len
+            assert not edge_rows
         else:
             windows = math.ceil((n_t - seg_len) / (seg_len - 2 * halo)) + 1
-            edges = 2 * n_seg - 2
             assert sum(calls) == windows * seg_len
-            assert sum(conv_rows) == units * windows * seg_len + edges * sum(TestEdgeRows.ROWS)
+            assert len(calls) == math.ceil(windows * seg_len / budget)
+            assert sum(conv_rows) == units * windows * seg_len
+            assert sum(edge_rows) == (2 * n_seg - 2) * sum(TestEdgeRows.ROWS)
+            # a conv of an edge reads at most halo + 2 rows (NET's largest dilation)
+            assert max(edge_rows) <= budget // (halo + 2) * max(TestEdgeRows.ROWS)
 
-    def test_memory_does_not_grow_with_the_clip(self):
+    def test_memory_does_not_grow_with_the_clip(self, monkeypatch):
         # the clip trunk is kept only around the current segments: four
-        # times the clip adds about its output, not its trunk (gru_in floats a frame)
+        # times the clip adds about its output, not its trunk (gru_in floats
+        # a frame).  8 windows a call, which both clips fill
+        monkeypatch.setattr(infer, "TRUNK_FRAMES", 8 * 32)
         model, _ = self.network("rd3net")
         rng = np.random.default_rng(0)
 
@@ -258,6 +273,35 @@ class TestPredictorNetworks:
         peak(200)  # allocates the layers' workspaces
         growth = peak(1600) - peak(400)
         assert growth < 1200 * NET.gru_in * 4 / 4
+
+    @pytest.mark.parametrize("kind, cfg", [("rd3net", NET), ("two-stage", NET), ("rd3net", DESK)],
+                             ids=["rd3net-net", "two-stage-net", "rd3net-desk"])
+    @pytest.mark.parametrize("seg_len, shift, n_t", [(64, 7, 250), (128, 20, 500)])
+    def test_frame_budget_does_not_move_bits(self, kind, cfg, seg_len, shift, n_t, monkeypatch):
+        # 1, 2 or 16 windows a call, and the edge calls they make: no conv
+        # or projection GEMM drops to OpenBLAS's small-matrix kernel, however
+        # few windows, edges or frames a call holds
+        model = TestFoldedNetworks.moved_network(kind, cfg)
+        data = np.random.default_rng(3).standard_normal((7, n_t, cfg.f_bins)).astype(np.float32)
+        outs = []
+        for budget in (seg_len, 2 * seg_len, 16 * seg_len):
+            monkeypatch.setattr(infer, "TRUNK_FRAMES", budget)
+            outs.append(Predictor(model, STFT, seg_len=seg_len, shift=shift).predict_features(FeatureStack(data)))
+        assert same_bits(outs[0], outs[1]) and same_bits(outs[0], outs[2])
+
+    def test_trunk_grids_hold_one_window_at_seg_len_of_the_budget(self):
+        # 2,100 frames at seg_len TRUNK_FRAMES: three windows, one a call
+        model, _ = self.network("rd3net")
+        seg_len, trunk = infer.TRUNK_FRAMES, model.branch.trunk
+        data = np.random.default_rng(0).standard_normal((7, 2100, NET.f_bins))
+        Predictor(model, STFT, seg_len=seg_len, shift=20).predict_features(FeatureStack(data))
+        F = NET.f_trimmed
+        for block, _ in trunk.stages:
+            p = block.pad
+            assert block._ws_store["grid"].size == block.out_ch * (seg_len + 2 * p) * (F + 2 * p)
+            F //= NET.freq_pool
+        p = trunk.stages[0][0].pad
+        assert trunk._ws_store["features"].size == 7 * (seg_len + 2 * p) * (NET.f_trimmed + 2 * p)
 
     @pytest.mark.parametrize("kind", ["rd3net", "two-stage"])
     @pytest.mark.parametrize("seg_len, shift", [(64, 20), (10, 3)], ids=["shared-trunk", "per-segment"])
@@ -342,7 +386,9 @@ class TestEdgeRows:
         rng = np.random.default_rng(9)
         seg_len, halo = 64, cfg.time_halo
         x = rng.standard_normal((3, 7, seg_len, cfg.f_bins)).astype(np.float32)
-        n_edges = 2 * infer.TRUNK_BATCH * seg_len // (2 * halo) + 5  # more than two of `_segment_gates`' edge calls take
+        # more than two of `_segment_gates`' edge calls take: a conv of an
+        # edge reads at most halo + d rows, d the largest dilation
+        n_edges = 2 * (infer.TRUNK_FRAMES // (halo + 2 ** (cfg.layers_per_block - 1))) + 5
         window = rng.integers(0, len(x), n_edges)
         at = rng.integers(0, seg_len - 2 * halo + 1, n_edges) + (0 if left else 2 * halo)
         for branch in model.branches:
@@ -352,6 +398,37 @@ class TestEdgeRows:
             got = branch.trunk.edge_rows(h, window, at, left)
             assert got.shape == (n_edges, halo, cfg.f_out, cfg.trunk_channels)
             np.testing.assert_array_equal(got, expected)
+
+
+    @pytest.mark.parametrize("cfg, crossing", [(NET, 107), (DESK, 31)], ids=["net", "desk"])
+    @pytest.mark.parametrize("left", [True, False], ids=["left", "right"])
+    def test_bits_do_not_depend_on_the_edges_per_call(self, cfg, crossing, left, monkeypatch):
+        # calls of 1 ... crossing + 2 edges against the same edges' rows of
+        # one call of them all.  A call of fewer than `crossing` edges has a
+        # conv GEMM below `least` rows, where OpenBLAS would take its
+        # small-matrix kernel and round sums of 32 or more terms apart
+        model = TestFoldedNetworks.moved_network("rd3net", cfg)
+        rng = np.random.default_rng(11)
+        seg_len, halo = 64, cfg.time_halo
+        x = rng.standard_normal((3, 7, seg_len, cfg.f_bins)).astype(np.float32)
+        trunk = model.branch.trunk
+        model.branch.forward_trunk(x)
+        h = model.branch._channels_last(x)
+        n_edges = 2 * crossing + 5
+        window = rng.integers(0, len(x), n_edges)
+        at = rng.integers(0, seg_len - 2 * halo + 1, n_edges) + (0 if left else 2 * halo)
+        whole = trunk.edge_rows(h, window, at, left)
+        gemms = []
+        stacked_conv = layers._stacked_conv
+        monkeypatch.setattr(layers, "_stacked_conv", lambda x2, y2, W, b, offs, lo, hi, scratch: (
+            gemms.append(hi - lo >= layers._least_rows(3 * W.shape[2] * W.shape[1]))
+            or stacked_conv(x2, y2, W, b, offs, lo, hi, scratch)))
+        for n in range(1, crossing + 3):
+            lo = n % (n_edges - n)  # a different run of edges for each size
+            gemms.clear()
+            got = trunk.edge_rows(h, window[lo:lo + n], at[lo:lo + n], left)
+            assert all(gemms) == (n >= crossing), n
+            assert same_bits(got, whole[lo:lo + n]), n
 
 
 def same_or_close(a, b) -> bool:

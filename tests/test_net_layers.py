@@ -157,8 +157,9 @@ class TestConvForward:
     def test_edges_match_each_edge_alone(self, dtype, dilation, left, monkeypatch):
         # E edges side by side give each edge's r rows nearest the edge, as
         # the conv of that edge's r + d rows alone, padded with zeros, does;
-        # each kernel row's stacked GEMM covers at most r (E (F + d) + d)
-        # grid rows
+        # each kernel row's stacked GEMM covers the r (E (F + d) + d) grid
+        # rows, or as many rows as keep it on OpenBLAS's large kernel when
+        # that is more (a copy of them followed by zero rows)
         from seldkit.net import layers
 
         rng = np.random.default_rng(dilation)
@@ -174,7 +175,8 @@ class TestConvForward:
         conv.forward(rng.standard_normal((2, 8, F, C)).astype(dtype))  # leaves nonzero rows in the workspaces
         gemm_rows.clear()
         assert same_bits(np.ascontiguousarray(conv.forward_edges(x, left)), np.ascontiguousarray(expected))
-        assert len(gemm_rows) == 3 and max(gemm_rows) <= r * (E * (F + dilation) + dilation)
+        least = layers._least_rows(3 * 5 * C)
+        assert gemm_rows == [max(r * (E * (F + dilation) + dilation), least)] * 3
 
     @pytest.mark.parametrize("dilation", [1, 2, 4])
     def test_forward_after_edges_rezeroes_its_borders(self, dilation):
@@ -386,6 +388,24 @@ class TestConvOnGrid:
         assert same_bits(np.ascontiguousarray(self.forward(conv, grid)), expected)
         assert same_bits(expected, conv2d_by_tap_copies(x, conv.params["W"], conv.params["b"], 2))
 
+    @pytest.mark.parametrize("dilation, T, F", [(1, 19, 32), (2, 5, 36), (4, 10, 12)])
+    def test_bits_do_not_depend_on_the_rows_a_call_takes(self, dilation, T, F):
+        # one item of a batch alone: its GEMMs are below the large kernel's
+        # rows (K = 42 >= 32, where OpenBLAS's small kernel rounds apart;
+        # these shapes did) and run on a copy followed by zero rows; the
+        # batch's are past them
+        from seldkit.net import layers
+
+        rng = np.random.default_rng(dilation)
+        conv = Conv2d(42, 6, dilation, rng)
+        conv.params["b"][...] = rng.standard_normal(6)
+        x = rng.standard_normal((16, T, F, 42)).astype(np.float32)
+        least = layers._least_rows(3 * 6 * 42)
+        assert (T + 2 * dilation) * (F + 2 * dilation) < least < 16 * T * F
+        batch = np.ascontiguousarray(conv.forward(x))
+        for b in range(3):
+            assert same_bits(np.ascontiguousarray(conv.forward(x[b:b + 1])), batch[b:b + 1])
+
 
 class TestBackwardOnGrid:
     """A conv unit's backward on a dense block's gradient grid, border P = 4
@@ -534,6 +554,16 @@ class TestGruSplit:
         g = gru.project(x)
         assert g.shape == (2, 6, 18)
         assert same_bits(gru.forward(x), gru.recur(g))
+
+    @pytest.mark.parametrize("frames", [1, 7, 50])
+    def test_projection_bits_do_not_depend_on_the_frames_a_call_takes(self, frames):
+        # 512 inputs and 12 gates: fewer than 163 frames are below OpenBLAS's
+        # large kernel and run followed by zero frames
+        rng = np.random.default_rng(34)
+        gru = Gru(512, 4, rng)
+        gru.params["bx"][...] = rng.standard_normal(12)
+        x = rng.standard_normal((400, 512)).astype(np.float32)
+        assert same_bits(gru.project(x[:frames]), gru.project(x)[:frames])
 
 
 class TestFreqPoolForward:

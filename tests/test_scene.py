@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -199,6 +200,19 @@ class TestSynthScene:
         clip, _ = synth_scene(SceneConfig(n_classes=3, duration_s=2.0, n_events=2, rng_seed=4))
         assert np.abs(clip.samples).max() == pytest.approx(0.5)
 
+    def test_peak_memory_is_about_the_clip(self):
+        # no temporary the size of the clip: the peak is the clip, the
+        # event signals and one event's encoding (measured 1.33x at 10 s;
+        # an np.abs copy for the normalisation peak makes it 2.08x)
+        cfg = SceneConfig(n_classes=3, duration_s=10.0, rng_seed=5)
+        tracemalloc.start()
+        try:
+            clip, _ = synth_scene(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * clip.samples.nbytes
+
     def test_deterministic(self):
         cfg = SceneConfig(n_classes=3, duration_s=2.0, n_events=2, rng_seed=123)
         c1, e1 = synth_scene(cfg)
@@ -282,6 +296,38 @@ class TestFileFormats:
         path.write_bytes(raw[:len(raw) - frames_cut * 4 * 4])  # float32 frames of 4 channels
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: truncated WAV file: Reached EOF prematurely"):
             read_wav(path)
+
+    def test_read_peak_memory_is_the_frames_and_the_clip(self, tmp_path):
+        # scipy's float32 frames and the float64 clip, with no finiteness
+        # mask the size of the clip (which would add an eighth of it)
+        path = tmp_path / "clip.wav"
+        write_wav(path, AmbisonicClip(np.random.default_rng(0).standard_normal((4, 240_000))))
+        tracemalloc.start()
+        try:
+            clip = read_wav(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * clip.samples.nbytes + 64 * 1024
+
+    @pytest.mark.parametrize("bad, where", [
+        ({(0, 0): np.nan}, "nan at channel 0, sample 0"),
+        ({(3, 23_999): -np.inf}, "-inf at channel 3, sample 23999"),
+        ({(2, 12_000): np.inf, (1, 12_001): np.nan, (3, 12_000): np.nan}, "inf at channel 2, sample 12000"),
+        ({(1, 5): np.nan, (0, 7): np.inf}, "nan at channel 1, sample 5"),
+    ], ids=["first", "last", "lowest-channel-of-the-earliest", "nan-before-inf"])
+    def test_non_finite_sample_named(self, tmp_path, bad, where):
+        # the earliest bad sample, and of its channels the lowest
+        data = np.zeros((24_000, 4), dtype=np.float32)
+        for (channel, sample), value in bad.items():
+            data[sample, channel] = value
+        path = tmp_path / "bad.wav"
+        wavfile.write(str(path), 24000, data)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: non-finite sample {re.escape(where)}$"):
+            read_wav(path)
+
+    def test_empty_clip_accepted(self):
+        assert AmbisonicClip(np.zeros((4, 0))).n_samples == 0
 
     def test_int16_wav_scaled_by_full_scale(self, tmp_path):
         path = tmp_path / "pcm16.wav"
