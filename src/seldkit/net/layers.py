@@ -556,9 +556,13 @@ class Tanh(Module):
         return dy * (1.0 - self._y * self._y)
 
 
+def _sigmoid(x):
+    return 1.0 / (1.0 + np.exp(-x))
+
+
 class Sigmoid(Module):
     def forward(self, x: np.ndarray) -> np.ndarray:
-        self._y = 1.0 / (1.0 + np.exp(-x))
+        self._y = _sigmoid(x)
         return self._y
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
@@ -625,25 +629,36 @@ class FreqPool(Module):
 
 
 class Gru(Module):
-    """Single-direction GRU over (B, T, D) -> (B, T, H).
+    """Bidirectional GRU over (B, T, D) -> (B, T, 2H): the forward
+    direction's hidden states, then those of the backward direction, which
+    reads the frames last to first.
 
-    Gate layout along the last parameter axis is [reset, update, candidate];
-    the candidate's recurrent contribution is gated by reset including its
-    bias, matching the common two-bias formulation.
+    Both directions step through one time loop with the state (2, B, H),
+    axis 0 the direction: at step s the forward direction is at frame s
+    and the backward one at frame T - 1 - s, and each step's recurrent
+    gates are one stacked product.  Each direction has its own `fwd.*` and
+    `bwd.*` tensors; the gate layout along their last axis is [reset,
+    update, candidate], and the candidate's recurrent contribution is gated
+    by reset including its bias, matching the common two-bias formulation.
     """
 
-    def __init__(self, in_dim: int, hidden: int, rng, reverse: bool = False, dtype=np.float32):
+    def __init__(self, in_dim: int, hidden: int, rng, dtype=np.float32):
         super().__init__()
         self.in_dim = in_dim
         self.hidden = hidden
-        self.reverse = reverse
+        self.dtype = dtype
         bx = np.sqrt(6.0 / (in_dim + 3 * hidden))
         bh = np.sqrt(6.0 / (hidden + 3 * hidden))
-        self.register_param("Wx", rng.uniform(-bx, bx, (in_dim, 3 * hidden)).astype(dtype))
-        self.register_param("Wh", rng.uniform(-bh, bh, (hidden, 3 * hidden)).astype(dtype))
-        self.register_param("bx", np.zeros(3 * hidden, dtype=dtype))
-        self.register_param("bh", np.zeros(3 * hidden, dtype=dtype))
-        self.dtype = dtype
+        for d in ("fwd.", "bwd."):
+            self.register_param(d + "Wx", rng.uniform(-bx, bx, (in_dim, 3 * hidden)).astype(dtype))
+            self.register_param(d + "Wh", rng.uniform(-bh, bh, (hidden, 3 * hidden)).astype(dtype))
+            self.register_param(d + "bx", np.zeros(3 * hidden, dtype=dtype))
+            self.register_param(d + "bh", np.zeros(3 * hidden, dtype=dtype))
+
+    def _pair(self, name: str, of: dict | None = None) -> tuple:
+        """The fwd and bwd tensors `name` of `of`, the parameters by default."""
+        of = self.params if of is None else of
+        return of["fwd." + name], of["bwd." + name]
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         """The recurrence applied to the projection of x."""
@@ -653,99 +668,83 @@ class Gru(Module):
         return self.recur(self.project(x2.reshape(x.shape)))
 
     def project(self, x: np.ndarray) -> np.ndarray:
-        """(..., D) -> (..., 3H): x @ Wx + bx, the gates' input half, which
-        depends on each frame alone.  Too few frames for OpenBLAS's large
-        kernel are multiplied followed by zero frames, so a frame's bits
-        do not depend on how many frames share the call."""
+        """(..., D) -> (..., 6H): x @ Wx + bx of the fwd, then the bwd
+        direction, the gates' input half, which depends on each frame
+        alone.  Too few frames for OpenBLAS's large kernel are multiplied
+        followed by zero frames, so a frame's bits do not depend on how
+        many frames share the call."""
+        Wx = np.concatenate(self._pair("Wx"), axis=1)
         x2 = np.ascontiguousarray(x).reshape(-1, self.in_dim)
-        n, least = len(x2), _least_rows(self.in_dim * 3 * self.hidden)
+        n, least = len(x2), _least_rows(Wx.size)
         if n < least:
             x2 = np.concatenate([x2, np.zeros((least - n, self.in_dim), x2.dtype)])
-        return (x2 @ self.params["Wx"] + self.params["bx"])[:n].reshape(*x.shape[:-1], 3 * self.hidden)
+        g = x2 @ Wx
+        g += np.concatenate(self._pair("bx"))
+        return g[:n].reshape(*x.shape[:-1], 6 * self.hidden)
 
-    def recur(self, gx: np.ndarray) -> np.ndarray:
-        """(B, T, 3H) projected input -> (B, T, H) hidden states, run in
-        this layer's direction; keeps what backward needs, if anything."""
-        B, T = gx.shape[:2]
+    def recur(self, g: np.ndarray) -> np.ndarray:
+        """(B, T, 6H) projections -> (B, T, 2H), as forward gives from the
+        input; keeps what backward needs, if anything."""
+        B, T = g.shape[:2]
         H = self.hidden
-        order = range(T - 1, -1, -1) if self.reverse else range(T)
-        h = np.zeros((B, H), dtype=self.dtype)
-        out = np.empty((B, T, H), dtype=self.dtype)
+        Wh, bh = np.stack(self._pair("Wh")), np.stack(self._pair("bh"))[:, None]
+        h = np.zeros((2, B, H), dtype=self.dtype)
+        gx = np.empty((2, B, 3 * H), dtype=self.dtype)
+        out = np.empty((B, T, 2 * H), dtype=self.dtype)
         cache = self._cache = [None] * T if self.for_backward else None
-        Wh, bh = self.params["Wh"], self.params["bh"]
-        for t in order:
-            gh = h @ Wh + bh
-            r = _sigmoid(gx[:, t, :H] + gh[:, :H])
-            z = _sigmoid(gx[:, t, H:2 * H] + gh[:, H:2 * H])
-            ghn = gh[:, 2 * H:]
-            n = np.tanh(gx[:, t, 2 * H:] + r * ghn)
+        for s in range(T):
+            t = T - 1 - s
+            gx[0] = g[:, s, :3 * H]
+            gx[1] = g[:, t, 3 * H:]
+            gh = np.matmul(h, Wh) + bh
+            r = _sigmoid(gx[..., :H] + gh[..., :H])
+            z = _sigmoid(gx[..., H:2 * H] + gh[..., H:2 * H])
+            ghn = gh[..., 2 * H:]
+            n = np.tanh(gx[..., 2 * H:] + r * ghn)
             if cache is not None:
-                cache[t] = (r, z, n, ghn, h)
+                cache[s] = (r, z, n, ghn, h)
             h = (1.0 - z) * n + z * h
-            out[:, t] = h
+            out[:, s, :H] = h[0]
+            out[:, t, H:] = h[1]
         return out
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
+        """The same loop run in reverse, from the last step to the first."""
         B, T, D = self._shape
         H = self.hidden
-        Wh = self.params["Wh"]
-        dgx = np.zeros((B, T, 3 * H), dtype=self.dtype)
-        dh = np.zeros((B, H), dtype=self.dtype)
-        dWh = self.grads["Wh"]
-        dbh = self.grads["bh"]
-        order = range(T) if self.reverse else range(T - 1, -1, -1)
-        dgh = np.empty((B, 3 * H), dtype=self.dtype)
-        for t in order:
-            dh = dh + dy[:, t]
-            r, z, n, ghn, hprev = self._cache[t]
+        WhT = np.stack(self._pair("Wh")).transpose(0, 2, 1)
+        dWh, dbh = np.stack(self._pair("Wh", self.grads)), np.stack(self._pair("bh", self.grads))
+        dgx = np.empty((2, B, T, 3 * H), dtype=self.dtype)
+        dh = np.zeros((2, B, H), dtype=self.dtype)
+        dgh = np.empty((2, B, 3 * H), dtype=self.dtype)
+        for s in range(T - 1, -1, -1):
+            t = T - 1 - s
+            dh[0] += dy[:, s, :H]
+            dh[1] += dy[:, t, H:]
+            r, z, n, ghn, hprev = self._cache[s]
             dz = dh * (hprev - n)
             dn = dh * (1.0 - z)
             dhprev = dh * z
             dan = dn * (1.0 - n * n)
             dr = dan * ghn
-            dgh[:, :H] = dr * r * (1.0 - r)
-            dgh[:, H:2 * H] = dz * z * (1.0 - z)
-            dgh[:, 2 * H:] = dan * r
-            dgx[:, t, :H] = dgh[:, :H]
-            dgx[:, t, H:2 * H] = dgh[:, H:2 * H]
-            dgx[:, t, 2 * H:] = dan
-            dWh += hprev.T @ dgh
-            dbh += dgh.sum(axis=0)
-            dh = dhprev + dgh @ Wh.T
-        dgx2 = dgx.reshape(-1, 3 * H)
-        self.grads["Wx"] += self._x2.T @ dgx2
-        self.grads["bx"] += dgx2.sum(axis=0)
-        return (dgx2 @ self.params["Wx"].T).reshape(B, T, D)
-
-
-def _sigmoid(x):
-    return 1.0 / (1.0 + np.exp(-x))
-
-
-class BiGru(Module):
-    """Bidirectional GRU; outputs of both directions are concatenated."""
-
-    def __init__(self, in_dim: int, hidden: int, rng, dtype=np.float32):
-        super().__init__()
-        self.hidden = hidden
-        self.fwd = self.register_child("fwd", Gru(in_dim, hidden, rng, reverse=False, dtype=dtype))
-        self.bwd = self.register_child("bwd", Gru(in_dim, hidden, rng, reverse=True, dtype=dtype))
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        return np.concatenate([self.fwd.forward(x), self.bwd.forward(x)], axis=-1)
-
-    def project(self, x: np.ndarray) -> np.ndarray:
-        """(..., D) -> (..., 6H): both directions' input projections."""
-        return np.concatenate([self.fwd.project(x), self.bwd.project(x)], axis=-1)
-
-    def recur(self, g: np.ndarray) -> np.ndarray:
-        """(B, T, 6H) projections -> (B, T, 2H), as forward gives from the input."""
-        h3 = 3 * self.hidden
-        return np.concatenate([self.fwd.recur(g[..., :h3]), self.bwd.recur(g[..., h3:])], axis=-1)
-
-    def backward(self, dy: np.ndarray) -> np.ndarray:
-        H = self.hidden
-        return self.fwd.backward(dy[..., :H]) + self.bwd.backward(dy[..., H:])
+            dgh[..., :H] = dr * r * (1.0 - r)
+            dgh[..., H:2 * H] = dz * z * (1.0 - z)
+            dgh[..., 2 * H:] = dan * r
+            dgx[0, :, s, :2 * H] = dgh[0, :, :2 * H]
+            dgx[0, :, s, 2 * H:] = dan[0]
+            dgx[1, :, t, :2 * H] = dgh[1, :, :2 * H]
+            dgx[1, :, t, 2 * H:] = dan[1]
+            dWh += np.matmul(hprev.transpose(0, 2, 1), dgh)
+            dbh += dgh.sum(axis=1)
+            dh = dhprev + np.matmul(dgh, WhT)
+        dgx2 = dgx.reshape(2, -1, 3 * H)
+        for i, d in enumerate(("fwd.", "bwd.")):
+            self.grads[d + "Wh"][...] = dWh[i]
+            self.grads[d + "bh"][...] = dbh[i]
+            self.grads[d + "Wx"] += self._x2.T @ dgx2[i]
+            self.grads[d + "bx"] += dgx2[i].sum(axis=0)
+        Wx = self._pair("Wx")
+        return (dgx2[0] @ Wx[0].T + dgx2[1] @ Wx[1].T).reshape(B, T, D)
 
 
 class ConvUnit(Module):

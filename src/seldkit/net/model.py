@@ -17,7 +17,7 @@ import numpy as np
 from ..accdoa import compose_accdoa
 from ..features import FEATURE_CHANNELS
 from .layers import (
-    BiGru, Conv2d, ConvUnit, DenseBlock, FreqPool, Linear, Module, NetDeconv, Sigmoid, Tanh,
+    Conv2d, ConvUnit, DenseBlock, FreqPool, Gru, Linear, Module, NetDeconv, Sigmoid, Tanh,
     _edge_columns, _put, _valid,
 )
 
@@ -219,7 +219,7 @@ class SeldBranch(Module):
         self.cfg = cfg
         self.out_per_class = out_per_class
         self.trunk = self.register_child("trunk", ConvTrunk(cfg, rng, dtype))
-        self.gru = self.register_child("gru", BiGru(cfg.gru_in, cfg.gru_hidden, rng, dtype))
+        self.gru = self.register_child("gru", Gru(cfg.gru_in, cfg.gru_hidden, rng, dtype))
         self.head = self.register_child(
             "head", Linear(2 * cfg.gru_hidden, cfg.n_classes * out_per_class, rng, dtype)
         )

@@ -19,6 +19,7 @@ from seldkit.augment import (
     ALL_PATTERNS, MAX_SECONDARIES, emda_mix, rotate_accdoa, rotate_events, rotate_foa, spec_augment,
 )
 from seldkit.features import FEATURE_CHANNELS, FeatureStack, extract_features, make_feature_stack
+from seldkit.net.layers import Module, _least_rows
 from seldkit.net.train import SceneBatchStream
 from seldkit.scene import (
     _EVENT_GAIN_RANGE, SAMPLE_RATE, AmbisonicClip, DoaAngles, Event, EventList, _fade_edges,
@@ -562,3 +563,96 @@ class DensePoolStream(SceneBatchStream):
         accdoa = seq[t0:].astype(np.float32)
         activity = (np.linalg.norm(accdoa, axis=-1) > 0).astype(np.float32)
         return fs.data.astype(np.float32), activity, accdoa
+
+
+class GruOneDirection(Module):
+    """One direction of a GRU over (B, T, D) -> (B, T, H) in its own time
+    loop, the reference for the bidirectional `Gru`; `reverse` runs the
+    frames last to first.  Two of these, forward then reverse, drawn one
+    after the other from one rng, are a `Gru`'s `fwd` and `bwd` halves.
+
+    Gate layout along the last parameter axis is [reset, update, candidate];
+    the candidate's recurrent contribution is gated by reset including its
+    bias, matching the common two-bias formulation.
+    """
+
+    def __init__(self, in_dim: int, hidden: int, rng, reverse: bool = False, dtype=np.float32):
+        super().__init__()
+        self.in_dim = in_dim
+        self.hidden = hidden
+        self.reverse = reverse
+        bx = np.sqrt(6.0 / (in_dim + 3 * hidden))
+        bh = np.sqrt(6.0 / (hidden + 3 * hidden))
+        self.register_param("Wx", rng.uniform(-bx, bx, (in_dim, 3 * hidden)).astype(dtype))
+        self.register_param("Wh", rng.uniform(-bh, bh, (hidden, 3 * hidden)).astype(dtype))
+        self.register_param("bx", np.zeros(3 * hidden, dtype=dtype))
+        self.register_param("bh", np.zeros(3 * hidden, dtype=dtype))
+        self.dtype = dtype
+
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        self._shape = x.shape
+        x2 = np.ascontiguousarray(x).reshape(-1, x.shape[-1])
+        self._x2 = x2 if self.for_backward else None
+        return self.recur(self.project(x2.reshape(x.shape)))
+
+    def project(self, x: np.ndarray) -> np.ndarray:
+        """(..., D) -> (..., 3H): x @ Wx + bx, too few frames for OpenBLAS's
+        large kernel multiplied followed by zero frames."""
+        x2 = np.ascontiguousarray(x).reshape(-1, self.in_dim)
+        n, least = len(x2), _least_rows(self.in_dim * 3 * self.hidden)
+        if n < least:
+            x2 = np.concatenate([x2, np.zeros((least - n, self.in_dim), x2.dtype)])
+        return (x2 @ self.params["Wx"] + self.params["bx"])[:n].reshape(*x.shape[:-1], 3 * self.hidden)
+
+    def recur(self, gx: np.ndarray) -> np.ndarray:
+        """(B, T, 3H) projected input -> (B, T, H) hidden states."""
+        B, T = gx.shape[:2]
+        H = self.hidden
+        order = range(T - 1, -1, -1) if self.reverse else range(T)
+        h = np.zeros((B, H), dtype=self.dtype)
+        out = np.empty((B, T, H), dtype=self.dtype)
+        cache = self._cache = [None] * T if self.for_backward else None
+        Wh, bh = self.params["Wh"], self.params["bh"]
+        for t in order:
+            gh = h @ Wh + bh
+            r = 1.0 / (1.0 + np.exp(-(gx[:, t, :H] + gh[:, :H])))
+            z = 1.0 / (1.0 + np.exp(-(gx[:, t, H:2 * H] + gh[:, H:2 * H])))
+            ghn = gh[:, 2 * H:]
+            n = np.tanh(gx[:, t, 2 * H:] + r * ghn)
+            if cache is not None:
+                cache[t] = (r, z, n, ghn, h)
+            h = (1.0 - z) * n + z * h
+            out[:, t] = h
+        return out
+
+    def backward(self, dy: np.ndarray) -> np.ndarray:
+        B, T, D = self._shape
+        H = self.hidden
+        Wh = self.params["Wh"]
+        dgx = np.zeros((B, T, 3 * H), dtype=self.dtype)
+        dh = np.zeros((B, H), dtype=self.dtype)
+        dWh = self.grads["Wh"]
+        dbh = self.grads["bh"]
+        order = range(T) if self.reverse else range(T - 1, -1, -1)
+        dgh = np.empty((B, 3 * H), dtype=self.dtype)
+        for t in order:
+            dh = dh + dy[:, t]
+            r, z, n, ghn, hprev = self._cache[t]
+            dz = dh * (hprev - n)
+            dn = dh * (1.0 - z)
+            dhprev = dh * z
+            dan = dn * (1.0 - n * n)
+            dr = dan * ghn
+            dgh[:, :H] = dr * r * (1.0 - r)
+            dgh[:, H:2 * H] = dz * z * (1.0 - z)
+            dgh[:, 2 * H:] = dan * r
+            dgx[:, t, :H] = dgh[:, :H]
+            dgx[:, t, H:2 * H] = dgh[:, H:2 * H]
+            dgx[:, t, 2 * H:] = dan
+            dWh += hprev.T @ dgh
+            dbh += dgh.sum(axis=0)
+            dh = dhprev + dgh @ Wh.T
+        dgx2 = dgx.reshape(-1, 3 * H)
+        self.grads["Wx"] += self._x2.T @ dgx2
+        self.grads["bx"] += dgx2.sum(axis=0)
+        return (dgx2 @ self.params["Wx"].T).reshape(B, T, D)

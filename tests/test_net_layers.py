@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from oracles import (
+    GruOneDirection,
     brute_force_bce,
     brute_force_masked_mse,
     brute_force_mse,
@@ -22,7 +23,6 @@ from oracles import (
     same_bits,
 )
 from seldkit.net.layers import (
-    BiGru,
     Conv2d,
     ConvUnit,
     DenseBlock,
@@ -45,6 +45,21 @@ TOL = 1e-4
 
 def rel_err(a, b):
     return abs(a - b) / (abs(a) + abs(b) + 1e-8)
+
+
+def assert_class_holds_at_one_blas_thread(cls):
+    """The bits a test class checks are claimed at every thread count: run
+    the class again, but this test, with OpenBLAS on one thread (the
+    suite's default is more)."""
+    root = Path(__file__).resolve().parent.parent
+    path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": "1"}
+    result = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", f"{Path(__file__).name}::{cls.__name__}",
+         "-k", "not one_blas_thread"],
+        cwd=Path(__file__).parent, env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert result.returncode == 0, result.stdout[-2000:]
 
 
 def check_module(module, x, warm_train=False, check_inputs=True, max_per_param=None, seed=0):
@@ -478,18 +493,7 @@ class TestBackwardOnGrid:
         self.assert_matches(*self.run(dtype, 2, (2, 8, 11, 5)), dtype)
 
     def test_holds_at_one_blas_thread(self):
-        # the bits above are claimed at every thread count: run the class
-        # again with OpenBLAS on one thread (the suite's default is more)
-        root = Path(__file__).resolve().parent.parent
-        path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
-        env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": "1"}
-        target = f"{Path(__file__).name}::{type(self).__name__}"
-        result = subprocess.run(
-            [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", target,
-             "-k", "not one_blas_thread"],
-            cwd=Path(__file__).parent, env=env, capture_output=True, text=True, timeout=300,
-        )
-        assert result.returncode == 0, result.stdout[-2000:]
+        assert_class_holds_at_one_blas_thread(type(self))
 
 
 class TestConvUnitFold:
@@ -538,18 +542,18 @@ class TestConvUnitFold:
 
 
 class TestGruSplit:
-    @pytest.mark.parametrize("reverse", [False, True])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_forward_is_recurrence_of_projection(self, reverse, dtype):
+    def test_forward_is_recurrence_of_projection(self, dtype):
         rng = np.random.default_rng(32)
-        gru = Gru(6, 4, rng, reverse=reverse, dtype=dtype)
-        gru.params["bx"][...] = rng.standard_normal(12)
+        gru = Gru(6, 4, rng, dtype=dtype)
+        gru.params["fwd.bx"][...] = rng.standard_normal(12)
+        gru.params["bwd.bx"][...] = rng.standard_normal(12)
         x = rng.standard_normal((3, 7, 6)).astype(dtype)
         assert same_bits(gru.forward(x), gru.recur(gru.project(x)))
 
     def test_bidirectional(self):
         rng = np.random.default_rng(33)
-        gru = BiGru(5, 3, rng)
+        gru = Gru(5, 3, rng)
         x = rng.standard_normal((2, 6, 5)).astype(np.float32)
         g = gru.project(x)
         assert g.shape == (2, 6, 18)
@@ -557,13 +561,60 @@ class TestGruSplit:
 
     @pytest.mark.parametrize("frames", [1, 7, 50])
     def test_projection_bits_do_not_depend_on_the_frames_a_call_takes(self, frames):
-        # 512 inputs and 12 gates: fewer than 163 frames are below OpenBLAS's
+        # 512 inputs and 24 gates: fewer than 82 frames are below OpenBLAS's
         # large kernel and run followed by zero frames
         rng = np.random.default_rng(34)
         gru = Gru(512, 4, rng)
-        gru.params["bx"][...] = rng.standard_normal(12)
+        gru.params["fwd.bx"][...] = rng.standard_normal(12)
+        gru.params["bwd.bx"][...] = rng.standard_normal(12)
         x = rng.standard_normal((400, 512)).astype(np.float32)
         assert same_bits(gru.project(x[:frames]), gru.project(x)[:frames])
+
+
+class TestGruMatchesDirections:
+    """The bidirectional `Gru` against two `GruOneDirection`s, forward then
+    reverse, drawn from the same rng: every output and gradient bit for bit."""
+
+    SHAPES = [(3, 256, 384, 64), (32, 64, 100, 16), (2, 5, 4, 3), (1, 1, 3, 1), (1, 9, 2, 1), (4, 3, 1, 1)]
+
+    @staticmethod
+    def pair(shape, dtype, seed=40):
+        """The layer, its two oracle directions with the same nonzero biases
+        and the same nonzero gradients already held, an input and an
+        output gradient."""
+        B, T, D, H = shape
+        gru = Gru(D, H, np.random.default_rng(seed), dtype=dtype)
+        rng = np.random.default_rng(seed)
+        directions = [GruOneDirection(D, H, rng, reverse=reverse, dtype=dtype) for reverse in (False, True)]
+        rng = np.random.default_rng(seed + 1)
+        for prefix, one in zip(("fwd.", "bwd."), directions):
+            for name in ("bx", "bh"):
+                one.params[name][...] = rng.standard_normal(3 * H)
+                gru.params[prefix + name][...] = one.params[name]
+            for name, g in one.grads.items():
+                g[...] = rng.standard_normal(g.shape)
+                gru.grads[prefix + name][...] = g
+        x = rng.standard_normal((B, T, D)).astype(dtype)
+        dy = rng.standard_normal((B, T, 2 * H)).astype(dtype)
+        return gru, directions, x, dy
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_same_bits_as_two_directions(self, shape, dtype):
+        gru, (fwd, bwd), x, dy = self.pair(shape, dtype)
+        H = shape[3]
+        assert same_bits(gru.forward(x), np.concatenate([fwd.forward(x), bwd.forward(x)], axis=-1))
+        g = gru.project(x)
+        assert same_bits(g, np.concatenate([fwd.project(x), bwd.project(x)], axis=-1))
+        assert same_bits(gru.recur(g), np.concatenate([fwd.recur(g[..., :3 * H]), bwd.recur(g[..., 3 * H:])],
+                                                      axis=-1))
+        assert same_bits(gru.backward(dy), fwd.backward(dy[..., :H]) + bwd.backward(dy[..., H:]))
+        for prefix, one in zip(("fwd.", "bwd."), (fwd, bwd)):
+            for name in ("Wx", "Wh", "bx", "bh"):
+                assert same_bits(gru.grads[prefix + name], one.grads[name]), prefix + name
+
+    def test_holds_at_one_blas_thread(self):
+        assert_class_holds_at_one_blas_thread(type(self))
 
 
 class TestFreqPoolForward:
@@ -665,19 +716,19 @@ class TestPoolGradients:
 class TestGruGradients:
     def test_forward_direction(self):
         rng = np.random.default_rng(6)
-        gru = Gru(4, 3, rng, dtype=np.float64)
+        gru = GruOneDirection(4, 3, rng, dtype=np.float64)
         x = rng.standard_normal((2, 6, 4))
         check_module(gru, x)
 
     def test_reverse_direction(self):
         rng = np.random.default_rng(7)
-        gru = Gru(3, 4, rng, reverse=True, dtype=np.float64)
+        gru = GruOneDirection(3, 4, rng, reverse=True, dtype=np.float64)
         x = rng.standard_normal((2, 5, 3))
         check_module(gru, x)
 
     def test_bidirectional(self):
         rng = np.random.default_rng(8)
-        gru = BiGru(4, 3, rng, dtype=np.float64)
+        gru = Gru(4, 3, rng, dtype=np.float64)
         x = rng.standard_normal((2, 5, 4))
         check_module(gru, x)
 

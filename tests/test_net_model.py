@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from oracles import same_bits, trunk_backward_per_unit
+from oracles import GruOneDirection, same_bits, trunk_backward_per_unit
 from seldkit.accdoa import compose_accdoa
 from seldkit.features import StftConfig
 from seldkit.net.checkpoint import (
@@ -15,9 +15,9 @@ from seldkit.net.checkpoint import (
     save_checkpoint,
     save_model,
 )
-from seldkit.net.layers import Conv2d, NetDeconv
+from seldkit.net.layers import Conv2d, Elu, Gru, Linear, NetDeconv
 from seldkit.net.losses import loss_bce, loss_mse
-from seldkit.net.model import NetConfig, RD3NetLite, TwoStageNet
+from seldkit.net.model import ConvTrunk, NetConfig, RD3NetLite, TwoStageNet
 from seldkit.net.optim import Adam, TrainConfig, learning_rate
 
 TINY = dict(f_bins=16, stem_channels=4, growth=3, layers_per_block=2,
@@ -99,8 +99,6 @@ class TestConfigDomain:
 
 class TestEvalWithoutBackward:
     def test_layers_keep_nothing_for_backward(self):
-        from seldkit.net.layers import Elu, Gru, Linear
-
         model = TwoStageNet(tiny_config(), seed=0)
         x = np.random.default_rng(1).standard_normal((2, 7, 12, 16)).astype(np.float32)
         model.predict_batch(x)  # training mode: every cache filled
@@ -114,6 +112,7 @@ class TestEvalWithoutBackward:
             ("_y", Elu), ("_cache", Gru), ("_x2", Gru), ("_x2", Linear)
         ) if isinstance(m, kind) and getattr(m, name) is not None]
         assert len(layers) > 40 and held == []
+        assert sum(isinstance(m, Gru) for m in layers) == len(model.branches)
 
     def test_loaded_models_keep_nothing_for_backward(self, tmp_path):
         path = tmp_path / "model.ckpt"
@@ -319,6 +318,27 @@ class TestCheckpoint:
         assert kind == KIND_TWO_STAGE
         x = np.random.default_rng(4).standard_normal((1, 7, 8, 16)).astype(np.float32)
         assert loaded.predict_batch(x).shape == (1, 8, 3, 3)
+
+    @pytest.mark.parametrize("net, heads", [(RD3NetLite, {"branch": 3}), (TwoStageNet, {"sed": 1, "doa": 3})])
+    def test_gru_tensors_are_two_directions(self, net, heads):
+        # each branch keeps the eight tensors, in the order and with the
+        # values of two single directions drawn after its trunk
+        cfg = tiny_config()
+        rng = np.random.default_rng(6)
+        expected = {}
+        for branch, out_per_class in heads.items():
+            ConvTrunk(cfg, rng)
+            for d, reverse in (("fwd", False), ("bwd", True)):
+                one = GruOneDirection(cfg.gru_in, cfg.gru_hidden, rng, reverse=reverse)
+                expected.update({f"{branch}.gru.{d}.{name}": p for name, p in one.named_parameters()})
+            Linear(2 * cfg.gru_hidden, cfg.n_classes * out_per_class, rng)
+        state = net(cfg, seed=6).state_dict()
+        names = [name for name in state if ".gru." in name]
+        assert names == list(expected) == [
+            f"{b}.gru.{d}.{t}" for b in heads for d in ("fwd", "bwd") for t in ("Wx", "Wh", "bx", "bh")
+        ]
+        for name in names:
+            assert same_bits(state[name], expected[name]), name
 
     def saved_model(self, tmp_path):
         model = RD3NetLite(tiny_config(), seed=5).eval()
