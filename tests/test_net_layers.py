@@ -542,14 +542,25 @@ class TestConvUnitFold:
 
 
 class TestGruSplit:
+    @pytest.mark.parametrize("reverse", [False, True])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_forward_is_recurrence_of_projection(self, dtype):
+    def test_forward_is_recurrence_of_projection(self, reverse, dtype):
+        # the direction named by `reverse` keeps its half of the output when
+        # the other direction's gates are replaced: the one time loop both
+        # step through does not mix them
         rng = np.random.default_rng(32)
         gru = Gru(6, 4, rng, dtype=dtype)
         gru.params["fwd.bx"][...] = rng.standard_normal(12)
         gru.params["bwd.bx"][...] = rng.standard_normal(12)
         x = rng.standard_normal((3, 7, 6)).astype(dtype)
-        assert same_bits(gru.forward(x), gru.recur(gru.project(x)))
+        y = gru.forward(x)
+        g = gru.project(x)
+        assert same_bits(y, gru.recur(g))
+        own, other = (slice(12, 24), slice(0, 12)) if reverse else (slice(0, 12), slice(12, 24))
+        g[..., other] = rng.standard_normal(g[..., other].shape)
+        half = slice(4, 8) if reverse else slice(0, 4)
+        assert same_bits(y[..., half], gru.recur(g)[..., half])
+        assert not same_bits(y, gru.recur(g))
 
     def test_bidirectional(self):
         rng = np.random.default_rng(33)
