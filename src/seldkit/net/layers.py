@@ -17,8 +17,7 @@ caches what its backward pass needs, unless put in eval mode with
 `backward` False; workspaces are reused across iterations to avoid
 repeated large allocations.  Units run one at a time, so inside a conv
 trunk the convs and norms keep the workspaces that live only during their
-own pass in one shared `scratch` module, sized for the largest unit; a
-bare layer keeps its own.
+own pass in one shared `scratch` module, sized for the largest unit.
 """
 
 from __future__ import annotations
@@ -116,9 +115,9 @@ def _pieces(shape):
             yield lead + (slice(s, s + step),)
 
 
-def _zero_ring(a: np.ndarray, p: int, axis: int) -> None:
-    """Zero the p-wide border of axes `axis` and `axis` + 1 of a."""
-    for ax in (axis, axis + 1):
+def _zero_ring(a: np.ndarray, p: int) -> None:
+    """Zero the p-wide border of axes 2 and 3 of a."""
+    for ax in (2, 3):
         lead = (slice(None),) * ax
         a[lead + (slice(None, p),)] = 0
         a[lead + (slice(a.shape[ax] - p, None),)] = 0
@@ -236,13 +235,13 @@ class Module:
             self._ws_store[name] = buf
         return buf[:n].reshape(shape)
 
-    def _bordered(self, name: str, shape, p: int, axis: int, dtype) -> np.ndarray:
-        """`_ws(name, shape, dtype)` with a zero p-wide border on axes
-        `axis` and `axis` + 1: zeroed whenever the shape or p changes, so
-        whoever writes into the border must zero it again."""
+    def _bordered(self, name: str, shape, p: int, dtype) -> np.ndarray:
+        """`_ws(name, shape, dtype)` with a zero p-wide border on axes 2
+        and 3: zeroed whenever the shape or p changes, so whoever writes
+        into the border must zero it again."""
         buf = self._ws(name, shape, dtype)
         if self._border_shapes.get(name) != (shape, p):
-            _zero_ring(buf, p, axis)
+            _zero_ring(buf, p)
             self._border_shapes[name] = (shape, p)
         return buf
 
@@ -252,9 +251,9 @@ class Module:
 class Conv2d(Module):
     """3x3 same-padded convolution over (B, T, F, C), optional dilation.
 
-    forward/backward return views into reused workspaces: consume or copy
-    them before the next call on the same instance.  `needs_input_grad`
-    False skips the input-gradient half of backward (for the first layer).
+    forward/backward return views of the grids they run on.
+    `needs_input_grad` False skips the input-gradient half of backward
+    (for the first layer), which then takes no input gradient grid.
 
     The forward pass runs on a channel-major zero-bordered grid
     (C, B, T + 2P, F + 2P), P >= d, flattened per channel to rows: tap
@@ -262,16 +261,15 @@ class Conv2d(Module):
     the three taps of a kernel row are one GEMM of their stacked
     (3 Cout, C) weights with the input's rows, and each tap's product is a
     contiguous row slice of it, added onto the bias in tap order
-    (`_stacked_conv`).  While `grid` holds (src, dst) (`on_grid`), forward
-    reads its C input channels as the prefix of grid `src` in place (x is
-    their valid region) and writes its output into grid `dst`, whose
-    border it zeroes (see `DenseBlock`); otherwise it copies x onto a grid
-    of its own, P = d.  While `folded` holds (W, b), forward uses them in
-    place of the parameters (see `ConvUnit`).  Backward runs on gradient
-    grids of the same shape and border: while `grid` holds (src, dst), dy
-    goes into the valid region of `dst`, whose border is zero, and dx is
-    added onto the channel prefix of `src`, whose border it zeroes again;
-    otherwise both are fresh grids.  The rows go in pieces of STACK_ROWS,
+    (`_stacked_conv`).  Every pass runs inside `on_grid`, on grids its
+    caller builds (`DenseBlock`, `ConvTrunk`): forward reads its C input
+    channels as the prefix of grid `src` in place (x is their valid
+    region) and writes its output into grid `dst`, whose border it zeroes.
+    While `folded` holds (W, b), forward uses them in place of the
+    parameters (see `ConvUnit`).  Backward runs on gradient grids of the
+    same shape and border: dy goes into the valid region of `dst`, whose
+    border is zero, and dx is added onto the channel prefix of `src`, whose
+    border it zeroes again.  The rows go in pieces of STACK_ROWS,
     each copied channels-last once with the rows its taps read.  gW adds
     each tap's GEMM of a row slice of the forward's input grid with the
     piece; dx, the convolution of dy with the flipped kernel, adds one GEMM
@@ -330,18 +328,12 @@ class Conv2d(Module):
         if C != self.in_ch:
             raise ValueError(f"expected {self.in_ch} channels, got {C}")
         W, b = self.folded or (self.params["W"], self.params["b"])
-        if self.grid is None:
-            d = self.dilation
-            src = self._bordered("xp", (C, B, T + 2 * d, F + 2 * d), d, 2, self.dtype)
-            _valid(src, d)[...] = x
-            dst = self._ws("yp", (self.out_ch,) + src.shape[1:], self.dtype)
-        else:
-            src, dst = self.grid
+        src, dst = self.grid
         p = (src.shape[2] - T) // 2
         x2, y2 = src.reshape(len(src), -1)[:C], dst.reshape(self.out_ch, -1)
         lo, hi, offs = self._rows(x2.shape[1], F, p)
         _stacked_conv(x2, y2, W, b, offs, lo, hi, self._products)
-        _zero_ring(dst, p, 2)
+        _zero_ring(dst, p)
         self._src = src if self.for_backward else None
         self._shape = (B, T, F, p)
         return _valid(dst, p)
@@ -359,10 +351,9 @@ class Conv2d(Module):
         columns are shared by neighbours, and p zero rows on the segment's
         outer side.  `_stacked_conv` runs over the r output rows of that
         grid only, and the zero columns of those rows are zeroed again.
-        While `grid` holds (src, dst), those are edge grids of the same
-        rows and columns, x is the edge rows of `src`, and the output lands
-        in `dst`; otherwise x is copied onto a new grid of R = r + 2d rows,
-        p = d.  No backward follows this pass.
+        `grid` holds (src, dst), edge grids of the same rows and columns
+        (`ConvTrunk.edge_rows`): x is the edge rows of `src`, and the
+        output lands in `dst`.  No backward follows this pass.
         """
         n, E, F, C = x.shape
         if C != self.in_ch:
@@ -370,13 +361,7 @@ class Conv2d(Module):
         W, b = self.folded or (self.params["W"], self.params["b"])
         d = self.dilation
         r = n - d
-        if self.grid is None:
-            src = np.zeros((C, r + 2 * d, E * (F + d) + d), self.dtype)
-            cols = _edge_columns(src, d, E, F)
-            (cols[:, d:] if left else cols[:, :n])[...] = x.transpose(3, 0, 1, 2)
-            dst = np.empty((self.out_ch,) + src.shape[1:], self.dtype)
-        else:
-            src, dst = self.grid
+        src, dst = self.grid
         R, width = src.shape[1:]
         p = (width - E * F) // (E + 1)
         first = p if left else R - p - r  # the output's first row
@@ -391,11 +376,7 @@ class Conv2d(Module):
     def backward(self, dy: np.ndarray):
         B, T, F, p = self._shape
         C, Co = self.in_ch, self.out_ch
-        if self.grid is None:
-            grid = (B, T + 2 * p, F + 2 * p)
-            src, dst = np.zeros((C,) + grid, self.dtype), np.zeros((Co,) + grid, self.dtype)
-        else:
-            src, dst = self.grid
+        src, dst = self.grid
         _put(_valid(dst, p), dy)
         x2, g2 = self._src.reshape(len(self._src), -1)[:C], dst.reshape(Co, -1)
         lo, hi, offs = self._rows(g2.shape[1], F, p)
@@ -427,7 +408,7 @@ class Conv2d(Module):
         self.grads["b"] += total
         if dx2 is None:
             return None
-        _zero_ring(src[:C], p, 2)
+        _zero_ring(src[:C], p)
         return _valid(src[:C], p)
 
 
@@ -637,9 +618,11 @@ class Gru(Module):
     axis 0 the direction: at step s the forward direction is at frame s
     and the backward one at frame T - 1 - s, and each step's recurrent
     gates are one stacked product.  Each direction has its own `fwd.*` and
-    `bwd.*` tensors; the gate layout along their last axis is [reset,
-    update, candidate], and the candidate's recurrent contribution is gated
-    by reset including its bias, matching the common two-bias formulation.
+    `bwd.*` tensors, views of the stacked Wx (D, 6H), bx (6H,), Wh
+    (2, H, 3H) and bh (2, 3H), and so are their gradients; the gate layout
+    along their last axis is [reset, update, candidate], and the
+    candidate's recurrent contribution is gated by reset including its
+    bias, matching the common two-bias formulation.
     """
 
     def __init__(self, in_dim: int, hidden: int, rng, dtype=np.float32):
@@ -647,18 +630,21 @@ class Gru(Module):
         self.in_dim = in_dim
         self.hidden = hidden
         self.dtype = dtype
-        bx = np.sqrt(6.0 / (in_dim + 3 * hidden))
-        bh = np.sqrt(6.0 / (hidden + 3 * hidden))
-        for d in ("fwd.", "bwd."):
-            self.register_param(d + "Wx", rng.uniform(-bx, bx, (in_dim, 3 * hidden)).astype(dtype))
-            self.register_param(d + "Wh", rng.uniform(-bh, bh, (hidden, 3 * hidden)).astype(dtype))
-            self.register_param(d + "bx", np.zeros(3 * hidden, dtype=dtype))
-            self.register_param(d + "bh", np.zeros(3 * hidden, dtype=dtype))
-
-    def _pair(self, name: str, of: dict | None = None) -> tuple:
-        """The fwd and bwd tensors `name` of `of`, the parameters by default."""
-        of = self.params if of is None else of
-        return of["fwd." + name], of["bwd." + name]
+        H = hidden
+        bound_x = np.sqrt(6.0 / (in_dim + 3 * H))
+        bound_h = np.sqrt(6.0 / (H + 3 * H))
+        self.Wx, self.bx = np.empty((in_dim, 6 * H), dtype), np.zeros(6 * H, dtype)
+        self.Wh, self.bh = np.empty((2, H, 3 * H), dtype), np.zeros((2, 3 * H), dtype)
+        self.dWh, self.dbh = np.zeros_like(self.Wh), np.zeros_like(self.bh)
+        dWx, dbx = np.zeros_like(self.Wx), np.zeros_like(self.bx)
+        for i, d in enumerate(("fwd.", "bwd.")):
+            gates = slice(3 * H * i, 3 * H * (i + 1))
+            self.Wx[:, gates] = rng.uniform(-bound_x, bound_x, (in_dim, 3 * H))
+            self.Wh[i] = rng.uniform(-bound_h, bound_h, (H, 3 * H))
+            for name, value, grad in (("Wx", self.Wx[:, gates], dWx[:, gates]), ("Wh", self.Wh[i], self.dWh[i]),
+                                      ("bx", self.bx[gates], dbx[gates]), ("bh", self.bh[i], self.dbh[i])):
+                self.register_param(d + name, value)
+                self.grads[d + name] = grad
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         """The recurrence applied to the projection of x."""
@@ -673,13 +659,12 @@ class Gru(Module):
         alone.  Too few frames for OpenBLAS's large kernel are multiplied
         followed by zero frames, so a frame's bits do not depend on how
         many frames share the call."""
-        Wx = np.concatenate(self._pair("Wx"), axis=1)
         x2 = np.ascontiguousarray(x).reshape(-1, self.in_dim)
-        n, least = len(x2), _least_rows(Wx.size)
+        n, least = len(x2), _least_rows(self.Wx.size)
         if n < least:
             x2 = np.concatenate([x2, np.zeros((least - n, self.in_dim), x2.dtype)])
-        g = x2 @ Wx
-        g += np.concatenate(self._pair("bx"))
+        g = x2 @ self.Wx
+        g += self.bx
         return g[:n].reshape(*x.shape[:-1], 6 * self.hidden)
 
     def recur(self, g: np.ndarray) -> np.ndarray:
@@ -687,7 +672,7 @@ class Gru(Module):
         input; keeps what backward needs, if anything."""
         B, T = g.shape[:2]
         H = self.hidden
-        Wh, bh = np.stack(self._pair("Wh")), np.stack(self._pair("bh"))[:, None]
+        Wh, bh = self.Wh, self.bh[:, None]
         h = np.zeros((2, B, H), dtype=self.dtype)
         gx = np.empty((2, B, 3 * H), dtype=self.dtype)
         out = np.empty((B, T, 2 * H), dtype=self.dtype)
@@ -712,8 +697,7 @@ class Gru(Module):
         """The same loop run in reverse, from the last step to the first."""
         B, T, D = self._shape
         H = self.hidden
-        WhT = np.stack(self._pair("Wh")).transpose(0, 2, 1)
-        dWh, dbh = np.stack(self._pair("Wh", self.grads)), np.stack(self._pair("bh", self.grads))
+        WhT, dWh, dbh = self.Wh.transpose(0, 2, 1), self.dWh, self.dbh
         dgx = np.empty((2, B, T, 3 * H), dtype=self.dtype)
         dh = np.zeros((2, B, H), dtype=self.dtype)
         dgh = np.empty((2, B, 3 * H), dtype=self.dtype)
@@ -739,11 +723,9 @@ class Gru(Module):
             dh = dhprev + np.matmul(dgh, WhT)
         dgx2 = dgx.reshape(2, -1, 3 * H)
         for i, d in enumerate(("fwd.", "bwd.")):
-            self.grads[d + "Wh"][...] = dWh[i]
-            self.grads[d + "bh"][...] = dbh[i]
             self.grads[d + "Wx"] += self._x2.T @ dgx2[i]
             self.grads[d + "bx"] += dgx2[i].sum(axis=0)
-        Wx = self._pair("Wx")
+        Wx = self.params["fwd.Wx"], self.params["bwd.Wx"]
         return (dgx2[0] @ Wx[0].T + dgx2[1] @ Wx[1].T).reshape(B, T, D)
 
 
@@ -765,11 +747,10 @@ class ConvUnit(Module):
         self.act = self.register_child("act", Elu())
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        """On a grid (`Conv2d.on_grid`) the norm and the ELU overwrite the
-        conv's output there; otherwise the output is a new array."""
+        """On the conv's grids (`Conv2d.on_grid`): the norm and the ELU
+        overwrite the conv's output in grid `dst`."""
         y = self.conv.forward(x) if self.training else self._folded(self.conv.forward, x)
-        out = y if self.conv.grid is not None else None
-        return self.act.forward(self.norm.forward(y, out=out) if self.training else y, out=out)
+        return self.act.forward(self.norm.forward(y, out=y) if self.training else y, out=y)
 
     def forward_edges(self, x: np.ndarray, left: bool) -> np.ndarray:
         """The eval-mode unit on E segment edges at once, time-major (see
@@ -792,12 +773,10 @@ class ConvUnit(Module):
             conv.folded = None
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
-        """On a grid (`Conv2d.on_grid` with the gradient grids), dy goes
-        into the valid region of grid `dst`, where the ELU's and then the
-        norm's gradient replace it in place before the conv's backward."""
+        """On the gradient grids (`Conv2d.on_grid`), dy goes into the valid
+        region of grid `dst`, where the ELU's and then the norm's gradient
+        replace it in place before the conv's backward."""
         conv = self.conv
-        if conv.grid is None:
-            return conv.backward(self.norm.backward(self.act.backward(dy)))
         dst = conv.grid[1]
         g = _valid(dst, conv._shape[3])
         _put(g, dy)
@@ -845,7 +824,7 @@ class DenseBlock(Module):
     def grid(self, B: int, T: int, F: int) -> np.ndarray:
         """The block's zero-bordered concatenation grid for (B, T, F) inputs."""
         p = self.pad
-        return self._bordered("grid", (self.out_ch, B, T + 2 * p, F + 2 * p), p, 2, self.dtype)
+        return self._bordered("grid", (self.out_ch, B, T + 2 * p, F + 2 * p), p, self.dtype)
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         """x may already be the input's view of `grid`, written there by
@@ -863,7 +842,7 @@ class DenseBlock(Module):
     def grad(self, B: int, T: int, F: int) -> np.ndarray:
         """The block's zero-bordered gradient grid, shaped like `grid`."""
         p = self.pad
-        return self._bordered("grad", (self.out_ch, B, T + 2 * p, F + 2 * p), p, 2, self.dtype)
+        return self._bordered("grad", (self.out_ch, B, T + 2 * p, F + 2 * p), p, self.dtype)
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
         """dy may already be the valid region of `grad`, written there by

@@ -123,7 +123,7 @@ class ConvTrunk(Module):
         B, T, F, C = x.shape
         block = self.stages[0][0]
         p = block.pad
-        src = self._bordered("features", (C, B, T + 2 * p, F + 2 * p), p, 2, self.dtype)
+        src = self._bordered("features", (C, B, T + 2 * p, F + 2 * p), p, self.dtype)
         _valid(src, p)[...] = x
         g, stem = block.grid(B, T, F), self.stem.conv.out_ch
         with self.stem.conv.on_grid(src, g[:stem]):

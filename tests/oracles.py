@@ -19,7 +19,7 @@ from seldkit.augment import (
     ALL_PATTERNS, MAX_SECONDARIES, emda_mix, rotate_accdoa, rotate_events, rotate_foa, spec_augment,
 )
 from seldkit.features import FEATURE_CHANNELS, FeatureStack, extract_features, make_feature_stack
-from seldkit.net.layers import Module, _least_rows
+from seldkit.net.layers import Conv2d, Module, _edge_columns, _least_rows, _valid
 from seldkit.net.train import SceneBatchStream
 from seldkit.scene import (
     _EVENT_GAIN_RANGE, SAMPLE_RATE, AmbisonicClip, DoaAngles, Event, EventList, _fade_edges,
@@ -366,23 +366,75 @@ def freq_pool_by_mean(x: np.ndarray, factor: int) -> np.ndarray:
     return x.reshape(B, T, F // factor, factor, C).mean(axis=3)
 
 
+class OnGrid(Module):
+    """A `Conv2d` or `ConvUnit`, `layer`, run alone on grids of its own, as
+    a dense block runs its layers: every pass copies its input onto the
+    channel prefix of a new zero grid, runs the layer inside
+    `Conv2d.on_grid` with its output in the channels after the prefix, and
+    returns a copy of what the layer returns.  The grids' border is
+    `border`, the conv's dilation d by default.
+
+    forward takes (B, T, F, C) x onto a grid (C + Co, B, T + 2p, F + 2p);
+    backward takes dy onto a gradient grid of the forward's shape and
+    border and returns dx, or None.  forward_edges takes the r + d rows
+    (r + d, E, F, C) flush against each of E segment edges onto an edge
+    grid (C + Co, r + d + p, E (F + p) + p), laid out as
+    `ConvTrunk.edge_rows` lays out a block's: the edges side by side, p
+    zero columns before the first and after each, and p zero rows beyond
+    them."""
+
+    def __init__(self, layer, border: int | None = None):
+        super().__init__()
+        self.layer = self.register_child("layer", layer)
+        self.conv = layer if isinstance(layer, Conv2d) else layer.conv
+        self.border = self.conv.dilation if border is None else border
+
+    def _run(self, grid, layer_pass, *args):
+        conv = self.conv
+        with conv.on_grid(grid, grid[conv.in_ch:]):
+            out = layer_pass(*args)
+        return None if out is None else np.array(out)
+
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        B, T, F, C = x.shape
+        p = self.border
+        grid = np.zeros((C + self.conv.out_ch, B, T + 2 * p, F + 2 * p), self.conv.dtype)
+        _valid(grid[:C], p)[...] = x
+        return self._run(grid, self.layer.forward, _valid(grid[:C], p))
+
+    def backward(self, dy: np.ndarray) -> np.ndarray | None:
+        conv = self.conv
+        B, T, F, p = conv._shape
+        grid = np.zeros((conv.in_ch + conv.out_ch, B, T + 2 * p, F + 2 * p), conv.dtype)
+        return self._run(grid, self.layer.backward, dy)
+
+    def forward_edges(self, x: np.ndarray, left: bool) -> np.ndarray:
+        n, E, F, C = x.shape
+        p = self.border
+        grid = np.zeros((C + self.conv.out_ch, n + p, E * (F + p) + p), self.conv.dtype)
+        rows = _edge_columns(grid[:C, p:] if left else grid[:C, :n], p, E, F)
+        rows[...] = x.transpose(3, 0, 1, 2)
+        return self._run(grid, self.layer.forward_edges, rows.transpose(1, 2, 3, 0), left)
+
+
 def trunk_by_layer(trunk, x: np.ndarray) -> list:
     """One segment's (7, T, F) features run alone through an eval-mode
     conv trunk, one conv unit at a time: the stem, then each dense block's
     layers on the concatenation of the block input and the layer outputs
     so far, with frequency mean-pooled after each block.  Every unit sees
-    the whole segment, so its conv zero-pads at the segment's own edges.
+    the whole segment on a grid of its own (`OnGrid`), border d, so its
+    conv zero-pads at the segment's own edges.
     The units themselves are checked by their own oracles; this one is the
     reference for which rows near an edge each unit must produce.
     Returns every unit's (T, F, C) output in order, then the
     (T, f_out, channels) trunk output."""
     k = trunk.cfg.freq_pool
     h = np.moveaxis(x[:, :, :trunk.cfg.f_trimmed], 0, -1)[None].astype(np.float32)
-    outputs = [trunk.stem.forward(h)]
+    outputs = [OnGrid(trunk.stem).forward(h)]
     h = outputs[-1]
     for block, _pool in trunk.stages:
         for unit in block.units:
-            outputs.append(unit.forward(h))
+            outputs.append(OnGrid(unit).forward(h))
             h = np.concatenate([h, outputs[-1]], axis=-1)
         _, T, F, C = h.shape
         h = h.reshape(1, T, F // k, k, C).mean(axis=3)
@@ -392,7 +444,7 @@ def trunk_by_layer(trunk, x: np.ndarray) -> list:
 def edge_rows_by_batch(trunk, x: np.ndarray, window: np.ndarray, at: np.ndarray, left: bool) -> np.ndarray:
     """`ConvTrunk.edge_rows` with every edge a batch item of its own: each
     conv unit runs its `forward` on the r + d input rows flush against the
-    edge, on the conv's same-padded grid of (r + 3d) x (F + 2d) rows, and
+    edge, on a grid of its own (`OnGrid`) of (r + 3d) x (F + 2d) rows, and
     keeps the r output rows nearest the edge.  The zero padding stands in
     for the segment's beyond the edge and spoils only rows past r."""
 
@@ -404,7 +456,7 @@ def edge_rows_by_batch(trunk, x: np.ndarray, window: np.ndarray, at: np.ndarray,
         return a[window[:, None], at[:, None] + rows]
 
     reach = trunk.stem.conv.dilation
-    own = near(trunk.stem.forward(gather(x, 2 * reach)), reach)
+    own = near(OnGrid(trunk.stem).forward(gather(x, 2 * reach)), reach)
     for (block, pool), cat in zip(trunk.stages, trunk._cats):
         dilations = [unit.conv.dilation for unit in block.units]
         g = gather(cat, reach + sum(dilations) + dilations[-1])
@@ -412,7 +464,7 @@ def edge_rows_by_batch(trunk, x: np.ndarray, window: np.ndarray, at: np.ndarray,
         lo = block.in_ch
         for unit, d in zip(block.units, dilations):
             reach += d
-            y = unit.forward(near(g, reach + d)[..., :lo])
+            y = OnGrid(unit).forward(near(g, reach + d)[..., :lo])
             near(g, reach)[..., lo:lo + block.growth] = near(y, reach)
             lo += block.growth
         own = pool.forward(near(g, reach))

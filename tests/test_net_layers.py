@@ -14,6 +14,7 @@ import pytest
 
 from oracles import (
     GruOneDirection,
+    OnGrid,
     brute_force_bce,
     brute_force_masked_mse,
     brute_force_mse,
@@ -119,62 +120,207 @@ class TestConvGradients:
         rng = np.random.default_rng(1)
         conv = Conv2d(3, 2, dilation=1, rng=rng, dtype=np.float64)
         x = rng.standard_normal((2, 4, 5, 3))
-        check_module(conv, x)
+        check_module(OnGrid(conv), x)
 
     def test_dilation_2(self):
         rng = np.random.default_rng(2)
         conv = Conv2d(2, 3, dilation=2, rng=rng, dtype=np.float64)
         x = rng.standard_normal((1, 6, 7, 2))
-        check_module(conv, x)
+        check_module(OnGrid(conv), x)
+
+
+def conv_and_input(dtype, dilation, shape):
+    """A conv from C to Co channels with a nonzero bias, and an input
+    (B, T, F, C), for shape (B, T, F, C, Co)."""
+    B, T, F, C, Co = shape
+    rng = np.random.default_rng(dilation)
+    conv = Conv2d(C, Co, dilation, rng, dtype=dtype)
+    conv.params["b"][...] = rng.standard_normal(Co)
+    return conv, rng.standard_normal((B, T, F, C)).astype(dtype)
+
+
+class TestConvOnGrid:
+    """A conv on a dense block's channel-major grids, against the per-tap
+    copies.  Forward reads the channel prefix of grid `src` in place and
+    writes the channel slice after it, whose border it zeroes; backward
+    takes dy into that slice of a gradient grid and adds dx onto the
+    prefix.  The channels beyond hold noise that neither pass may touch.
+    Here the border P is 4 at every dilation, wider than the conv reaches;
+    `TestConvForward` and `TestConvBackward` run the same checks at P = d,
+    the border of a block's last layer."""
+
+    P = 4
+    # (B, T, F, C, Co): odd F, T below the dilations, F = 1, one location
+    SHAPES = [(3, 9, 11, 5, 5), (2, 3, 6, 4, 5), (2, 7, 1, 3, 5), (1, 1, 1, 2, 5), (4, 30, 32, 18, 5)]
+    # and T = 1, and a desk batch of 3 through a dense-block conv to growth 6
+    BACKWARD_SHAPES = SHAPES[:4] + [(2, 1, 6, 3, 2), (3, 96, 43, 24, 6)]
+    # gW sums its rows in another order than the per-tap copies do
+    GW_RTOL = {np.float32: 2e-6, np.float64: 1e-13}
+
+    @staticmethod
+    def block_grid(x, Co, P):
+        """x on the zero-bordered channel prefix of a block grid
+        (C + Co + 2, B, T + 2P, F + 2P), noise in the channels after it."""
+        B, T, F, C = x.shape
+        grid = (100 * np.random.default_rng(43).standard_normal((C + Co + 2, B, T + 2 * P, F + 2 * P)))
+        grid = grid.astype(x.dtype)
+        grid[:C] = 0
+        _valid(grid[:C], P)[...] = x
+        return grid
+
+    @classmethod
+    def check_forward(cls, conv, x, P):
+        """The conv's forward on a block grid of border P: bit for bit the
+        per-tap copies' output, with the folded weights while they are
+        set, in the slice after x, with a zero border, and every other
+        channel as it was."""
+        C, Co = conv.in_ch, conv.out_ch
+        grid = cls.block_grid(x, Co, P)
+        before = grid.copy()
+        with conv.on_grid(grid, grid[C:C + Co]):
+            y = conv.forward(_valid(grid[:C], P))
+        assert np.shares_memory(y, grid[C:C + Co])
+        W, b = conv.folded or (conv.params["W"], conv.params["b"])
+        assert same_bits(np.ascontiguousarray(y), conv2d_by_tap_copies(x, W, b, conv.dilation))
+        ring = grid[C:C + Co].copy()
+        _valid(ring, P)[...] = 0
+        assert not ring.any()
+        assert same_bits(grid[:C], before[:C]) and same_bits(grid[C + Co:], before[C + Co:])
+
+    @classmethod
+    def check_backward(cls, conv, x, dy, P):
+        """The conv's forward on a block grid of border P, then its
+        backward on a gradient grid of noise but for the zero borders of
+        the prefix and the slice, against the per-tap copies: dy lands in
+        the slice and dx is added onto the prefix bit for bit, both keep
+        their zero border, and the channels beyond are as they were.
+        Without an input gradient there is no prefix to add onto, as for
+        the stem.  The bias gradient adds onto the one held bit for bit,
+        the weight gradient within GW_RTOL."""
+        C, Co = conv.in_ch, conv.out_ch
+        dx_ref, gW_ref, gb_ref = conv2d_backward_by_tap_copies(x, conv.params["W"], dy, conv.dilation)
+        gW0, gb0 = conv.grads["W"].copy(), conv.grads["b"].copy()
+        grid = cls.block_grid(x, Co, P)
+        with conv.on_grid(grid, grid[C:C + Co]):
+            conv.forward(_valid(grid[:C], P))
+        grad = (100 * np.random.default_rng(44).standard_normal(grid.shape)).astype(conv.dtype)
+        _zero_ring(grad[:C + Co], P)
+        before = grad.copy()
+        with conv.on_grid(grad if conv.needs_input_grad else None, grad[C:C + Co]):
+            dx = conv.backward(dy)
+        if conv.needs_input_grad:
+            assert np.shares_memory(dx, grad[:C])
+            assert same_bits(np.ascontiguousarray(dx), dx_ref + _valid(before[:C], P))
+        else:
+            assert dx is None
+            assert same_bits(grad[:C], before[:C])
+        assert same_bits(np.ascontiguousarray(_valid(grad[C:C + Co], P)), dy)
+        for ring in (grad[:C].copy(), grad[C:C + Co].copy()):
+            _valid(ring, P)[...] = 0
+            assert not ring.any()
+        assert same_bits(grad[C + Co:], before[C + Co:])
+        assert same_bits(conv.grads["b"], gb0 + gb_ref)
+        gW = conv.grads["W"] - gW0
+        assert np.abs(gW - gW_ref).max() <= cls.GW_RTOL[conv.dtype] * np.abs(gW_ref).max()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("dilation", [1, 2, 4])
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_forward_matches_tap_copies_bit_for_bit(self, dtype, dilation, shape):
+        self.check_forward(*conv_and_input(dtype, dilation, shape), self.P)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("dilation", [1, 2, 4])
+    @pytest.mark.parametrize("shape", BACKWARD_SHAPES)
+    def test_backward_matches_tap_copies(self, dtype, dilation, shape):
+        conv, x = conv_and_input(dtype, dilation, shape)
+        dy = np.random.default_rng(41).standard_normal(shape[:3] + (conv.out_ch,)).astype(dtype)
+        self.check_backward(conv, x, dy, self.P)
+
+    def test_backward_after_a_narrower_border_of_the_same_shape(self):
+        # T 9 x F 12 at border 1 and T 3 x F 6 at border 4 both take grids
+        # of 11 x 14 rows: the second pass reads nothing the first left in
+        # the conv's product workspace
+        conv, x = conv_and_input(np.float64, 1, (2, 9, 12, 3, 2))
+        rng = np.random.default_rng(42)
+        self.check_backward(conv, x, rng.standard_normal((2, 9, 12, 2)), 1)
+        x = rng.standard_normal((2, 3, 6, 3))
+        self.check_backward(conv, x, rng.standard_normal((2, 3, 6, 2)), self.P)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("rows", [1, 700, 10 ** 6])
+    def test_bits_do_not_depend_on_the_piece_size(self, dtype, rows, monkeypatch):
+        # the stacked GEMMs take the grid rows in pieces of about STACK_ROWS,
+        # each long enough for OpenBLAS's large kernel: K = 42 >= 32 is where
+        # its small one rounds differently.  The reference's GEMMs are large
+        # too: M·N·K = 6 · 5280 · 42 > 1e6
+        from seldkit.net import layers
+
+        conv, x = conv_and_input(dtype, 2, (4, 40, 33, 42, 6))
+        self.check_forward(conv, x, self.P)
+        monkeypatch.setattr(layers, "STACK_ROWS", rows)
+        self.check_forward(conv, x, self.P)
+
+    @pytest.mark.parametrize("dilation, T, F", [(1, 19, 32), (2, 5, 36), (4, 10, 12)])
+    def test_bits_do_not_depend_on_the_rows_a_call_takes(self, dilation, T, F):
+        # one item of a batch alone: its GEMMs are below the large kernel's
+        # rows (K = 42 >= 32, where OpenBLAS's small kernel rounds apart;
+        # these shapes did) and run on a copy followed by zero rows; the
+        # batch's are past them.  At border d and at P
+        from seldkit.net import layers
+
+        rng = np.random.default_rng(dilation)
+        conv = Conv2d(42, 6, dilation, rng)
+        conv.params["b"][...] = rng.standard_normal(6)
+        x = rng.standard_normal((16, T, F, 42)).astype(np.float32)
+        least = layers._least_rows(3 * 6 * 42)
+        for p in (dilation, self.P):
+            assert (T + 2 * p) * (F + 2 * p) < least < 16 * T * F
+            on_grid = OnGrid(conv, p)
+            batch = on_grid.forward(x)
+            for b in range(3):
+                assert same_bits(on_grid.forward(x[b:b + 1]), batch[b:b + 1])
 
 
 class TestConvForward:
+    """`TestConvOnGrid`'s forward check at border P = d; the cases that
+    `TestConvOnGrid` has no test of, the edge pass among them, run at
+    border 4 too."""
+
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("dilation", [1, 2, 4])
-    @pytest.mark.parametrize("shape", [
-        (3, 9, 11, 5),
-        (2, 3, 6, 4),   # T below dilations 4
-        (2, 7, 1, 3),   # F = 1
-        (1, 1, 1, 2),
-        (4, 30, 32, 18),
-    ])
+    @pytest.mark.parametrize("shape", TestConvOnGrid.SHAPES)
     def test_matches_tap_copies_bit_for_bit(self, dtype, dilation, shape):
-        # the padded-grid row slices give the same bits as copying each tap's window
-        rng = np.random.default_rng(dilation)
-        conv = Conv2d(shape[3], 5, dilation, rng, dtype=dtype)
-        conv.params["b"][...] = rng.standard_normal(5)
-        x = rng.standard_normal(shape).astype(dtype)
-        expected = conv2d_by_tap_copies(x, conv.params["W"], conv.params["b"], dilation)
-        for _ in range(2):  # a second call reuses the workspaces
-            y = conv.forward(x)
-            assert same_bits(np.ascontiguousarray(y), expected)
+        conv, x = conv_and_input(dtype, dilation, shape)
+        for _ in range(2):  # a second call reuses the product workspace
+            TestConvOnGrid.check_forward(conv, x, dilation)
 
     @pytest.mark.parametrize("dilation", [1, 2, 4])
     def test_alternating_shapes_share_one_workspace(self, dilation):
-        # inference alternates window and edge batches: a smaller shape uses
-        # the front of the largest workspace, whose borders are zeroed again
-        # whenever the shape changes
+        # inference alternates window batches of several shapes: after the
+        # first call, at either border, no call allocates a product workspace
         rng = np.random.default_rng(dilation)
         conv = Conv2d(4, 5, dilation, rng, dtype=np.float32)
         conv.params["b"][...] = rng.standard_normal(5)
         shapes = [(3, 12, 10, 4), (5, 3, 10, 4), (2, 12, 7, 4), (5, 3, 10, 4)]
         xs = [(100 * rng.standard_normal(shape)).astype(np.float32) for shape in shapes]
-        conv.forward(xs[0])
+        TestConvOnGrid.check_forward(conv, xs[0], dilation)
         workspaces = dict(conv._ws_store)
-        for x in xs + xs:
-            expected = conv2d_by_tap_copies(x, conv.params["W"], conv.params["b"], dilation)
-            assert same_bits(np.ascontiguousarray(conv.forward(x)), expected)
+        for P in (dilation, 4, dilation):
+            for x in xs:
+                TestConvOnGrid.check_forward(conv, x, P)
         assert all(conv._ws_store[name] is buf for name, buf in workspaces.items())
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("dilation", [1, 2, 4])
     @pytest.mark.parametrize("left", [True, False], ids=["left", "right"])
     def test_edges_match_each_edge_alone(self, dtype, dilation, left, monkeypatch):
-        # E edges side by side give each edge's r rows nearest the edge, as
-        # the conv of that edge's r + d rows alone, padded with zeros, does;
-        # each kernel row's stacked GEMM covers the r (E (F + d) + d) grid
-        # rows, or as many rows as keep it on OpenBLAS's large kernel when
-        # that is more (a copy of them followed by zero rows)
+        # E edges side by side on an edge grid of border p give each edge's
+        # r rows nearest the edge, as the conv of that edge's r + d rows
+        # alone, padded with zeros, does; each kernel row's stacked GEMM
+        # covers the r (E (F + p) + p) grid rows, or as many rows as keep it
+        # on OpenBLAS's large kernel when that is more (a copy of them
+        # followed by zero rows)
         from seldkit.net import layers
 
         rng = np.random.default_rng(dilation)
@@ -187,39 +333,45 @@ class TestConvForward:
         gemm_rows = []
         gemm = layers._gemm
         monkeypatch.setattr(layers, "_gemm", lambda out, a, b: gemm_rows.append(out.shape[1]) or gemm(out, a, b))
-        conv.forward(rng.standard_normal((2, 8, F, C)).astype(dtype))  # leaves nonzero rows in the workspaces
-        gemm_rows.clear()
-        assert same_bits(np.ascontiguousarray(conv.forward_edges(x, left)), np.ascontiguousarray(expected))
         least = layers._least_rows(3 * 5 * C)
-        assert gemm_rows == [max(r * (E * (F + dilation) + dilation), least)] * 3
+        for p in (dilation, 4):
+            on_grid = OnGrid(conv, p)
+            on_grid.forward(rng.standard_normal((2, 8, F, C)).astype(dtype))  # nonzero rows in the workspace
+            gemm_rows.clear()
+            assert same_bits(on_grid.forward_edges(x, left), np.ascontiguousarray(expected))
+            assert gemm_rows == [max(r * (E * (F + p) + p), least)] * 3
 
     @pytest.mark.parametrize("dilation", [1, 2, 4])
     def test_forward_after_edges_rezeroes_its_borders(self, dilation):
-        # edge grids are built in the front of the window grid's workspace
+        # window passes after edge passes, on the same product workspace:
+        # each zeroes the border of its output slice, which holds noise,
+        # and gives the bits it gave before
         rng = np.random.default_rng(dilation)
         conv = Conv2d(4, 5, dilation, rng, dtype=np.float32)
         conv.params["b"][...] = rng.standard_normal(5)
         x = (100 * rng.standard_normal((3, 12, 10, 4))).astype(np.float32)
-        expected = conv2d_by_tap_copies(x, conv.params["W"], conv.params["b"], dilation)
-        conv.forward(x)
-        workspaces = dict(conv._ws_store)
-        for left in (True, False):
-            conv.forward_edges((100 * rng.standard_normal((2 + dilation, 4, 10, 4))).astype(np.float32), left)
-            assert same_bits(np.ascontiguousarray(conv.forward(x)), expected)
-        assert all(conv._ws_store[name] is buf for name, buf in workspaces.items())
+        for P in (dilation, 4):
+            TestConvOnGrid.check_forward(conv, x, P)
+            workspaces = dict(conv._ws_store)
+            for left in (True, False):
+                OnGrid(conv, P).forward_edges((100 * rng.standard_normal((2 + dilation, 4, 10, 4))).astype(np.float32),
+                                              left)
+                TestConvOnGrid.check_forward(conv, x, P)
+            assert all(conv._ws_store[name] is buf for name, buf in workspaces.items())
 
     def test_folded_weights_replace_the_parameters(self):
         rng = np.random.default_rng(30)
         conv = Conv2d(3, 4, 2, rng, dtype=np.float64)
-        W, b = rng.standard_normal((9, 3, 4)), rng.standard_normal(4)
+        conv.folded = (rng.standard_normal((9, 3, 4)), rng.standard_normal(4))
         x = rng.standard_normal((2, 5, 6, 3))
-        conv.folded = (W, b)
-        assert same_bits(np.ascontiguousarray(conv.forward(x)), conv2d_by_tap_copies(x, W, b, 2))
+        for P in (2, 4):
+            TestConvOnGrid.check_forward(conv, x, P)
 
 
 class TestConvBackward:
-    # gW sums its rows in another order than the per-tap copies did
-    GW_RTOL = {np.float32: 2e-6, np.float64: 1e-13}
+    """`TestConvOnGrid`'s backward check at border P = d; the cases that
+    `TestConvOnGrid` has no test of run at border 4 too."""
+
     SHAPES = [
         (3, 9, 11, 5, 4),
         (2, 3, 6, 4, 3),     # T below 2 * dilation at dilations 2 and 4
@@ -231,195 +383,70 @@ class TestConvBackward:
 
     @staticmethod
     def setup(dtype, dilation, shape):
-        B, T, F, C, Co = shape
-        rng = np.random.default_rng(dilation)
-        conv = Conv2d(C, Co, dilation, rng, dtype=dtype)
-        x = rng.standard_normal((B, T, F, C)).astype(dtype)
-        dy = rng.standard_normal((B, T, F, Co)).astype(dtype)
-        return conv, x, dy, conv2d_backward_by_tap_copies(x, conv.params["W"], dy, dilation)
-
-    def assert_gw_close(self, gW, expected, dtype):
-        scale = np.abs(expected).max()
-        assert np.abs(gW - expected).max() <= self.GW_RTOL[dtype] * scale
+        conv, x = conv_and_input(dtype, dilation, shape)
+        dy = np.random.default_rng(41).standard_normal(shape[:3] + (conv.out_ch,)).astype(dtype)
+        return conv, x, dy
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("dilation", [1, 2, 4])
     @pytest.mark.parametrize("shape", SHAPES)
     def test_matches_tap_copies(self, dtype, dilation, shape):
         # dx and the bias gradient keep the per-tap copies' bits; gW its values
-        conv, x, dy, (dx_ref, gW_ref, gb_ref) = self.setup(dtype, dilation, shape)
-        for _ in range(2):  # a second call reuses the workspaces
-            conv.forward(x)
+        conv, x, dy = self.setup(dtype, dilation, shape)
+        for _ in range(2):  # a second call reuses the product workspace
             conv.zero_grad()
-            dx = conv.backward(dy)
-            assert same_bits(np.ascontiguousarray(dx), dx_ref)
-            assert same_bits(conv.grads["b"], gb_ref)
-            self.assert_gw_close(conv.grads["W"], gW_ref, dtype)
+            TestConvOnGrid.check_backward(conv, x, dy, dilation)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("dilation", [1, 2, 4])
     def test_accumulates_onto_existing_grads(self, dtype, dilation):
-        conv, x, dy, (_dx, gW_ref, gb_ref) = self.setup(dtype, dilation, self.SHAPES[0])
+        conv, x, dy = self.setup(dtype, dilation, self.SHAPES[0])
         rng = np.random.default_rng(40)
-        gW0 = rng.standard_normal(gW_ref.shape).astype(dtype)
-        gb0 = rng.standard_normal(gb_ref.shape).astype(dtype)
-        conv.grads["W"][...] = gW0
-        conv.grads["b"][...] = gb0
-        conv.forward(x)
-        conv.backward(dy)
-        assert same_bits(conv.grads["b"], gb0 + gb_ref)
-        self.assert_gw_close(conv.grads["W"] - gW0, gW_ref, dtype)
+        conv.grads["W"][...] = rng.standard_normal(conv.grads["W"].shape)
+        conv.grads["b"][...] = rng.standard_normal(conv.grads["b"].shape)
+        for P in (dilation, 4):
+            TestConvOnGrid.check_backward(conv, x, dy, P)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("dilation", [1, 2, 4])
     def test_without_input_grad(self, dtype, dilation):
-        conv, x, dy, (_dx, gW_ref, gb_ref) = self.setup(dtype, dilation, self.SHAPES[0])
+        conv, x, dy = self.setup(dtype, dilation, self.SHAPES[0])
         conv.needs_input_grad = False
-        conv.forward(x)
-        assert conv.backward(dy) is None
-        assert same_bits(conv.grads["b"], gb_ref)
-        self.assert_gw_close(conv.grads["W"], gW_ref, dtype)
+        for P in (dilation, 4):
+            TestConvOnGrid.check_backward(conv, x, dy, P)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("dilation", [1, 2])
     @pytest.mark.parametrize("rows", [10 ** 6, 107, 50, 1])
     def test_weight_gradient_by_row_pieces(self, dtype, dilation, rows, monkeypatch):
-        # gW takes the grid rows STACK_ROWS at a time: at dilation 1 the
-        # 214 rows are one piece, two of 107, five with a ragged last of
-        # 14, or one row each; dx and the bias gradient keep their bits
+        # backward takes the grid rows STACK_ROWS at a time: at dilation 1
+        # and border 1 the 214 rows are one piece, two of 107, five with a
+        # ragged last of 14, or one row each; dx and the bias gradient keep
+        # their bits
         from seldkit.net import layers
 
-        conv, x, dy, (dx_ref, gW_ref, gb_ref) = self.setup(dtype, dilation, (2, 8, 10, 3, 4))
+        conv, x, dy = self.setup(dtype, dilation, (2, 8, 10, 3, 4))
         monkeypatch.setattr(layers, "STACK_ROWS", rows)
-        conv.forward(x)
-        dx = conv.backward(dy)
-        assert same_bits(np.ascontiguousarray(dx), dx_ref)
-        assert same_bits(conv.grads["b"], gb_ref)
-        self.assert_gw_close(conv.grads["W"], gW_ref, dtype)
+        for P in (dilation, 4):
+            conv.zero_grad()
+            TestConvOnGrid.check_backward(conv, x, dy, P)
 
     @pytest.mark.parametrize("dilation", [1, 2, 4])
     def test_alternating_shapes_share_one_workspace(self, dilation):
-        # after the first call of each shape, alternating them allocates
-        # nothing, and dy's padded borders stay zero
+        # after the first call of each shape and border, alternating them
+        # allocates no product workspace
         rng = np.random.default_rng(dilation)
         conv = Conv2d(4, 5, dilation, rng, dtype=np.float32)
-        cases = []
-        for B, T, F in [(3, 12, 10), (5, 3, 10)]:
-            x = rng.standard_normal((B, T, F, 4)).astype(np.float32)
-            dy = rng.standard_normal((B, T, F, 5)).astype(np.float32)
-            cases.append((x, dy, conv2d_backward_by_tap_copies(x, conv.params["W"], dy, dilation)[0]))
-        for x, dy, _dx_ref in cases:
-            conv.forward(x)
-            conv.backward(dy)
+        cases = [(rng.standard_normal((B, T, F, 4)).astype(np.float32),
+                  rng.standard_normal((B, T, F, 5)).astype(np.float32), P)
+                 for P in (dilation, 4) for B, T, F in [(3, 12, 10), (5, 3, 10)]]
+        for case in cases:
+            TestConvOnGrid.check_backward(conv, *case)
         workspaces = dict(conv._ws_store)
-        for x, dy, dx_ref in cases + cases:
-            conv.forward(x)
-            assert same_bits(np.ascontiguousarray(conv.backward(dy)), dx_ref)
+        for case in cases + cases:
+            TestConvOnGrid.check_backward(conv, *case)
         assert conv._ws_store.keys() == workspaces.keys()
         assert all(conv._ws_store[name] is buf for name, buf in workspaces.items())
-
-
-class TestConvOnGrid:
-    """A conv reading the channel prefix of a dense block's channel-major
-    grid in place, border P = 4 at every dilation, and writing the channel
-    slice after it; the channels beyond hold noise it must not touch."""
-
-    P = 4
-    SHAPES = [(3, 9, 11, 5), (2, 3, 6, 4), (2, 7, 1, 3), (1, 1, 1, 2)]
-
-    def setup(self, dtype, dilation, shape, Co=5):
-        B, T, F, C = shape
-        rng = np.random.default_rng(dilation)
-        conv = Conv2d(C, Co, dilation, rng, dtype=dtype)
-        conv.params["b"][...] = rng.standard_normal(Co)
-        x = rng.standard_normal(shape).astype(dtype)
-        p = self.P
-        grid = (100 * rng.standard_normal((C + Co + 2, B, T + 2 * p, F + 2 * p))).astype(dtype)
-        grid[:C] = 0
-        _valid(grid[:C], p)[...] = x
-        return conv, x, grid
-
-    def forward(self, conv, grid):
-        C, Co = conv.in_ch, conv.out_ch
-        with conv.on_grid(grid, grid[C:C + Co]):
-            return conv.forward(_valid(grid[:C], self.P))
-
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("dilation", [1, 2, 4])
-    @pytest.mark.parametrize("shape", SHAPES)
-    def test_forward_matches_tap_copies_bit_for_bit(self, dtype, dilation, shape):
-        conv, x, grid = self.setup(dtype, dilation, shape)
-        C, Co = conv.in_ch, conv.out_ch
-        before = grid.copy()
-        y = self.forward(conv, grid)
-        assert same_bits(np.ascontiguousarray(y), conv2d_by_tap_copies(x, conv.params["W"], conv.params["b"], dilation))
-        # the output's border is zero, every other channel as it was
-        ring = grid[C:C + Co].copy()
-        _valid(ring, self.P)[...] = 0
-        assert not ring.any()
-        assert same_bits(grid[:C], before[:C]) and same_bits(grid[C + Co:], before[C + Co:])
-
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("dilation", [1, 2, 4])
-    @pytest.mark.parametrize("shape", SHAPES)
-    def test_backward_matches_tap_copies(self, dtype, dilation, shape):
-        # dx and the bias gradient bit for bit, gW to its stated tolerance
-        conv, x, grid = self.setup(dtype, dilation, shape)
-        dy = np.random.default_rng(41).standard_normal(shape[:3] + (conv.out_ch,)).astype(dtype)
-        dx_ref, gW_ref, gb_ref = conv2d_backward_by_tap_copies(x, conv.params["W"], dy, dilation)
-        self.forward(conv, grid)
-        dx = conv.backward(dy)
-        assert same_bits(np.ascontiguousarray(dx), dx_ref)
-        assert same_bits(conv.grads["b"], gb_ref)
-        TestConvBackward().assert_gw_close(conv.grads["W"], gW_ref, dtype)
-
-    def test_backward_after_a_narrower_border_of_the_same_shape(self):
-        # off the grid, T 9 x F 12 at border 1 pads dy to the 11 x 14 rows
-        # that T 3 x F 6 take at border 4; the wider border is zeroed again
-        conv, x, grid = self.setup(np.float64, 1, (2, 3, 6, 3), Co=2)
-        rng = np.random.default_rng(42)
-        conv.forward(rng.standard_normal((2, 9, 12, 3)))
-        conv.backward(rng.standard_normal((2, 9, 12, 2)))
-        conv.zero_grad()
-        dy = rng.standard_normal((2, 3, 6, 2))
-        dx_ref, gW_ref, gb_ref = conv2d_backward_by_tap_copies(x, conv.params["W"], dy, 1)
-        self.forward(conv, grid)
-        dx = conv.backward(dy)
-        assert same_bits(np.ascontiguousarray(dx), dx_ref)
-        TestConvBackward().assert_gw_close(conv.grads["W"], gW_ref, np.float64)
-
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("rows", [1, 700, 10 ** 6])
-    def test_bits_do_not_depend_on_the_piece_size(self, dtype, rows, monkeypatch):
-        # the stacked GEMMs take the grid rows in pieces of about STACK_ROWS,
-        # each long enough for OpenBLAS's large kernel: K = 42 >= 32 is where
-        # its small one rounds differently.  The reference's GEMMs are large
-        # too: M·N·K = 6 · 5280 · 42 > 1e6
-        from seldkit.net import layers
-
-        conv, x, grid = self.setup(dtype, 2, (4, 40, 33, 42), Co=6)
-        expected = np.ascontiguousarray(self.forward(conv, grid))
-        monkeypatch.setattr(layers, "STACK_ROWS", rows)
-        assert same_bits(np.ascontiguousarray(self.forward(conv, grid)), expected)
-        assert same_bits(expected, conv2d_by_tap_copies(x, conv.params["W"], conv.params["b"], 2))
-
-    @pytest.mark.parametrize("dilation, T, F", [(1, 19, 32), (2, 5, 36), (4, 10, 12)])
-    def test_bits_do_not_depend_on_the_rows_a_call_takes(self, dilation, T, F):
-        # one item of a batch alone: its GEMMs are below the large kernel's
-        # rows (K = 42 >= 32, where OpenBLAS's small kernel rounds apart;
-        # these shapes did) and run on a copy followed by zero rows; the
-        # batch's are past them
-        from seldkit.net import layers
-
-        rng = np.random.default_rng(dilation)
-        conv = Conv2d(42, 6, dilation, rng)
-        conv.params["b"][...] = rng.standard_normal(6)
-        x = rng.standard_normal((16, T, F, 42)).astype(np.float32)
-        least = layers._least_rows(3 * 6 * 42)
-        assert (T + 2 * dilation) * (F + 2 * dilation) < least < 16 * T * F
-        batch = np.ascontiguousarray(conv.forward(x))
-        for b in range(3):
-            assert same_bits(np.ascontiguousarray(conv.forward(x[b:b + 1])), batch[b:b + 1])
 
 
 class TestBackwardOnGrid:
@@ -448,7 +475,7 @@ class TestBackwardOnGrid:
         with unit.conv.on_grid(grid, grid[slice_]):
             unit.forward(x)
         grad = (100 * rng.standard_normal(grid.shape)).astype(dtype)
-        _zero_ring(grad[:C + Co], p, 2)  # the block keeps these borders zero
+        _zero_ring(grad[:C + Co], p)  # the block keeps these borders zero
         before = grad.copy()
         dy = np.ascontiguousarray(_valid(grad[slice_], p))
         g = np.ascontiguousarray(unit.act.backward(dy))
@@ -506,30 +533,30 @@ class TestConvUnitFold:
         unit.conv.params["b"][...] = rng.standard_normal(5)
         mixing = rng.standard_normal((4, 4))
         for _ in range(5):
-            unit.forward((rng.standard_normal((2, 8, 9, 4)) @ mixing + 0.5).astype(dtype))
+            OnGrid(unit).forward((rng.standard_normal((2, 8, 9, 4)) @ mixing + 0.5).astype(dtype))
         unit.eval()
         return unit, rng.standard_normal((2, 8, 9, 4)).astype(dtype)
 
     @staticmethod
     def unfolded(unit, x):
-        return unit.act.forward(unit.norm.forward(unit.conv.forward(x)))
+        return unit.act.forward(unit.norm.forward(OnGrid(unit.conv).forward(x)))
 
     @pytest.mark.parametrize("dtype, atol", [(np.float64, 1e-12), (np.float32, 2e-6)])
     def test_matches_conv_then_norm(self, dtype, atol):
         unit, x = self.moved_unit(dtype)
         cov = unit.norm.buffers["running_cov"]
         assert np.abs(cov - np.eye(5)).max() > 0.1
-        folded = unit.forward(x)
+        folded = OnGrid(unit).forward(x)
         assert unit.conv.folded is None
         np.testing.assert_allclose(folded, self.unfolded(unit, x), rtol=0, atol=atol)
 
     def test_follows_in_place_weight_edits(self):
         # nothing is cached: an edited weight shows in the next forward
         unit, x = self.moved_unit(np.float64)
-        unit.forward(x)
+        OnGrid(unit).forward(x)
         unit.conv.params["W"][4, 1, 2] += 0.5
         unit.norm.buffers["running_mean"][0] += 0.5
-        np.testing.assert_allclose(unit.forward(x), self.unfolded(unit, x), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(OnGrid(unit).forward(x), self.unfolded(unit, x), rtol=0, atol=1e-12)
 
     def test_skips_the_norm_pass(self, monkeypatch):
         unit, x = self.moved_unit(np.float32)
@@ -538,7 +565,7 @@ class TestConvUnitFold:
             raise AssertionError("eval-mode NetDeconv ran its own pass")
 
         monkeypatch.setattr(unit.norm, "forward", refuse)
-        unit.forward(x)
+        OnGrid(unit).forward(x)
 
 
 class TestGruSplit:
@@ -757,7 +784,7 @@ class TestCompositeGradients:
         rng = np.random.default_rng(10)
         unit = ConvUnit(3, 2, dilation=1, rng=rng, dtype=np.float64)
         x = rng.standard_normal((2, 4, 4, 3))
-        check_module(unit, x, warm_train=True)
+        check_module(OnGrid(unit), x, warm_train=True)
 
     def test_dense_block(self):
         rng = np.random.default_rng(11)
