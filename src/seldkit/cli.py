@@ -179,6 +179,9 @@ def cmd_train(args) -> int:
 
 
 def cmd_infer(args) -> int:
+    for flag, path in (("--out", args.out), ("--dump-accdoa", args.dump_accdoa)):
+        if path and not Path(path).parent.is_dir():
+            raise ValueError(f"{flag} {path}: no directory {Path(path).parent}")
     kind, model, _net_cfg, stft_cfg, _cfg = load_model(args.ckpt)
     clip = read_wav(args.wav)
     try:
@@ -197,16 +200,19 @@ def cmd_infer(args) -> int:
 
 def _eval_one(pred_spec: str, ref: Path, n_classes: int, threshold: float):
     pred = Path(pred_spec)
+    for flag, path in (("--pred", pred), ("--ref", ref)):
+        if not path.exists():
+            raise ValueError(f"{flag} {path}: no such file or directory")
     if pred.is_dir() != ref.is_dir():
-        raise SystemExit("--pred and --ref must both be files or both directories")
+        raise ValueError(f"--pred {pred} and --ref {ref} must both be files or both directories")
     pairs = [(pred, ref)]
     if pred.is_dir():
         names = sorted(p.name for p in ref.glob("*.csv"))
         if not names:
-            raise SystemExit(f"no reference CSVs in {ref}")
+            raise ValueError(f"--ref {ref}: no reference CSVs")
         for name in names:
             if not (pred / name).exists():
-                raise SystemExit(f"missing prediction {pred / name}")
+                raise ValueError(f"--pred {pred}: no prediction {name} for {ref / name}")
         pairs = [(pred / name, ref / name) for name in names]
     try:
         acc = MetricsAccumulator(n_classes=n_classes, threshold_deg=threshold)

@@ -9,13 +9,12 @@ from .accdoa import pool_to_label_rate
 from .augment import ALL_PATTERNS, rotate_accdoa
 from .features import FeatureStack, StftConfig, extract_features, rotated_feature_stacks
 from .net.layers import Module
+from .net.model import TRUNK_FRAMES
 from .scene import AmbisonicClip
 
 DEFAULT_SEG_LEN = 1024
 DEFAULT_SHIFT = 20
 MAX_BATCH = 32  # segments per predict_batch call
-# frames per trunk call: max(1, TRUNK_FRAMES // seg_len) windows or segments
-TRUNK_FRAMES = 1024
 
 
 def _check_geometry(seg_len: int, shift: int) -> None:
@@ -106,22 +105,23 @@ def _segment_gates(branch, data: np.ndarray, seg_len: int, shift: int, halo: int
     of `_segment_starts(data.shape[1], seg_len, shift)` on its own,
     (seg_len, 6 * gru_hidden).
 
-    A trunk call takes per = max(1, TRUNK_FRAMES // seg_len) windows or
-    segments.  Where a segment's edge rows would overlap, the segments go
-    through the trunk as they are, per at a time.  Otherwise the clip goes
-    through the trunk in windows of seg_len frames every
-    step = seg_len - 2 * halo frames (plus one flush against the end),
-    per at a time; each window gives the frames at least `halo` from its
-    edges inside the clip, where it equals the whole-clip trunk, and these
-    are projected together.  A segment's rows within `halo` of an edge
-    inside the clip come from edge rows: its left edge at s from window
-    s // step, its right from window ceil(s / step) (the last window where
-    that is past the grid), each equal to the clip on every row the edge
-    reads.  A conv of an edge reads at most halo + d rows, d the largest
-    dilation, so an edge call takes at most per * seg_len // (halo + d)
-    edges, no more rows than a trunk call.  An edge's bits do not depend
-    on how many edges share its call, as every conv GEMM stays on
-    OpenBLAS's large kernel however few rows it has (`_stacked_conv` in
+    Where a segment's edge rows would overlap, the segments go through the
+    trunk as they are, max(1, TRUNK_FRAMES // seg_len) at a time.
+    Otherwise the clip goes through the trunk one window a call, a view of
+    the clip of L = max(seg_len, TRUNK_FRAMES) frames (the whole clip if
+    shorter), every step = L - 2 * halo frames (plus one flush against the
+    end); each window gives the frames at least `halo` from its edges
+    inside the clip, where it equals the whole-clip trunk, and these are
+    projected.  A segment's rows within `halo` of an edge inside the clip
+    come from edge rows: its left edge at s from window s // step (the
+    last window where that is past the grid), its right edge at
+    e = s + seg_len from window ceil((e - L) / step) (clipped to the
+    windows), each equal to the clip on every row the edge reads.  A conv
+    of an edge reads at most halo + d rows, d the largest dilation, so an
+    edge call takes at most max(1, TRUNK_FRAMES // seg_len) * seg_len //
+    (halo + d) edges, no more rows than a trunk call.  An edge's bits do
+    not depend on how many edges share its call, as every conv GEMM stays
+    on OpenBLAS's large kernel however few rows it has (`_stacked_conv` in
     `net.layers`).  A segment is yielded once the window of its right edge
     has run, and clip frames are kept only from the first segment not yet
     yielded, so memory does not grow with the clip.
@@ -132,33 +132,29 @@ def _segment_gates(branch, data: np.ndarray, seg_len: int, shift: int, halo: int
             yield from branch.gru.project(branch.forward_trunk(x))
         return
     n_t = data.shape[1]
-    step = seg_len - 2 * halo
+    L = min(max(seg_len, TRUNK_FRAMES), n_t)
+    step = L - 2 * halo
     edge_cap = per * seg_len // (halo + 2 ** (branch.cfg.layers_per_block - 1))
-    windows = _segment_starts(n_t, seg_len, step)
+    windows = _segment_starts(n_t, L, step)
     starts = np.array(_segment_starts(n_t, seg_len, shift))
-    last = -(-starts // step)  # the right edge's window; for the end segment, the last window
+    first = np.minimum(starts // step, len(windows) - 1)  # the left edge's window
+    last = np.clip(-((L - seg_len - starts) // step), 0, len(windows) - 1)  # the right edge's
     frames = np.empty((0, 6 * branch.cfg.gru_hidden), dtype=branch.dtype)
     lo = end = 0  # the clip frames of frames[0] and frames[-1] + 1
     edges = {}  # (segment index, left) -> (halo, 6 * gru_hidden) projections
     i = 0  # the first segment not yet yielded
-    for w0 in range(0, len(windows), per):
-        part = windows[w0:w0 + per]
-        x = np.stack([data[:, s:s + seg_len] for s in part])
-        ys = branch.forward_trunk(x)
-        kept = []
-        for s, y in zip(part, ys):
-            hi = s + seg_len - halo if s + seg_len < n_t else n_t
-            kept.append(y[end - s:hi - s])
-            end = hi
-        frames = np.concatenate([frames, branch.gru.project(np.concatenate(kept))])
-        for left, w, e in ((True, starts // step, starts), (False, last, starts + seg_len)):
-            mine = np.flatnonzero((w0 <= w) & (w < w0 + len(part)) & (0 < e) & (e < n_t))
-            for c in range(0, len(mine), edge_cap):  # the edges inside the clip, in this call's windows
+    for w, s in enumerate(windows):
+        x = data[None, :, s:s + L]
+        hi = s + L - halo if s + L < n_t else n_t
+        frames = np.concatenate([frames, branch.gru.project(branch.forward_trunk(x)[0, end - s:hi - s])])
+        end = hi
+        for left, edge_w, e in ((True, first, starts), (False, last, starts + seg_len)):
+            mine = np.flatnonzero((edge_w == w) & (0 < e) & (e < n_t))
+            for c in range(0, len(mine), edge_cap):  # the edges inside the clip, in this window
                 k = mine[c:c + edge_cap]
-                rows = branch.forward_edges(x, w[k] - w0, e[k] - np.take(windows, w[k]), left)
+                rows = branch.forward_edges(x, np.zeros(len(k), int), e[k] - s, left)
                 edges.update(zip([(j, left) for j in k.tolist()], branch.gru.project(rows)))
-        del x, ys, kept  # not held while the segments run
-        while i < len(starts) and last[i] < w0 + len(part):
+        while i < len(starts) and last[i] <= w:
             s = starts[i]
             g = np.empty((seg_len, frames.shape[1]), dtype=frames.dtype)
             clip = frames[s - lo:s - lo + seg_len]  # short by the right edge rows while they are not projected

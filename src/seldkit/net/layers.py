@@ -677,6 +677,8 @@ class Gru(Module):
         gx = np.empty((2, B, 3 * H), dtype=self.dtype)
         out = np.empty((B, T, 2 * H), dtype=self.dtype)
         cache = self._cache = [None] * T if self.for_backward else None
+        if cache is None:
+            self._x2 = None  # nor the input of an earlier forward
         for s in range(T):
             t = T - 1 - s
             gx[0] = g[:, s, :3 * H]

@@ -21,6 +21,9 @@ from .layers import (
     _edge_columns, _put, _valid,
 )
 
+# frames an eval-mode trunk call holds at most, or one segment's if longer
+TRUNK_FRAMES = 1024
+
 
 @dataclass(frozen=True)
 class NetConfig:
@@ -233,7 +236,17 @@ class SeldBranch(Module):
             raise ValueError(f"expected F = {self.cfg.f_bins}, got {x.shape[3]}")
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        return self._output(self.gru.forward(self.forward_trunk(x)))
+        """(B, 7, T, F) -> the branch output.  In eval mode without backward,
+        the trunk and the BiGRU input projection run on max(1, TRUNK_FRAMES
+        // T) segments at a time, and the recurrence and head on the whole
+        batch, with the bits of one pass."""
+        if self.for_backward:
+            return self._output(self.gru.forward(self.forward_trunk(x)))
+        self._check_input(x)
+        per = max(1, TRUNK_FRAMES // max(1, x.shape[2]))
+        return self.forward_head(np.concatenate([
+            self.gru.project(self.forward_trunk(x[i:i + per])) for i in range(0, len(x), per)
+        ]))
 
     def _channels_last(self, x: np.ndarray) -> np.ndarray:
         """(B, 7, T, F) -> (B, T, f_trimmed, 7) view: the highest bins

@@ -8,6 +8,7 @@ import pytest
 from scipy.io import wavfile
 
 from seldkit.accdoa import dump_accdoa, load_accdoa, encode_accdoa
+from seldkit import cli
 from seldkit.cli import _CONFIG_DEFAULTS, _configs_from, main, read_config
 from seldkit.ensemble import EnsembleWeights, write_weights_csv
 from seldkit.features import StftConfig
@@ -515,6 +516,37 @@ class TestInferEval:
                      "--classes", "3", "--out", str(tmp_path / "m.json")]) == 0
         metrics = json.loads((tmp_path / "m.json").read_text())
         assert metrics["F20"] == pytest.approx(100.0)
+
+    @pytest.mark.parametrize("pred, ref, message", [
+        ("nosuch", "refs", "--pred {pred}: no such file or directory"),
+        ("preds/a.csv", "nosuch", "--ref {ref}: no such file or directory"),
+        ("preds/a.csv", "refs", "--pred {pred} and --ref {ref} must both be files or both directories"),
+        ("preds", "empty", "--ref {ref}: no reference CSVs"),
+        ("empty", "refs", "--pred {pred}: no prediction a.csv for {ref}/a.csv"),
+    ], ids=["missing-pred", "missing-ref", "file-and-directory", "no-reference-csvs", "missing-prediction"])
+    def test_eval_rejects_paths_naming_them(self, tmp_path, capsys, pred, ref, message):
+        for name in ("preds", "refs", "empty"):
+            (tmp_path / name).mkdir()
+        for name in ("preds", "refs"):
+            (tmp_path / name / "a.csv").write_text("0,0,0,10,0\n")
+        pred, ref = tmp_path / pred, tmp_path / ref
+        assert main(["eval", "--pred", str(pred), "--ref", str(ref), "--classes", "1"]) == 2
+        assert capsys.readouterr().err == f"error: {message.format(pred=pred, ref=ref)}\n"
+
+    @pytest.mark.parametrize("flag", ["--out", "--dump-accdoa"])
+    def test_infer_rejects_a_missing_output_directory_before_any_work(self, tmp_path, capsys, monkeypatch, flag):
+        def ran(*args, **kwargs):
+            raise AssertionError("inference ran")
+
+        for name in ("load_model", "read_wav", "Predictor"):
+            monkeypatch.setattr(cli, name, ran)
+        missing = tmp_path / "nodir" / "pred"
+        outputs = {"--out": str(tmp_path / "pred.csv"), "--dump-accdoa": str(tmp_path / "pred.acc"), flag: str(missing)}
+        wav, _ = self.setup_scene(tmp_path)
+        argv = ["infer", "--ckpt", str(self.oracle_ckpt(tmp_path)), "--in", str(wav)]
+        assert main(argv + [arg for item in outputs.items() for arg in item]) == 2
+        assert capsys.readouterr().err == f"error: {flag} {missing}: no directory {missing.parent}\n"
+        assert not missing.parent.exists()
 
     def test_missing_file_is_error_exit(self, tmp_path):
         code = main(["eval", "--pred", str(tmp_path / "nope.csv"),

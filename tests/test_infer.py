@@ -156,19 +156,19 @@ class TestPredictorNetworks:
 
     @pytest.mark.parametrize("kind", ["rd3net", "two-stage"])
     def test_segment_starting_past_the_projected_frames(self, kind, monkeypatch):
-        # 580 frames: 15 windows every 50 - 2 * 7 = 36 frames and one flush
-        # against the end, 8 a call at a budget of 400 frames, so 8 and 8:
-        # the first call projects the clip up to frame 7 * 36 + 50 - 7 = 295
-        # and completes the segment at 250; the next one starts at 300
+        # 580 frames at a budget of 400: a window of 400 frames at 0 and one
+        # flush against the end at 180, a call each.  The first projects
+        # the clip up to frame 400 - 7 = 393 and completes the segment at
+        # 350, which ends where the window does; the next one starts at 400
         monkeypatch.setattr(infer, "TRUNK_FRAMES", 400)
         model, forward = self.network(kind)
         sizes = []
         for branch in model.branches:
-            branch.forward_trunk = lambda x, trunk=branch.forward_trunk: sizes.append(len(x)) or trunk(x)
+            branch.forward_trunk = lambda x, trunk=branch.forward_trunk: sizes.append(x.shape[::2]) or trunk(x)
         data = np.random.default_rng(3).standard_normal((7, 580, NET.f_bins))
         out = Predictor(model, STFT, seg_len=50, shift=50).predict_features(FeatureStack(data))
         assert NET.time_halo == 7
-        assert sizes == [8] * 2 * len(model.branches)
+        assert sizes == [(1, 400)] * 2 * len(model.branches)
         # float32 sums on N(0, 1) inputs round apart by up to about 1e-6
         np.testing.assert_allclose(out, segment_by_segment(forward, data, 50, 50), atol=1e-5)
 
@@ -206,12 +206,13 @@ class TestPredictorNetworks:
         pytest.param(14, 4, 300, 1, id="edges-cover-segments"),
     ])
     def test_trunk_work_and_call_size(self, seg_len, shift, n_t, segment_frames, monkeypatch):
-        # every trunk call and every conv call holds at most TRUNK_FRAMES //
-        # seg_len segments' frames, and an edge call at most as many rows a
-        # unit.  With room between a segment's edges, each frame goes
-        # through the trunk about once, in windows, and each conv unit takes
-        # a few rows per segment edge (TestEdgeRows.ROWS); otherwise each
-        # segment goes through the trunk once
+        # With room between a segment's edges, each frame goes through the
+        # trunk about once, one window of max(seg_len, TRUNK_FRAMES) frames
+        # a call (the whole clip if shorter), and each conv unit takes a
+        # few rows per segment edge (TestEdgeRows.ROWS); an edge call holds
+        # at most TRUNK_FRAMES // seg_len segments' frames a unit.
+        # Otherwise each segment goes through the trunk once, in calls of at
+        # most that many segments
         model, _ = self.network("rd3net")
         calls, conv_rows, edge_rows = [], [], []
         trunk = model.branch.forward_trunk
@@ -238,25 +239,49 @@ class TestPredictorNetworks:
         halo = NET.time_halo
         units = len(TestEdgeRows.ROWS)
         budget = infer.TRUNK_FRAMES // seg_len * seg_len
-        assert max(calls) <= budget
-        assert max(conv_rows + edge_rows) <= budget
         if segment_frames:
+            assert max(calls + conv_rows) <= budget
             assert sum(calls) == n_seg * seg_len
             assert sum(conv_rows) == units * n_seg * seg_len
             assert not edge_rows
         else:
-            windows = math.ceil((n_t - seg_len) / (seg_len - 2 * halo)) + 1
-            assert sum(calls) == windows * seg_len
-            assert len(calls) == math.ceil(windows * seg_len / budget)
-            assert sum(conv_rows) == units * windows * seg_len
+            L = min(max(seg_len, infer.TRUNK_FRAMES), n_t)
+            windows = math.ceil((n_t - L) / (L - 2 * halo)) + 1
+            assert calls == [L] * windows
+            assert max(conv_rows) <= L and max(edge_rows) <= budget
+            assert sum(conv_rows) == units * windows * L
             assert sum(edge_rows) == (2 * n_seg - 2) * sum(TestEdgeRows.ROWS)
             # a conv of an edge reads at most halo + 2 rows (NET's largest dilation)
             assert max(edge_rows) <= budget // (halo + 2) * max(TestEdgeRows.ROWS)
 
+    def test_bench_clip_takes_three_windows(self):
+        # the benchmark's 2,999-frame clip at seg_len 256, shift 20 and the
+        # desk time halo of 15 frames: windows of 1,024 frames every 994,
+        # at 0 and 994, and one flush against the end at 1,975; 3,072 trunk
+        # frames, where windows of seg_len frames took 14 and 3,584.  Each
+        # window is a view of the features
+        cfg = NetConfig(n_classes=1, f_bins=8, stem_channels=1, growth=1, freq_pool=2, gru_hidden=1)
+        model = RD3NetLite(cfg).eval(backward=False)
+        data = np.random.default_rng(0).standard_normal((7, 2999, cfg.f_bins))
+        windows = []
+
+        def start(x):
+            assert np.shares_memory(x, data)
+            return (x.ctypes.data - data.ctypes.data) // data.strides[1]
+
+        trunk = model.branch.forward_trunk
+        model.branch.forward_trunk = lambda x: windows.append((start(x), x.shape[2])) or trunk(x)
+        Predictor(model, STFT, seg_len=256, shift=20).predict_features(FeatureStack(data))
+        assert infer.TRUNK_FRAMES == 1024 and cfg.time_halo == DESK.time_halo == 15
+        assert windows == [(0, 1024), (994, 1024), (1975, 1024)]
+
     def test_memory_does_not_grow_with_the_clip(self, monkeypatch):
         # the clip trunk is kept only around the current segments: four
         # times the clip adds about its output, not its trunk (gru_in floats
-        # a frame).  8 windows a call, which both clips fill
+        # a frame).  Windows of 8 * 32 frames, which every clip fills.  Both
+        # measured clips run windows while the last head batch's caches
+        # (`.eval()` keeps them for backward) are alive; a 400-frame clip
+        # runs both its windows before its first head batch
         monkeypatch.setattr(infer, "TRUNK_FRAMES", 8 * 32)
         model, _ = self.network("rd3net")
         rng = np.random.default_rng(0)
@@ -270,23 +295,28 @@ class TestPredictorNetworks:
             tracemalloc.stop()
             return top
 
-        peak(200)  # allocates the layers' workspaces
-        growth = peak(1600) - peak(400)
+        peak(800)  # allocates the layers' workspaces
+        growth = peak(3200) - peak(800)
         assert growth < 1200 * NET.gru_in * 4 / 4
 
     @pytest.mark.parametrize("kind, cfg", [("rd3net", NET), ("two-stage", NET), ("rd3net", DESK)],
                              ids=["rd3net-net", "two-stage-net", "rd3net-desk"])
     @pytest.mark.parametrize("seg_len, shift, n_t", [(64, 7, 250), (128, 20, 500)])
     def test_frame_budget_does_not_move_bits(self, kind, cfg, seg_len, shift, n_t, monkeypatch):
-        # 1, 2 or 16 windows a call, and the edge calls they make: no conv
-        # or projection GEMM drops to OpenBLAS's small-matrix kernel, however
-        # few windows, edges or frames a call holds
+        # windows of 1 or 2 segments' frames, or the whole clip in one, and
+        # the edge calls they make: no conv or projection GEMM drops to
+        # OpenBLAS's small-matrix kernel, however few windows, edges or
+        # frames a call holds
         model = TestFoldedNetworks.moved_network(kind, cfg)
         data = np.random.default_rng(3).standard_normal((7, n_t, cfg.f_bins)).astype(np.float32)
-        outs = []
-        for budget in (seg_len, 2 * seg_len, 16 * seg_len):
+        calls, outs = [], []
+        for branch in model.branches:
+            branch.forward_trunk = lambda x, trunk=branch.forward_trunk: calls.append(x.shape[2]) or trunk(x)
+        for budget in (seg_len, 2 * seg_len, n_t):
             monkeypatch.setattr(infer, "TRUNK_FRAMES", budget)
+            calls.clear()
             outs.append(Predictor(model, STFT, seg_len=seg_len, shift=shift).predict_features(FeatureStack(data)))
+        assert calls == [n_t] * len(model.branches)
         assert same_bits(outs[0], outs[1]) and same_bits(outs[0], outs[2])
 
     def test_trunk_grids_hold_one_window_at_seg_len_of_the_budget(self):

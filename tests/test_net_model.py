@@ -17,7 +17,7 @@ from seldkit.net.checkpoint import (
 )
 from seldkit.net.layers import Conv2d, Elu, Gru, Linear, NetDeconv
 from seldkit.net.losses import loss_bce, loss_mse
-from seldkit.net.model import ConvTrunk, NetConfig, RD3NetLite, TwoStageNet
+from seldkit.net.model import TRUNK_FRAMES, ConvTrunk, NetConfig, RD3NetLite, TwoStageNet
 from seldkit.net.optim import Adam, TrainConfig, learning_rate
 
 TINY = dict(f_bins=16, stem_channels=4, growth=3, layers_per_block=2,
@@ -121,6 +121,44 @@ class TestEvalWithoutBackward:
         assert not loaded.training and not loaded.branch.head.for_backward
         loaded.train()
         assert loaded.branch.head.for_backward
+
+
+class TestBoundedEvalForward:
+    """Eval `forward` without backward runs the trunk and the input
+    projection on max(1, TRUNK_FRAMES // T) segments at a time."""
+
+    DESK = NetConfig(n_classes=3, f_bins=129, stem_channels=12, growth=6)
+
+    @pytest.mark.parametrize("kind", [RD3NetLite, TwoStageNet])
+    @pytest.mark.parametrize("cfg, B, T, calls", [
+        (tiny_config(), 30, 40, [25, 5]),
+        (tiny_config(), 6, 256, [4, 2]),
+        (tiny_config(), 7, 300, [3, 3, 1]),
+        (tiny_config(), 3, 1024, [1, 1, 1]),
+        (DESK, 6, 256, [4, 2]),
+    ], ids=["T40", "T256", "T300", "T1024", "desk-T256"])
+    def test_predict_batch_matches_one_pass(self, kind, cfg, B, T, calls):
+        model = kind(cfg, seed=1)
+        x = np.random.default_rng(2).standard_normal((B, 7, T, cfg.f_bins)).astype(np.float32)
+        one_pass = model.eval().predict_batch(x)
+        sizes = []
+        for branch in model.branches:
+            branch.forward_trunk = lambda x, trunk=branch.forward_trunk: sizes.append(len(x)) or trunk(x)
+        out = model.eval(backward=False).predict_batch(x)
+        assert TRUNK_FRAMES == 1024 and sizes == calls * len(model.branches)
+        assert same_bits(out, one_pass)
+
+    @pytest.mark.parametrize("kind", [RD3NetLite, TwoStageNet])
+    def test_workspaces_hold_one_trunk_call(self, kind):
+        # six segments of 256 frames, as the benchmark's check runs, grow no
+        # workspace past one trunk call of 1,024 frames: four such segments
+        rng = np.random.default_rng(0)
+        six, four = (kind(tiny_config(), seed=1).eval(backward=False) for _ in range(2))
+        six.predict_batch(rng.standard_normal((6, 7, 256, 16)).astype(np.float32))
+        four.predict_batch(rng.standard_normal((4, 7, 256, 16)).astype(np.float32))
+        held = [{name: buf.size for name, buf in m._ws_store.items()} for m in (*modules(six), *modules(four))]
+        assert held[:len(held) // 2] == held[len(held) // 2:]
+        assert sum(map(len, held)) > 0
 
 
 def modules(module):
