@@ -131,7 +131,7 @@ def emda_mix(
     clip, events = primary
     if len(secondaries) > MAX_SECONDARIES:
         raise ValueError(f"at most {MAX_SECONDARIES} secondaries are mixed")
-    out = clip.samples.copy()
+    out = np.array(clip.samples, dtype=float)
     n_frames = events.n_frames
     total = out.shape[1]
     merged = list(events.events)

@@ -139,7 +139,15 @@ def cmd_synth(args) -> int:
     return 0
 
 
+def _check_output_dirs(*outputs) -> None:
+    """Reject each (flag, path) whose directory does not exist, before any work."""
+    for flag, path in outputs:
+        if path and not Path(path).parent.is_dir():
+            raise ValueError(f"{flag} {path}: no directory {Path(path).parent}")
+
+
 def cmd_train(args) -> int:
+    _check_output_dirs(("--out", args.out), ("--loss-log", args.loss_log))
     for flag, value, least in (("--iters", args.iters, 0), ("--workers", args.workers, 1)):
         if value < least:
             raise ValueError(f"{flag} must be >= {least}, got {value}")
@@ -179,9 +187,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_infer(args) -> int:
-    for flag, path in (("--out", args.out), ("--dump-accdoa", args.dump_accdoa)):
-        if path and not Path(path).parent.is_dir():
-            raise ValueError(f"{flag} {path}: no directory {Path(path).parent}")
+    _check_output_dirs(("--out", args.out), ("--dump-accdoa", args.dump_accdoa))
     kind, model, _net_cfg, stft_cfg, _cfg = load_model(args.ckpt)
     clip = read_wav(args.wav)
     try:

@@ -202,10 +202,11 @@ def _rotated_planes(spec: np.ndarray, flipped: np.ndarray | None, out: np.ndarra
     _wrap_ipd(alt, amp[0])
 
 
-def rotated_feature_stacks(clip: AmbisonicClip, patterns, cfg: StftConfig = StftConfig()):
+def rotated_feature_stacks(clip: AmbisonicClip, patterns, cfg: StftConfig = StftConfig(),
+                           dtype=np.float64):
     """Yield (pattern, FeatureStack) for each FOA rotation pattern: the
-    features of `rotate_foa(clip, pattern)`, bit for bit, from one pass
-    over the clip.
+    features of `rotate_foa(clip, pattern)` in `dtype`, bit for bit, from
+    one pass over the clip.
 
     A pattern negates some of Y, Z and X (`pattern.channel_signs`), which
     leaves every amplitude as it is and gives each phase difference one of
@@ -214,30 +215,40 @@ def rotated_feature_stacks(clip: AmbisonicClip, patterns, cfg: StftConfig = Stft
     amplitudes (4 `abs`) and six phase-difference planes (7 `arctan2`)
     are written out before its spectrum is dropped: the amplitudes and
     the own phase differences into one (7, T, F) buffer, the negations'
-    into a (3, T, F) one.  The negation's phase is that of the negated
-    spectrum, except on chunks where `augment.zero_signs_matter`, where it
-    is that of the STFT of the chunk's audio with Y, Z and X negated; the
-    predicate is bin-local, so deciding it per chunk gives the bits of
-    deciding it for the clip.  Each pattern swaps, a chunk at a time, only
-    the planes whose sign differs from the previous pattern's between the
-    two buffers (8 swaps for `ALL_PATTERNS` in order).
+    into a (3, T, F) one, both in `dtype` (in another dtype than float64,
+    each chunk's planes are computed in float64 and then cast, as
+    `extract_features` casts them).  The negation's phase is that of the
+    negated spectrum, except on chunks where `augment.zero_signs_matter`,
+    where it is that of the STFT of the chunk's audio with Y, Z and X
+    negated; the predicate is bin-local, so deciding it per chunk gives the
+    bits of deciding it for the clip.  Each pattern swaps, a chunk at a
+    time, only the planes whose sign differs from the previous pattern's
+    between the two buffers (8 swaps for `ALL_PATTERNS` in order).
 
     Every stack yielded is one read-only view of the (7, T, F) buffer:
     the next pattern overwrites those of its channels 4-6 whose sign
     differs, so use a stack before asking for the next.
     """
     n_frames = cfg.n_frames(clip.n_samples)
-    out = np.empty((FEATURE_CHANNELS, n_frames, cfg.n_bins))
-    alt = np.empty((3, n_frames, cfg.n_bins))
+    out = np.empty((FEATURE_CHANNELS, n_frames, cfg.n_bins), dtype)
+    alt = np.empty((3, n_frames, cfg.n_bins), dtype)
+    planes = None  # float64 planes are computed in place, others in one chunk's float64 scratch
+    if out.dtype != np.float64:
+        planes = np.empty((FEATURE_CHANNELS + 3, min(FRAME_CHUNK, n_frames), cfg.n_bins))
     for lo, hi in _frame_chunks(0, n_frames):
         spec = stft(clip, cfg, lo, hi)
         flipped = _flipped_stft(clip, cfg, lo, hi) if zero_signs_matter(spec) else None
-        _rotated_planes(spec, flipped, out[:, lo:hi], alt[:, lo:hi])
-    del spec, flipped  # not held while the patterns run
+        if planes is None:
+            _rotated_planes(spec, flipped, out[:, lo:hi], alt[:, lo:hi])
+        else:
+            chunk = planes[:, :hi - lo]
+            _rotated_planes(spec, flipped, chunk[:FEATURE_CHANNELS], chunk[FEATURE_CHANNELS:])
+            out[:, lo:hi], alt[:, lo:hi] = chunk[:FEATURE_CHANNELS], chunk[FEATURE_CHANNELS:]
+    del spec, flipped, planes  # not held while the patterns run
     view = out.view()
     view.flags.writeable = False
     fs = FeatureStack(view)
-    swap = np.empty((min(FRAME_CHUNK, n_frames), cfg.n_bins))
+    swap = np.empty((min(FRAME_CHUNK, n_frames), cfg.n_bins), dtype)
     negated = [False] * 3  # whether channel 4 + q holds the negation's phase difference
     for r in patterns:
         for q, sign in enumerate(r.channel_signs[1:]):

@@ -200,19 +200,20 @@ def _shared_trunk_inference(model, fs: FeatureStack, seg_len: int, shift: int) -
     return sliding_inference(predict_batch, fs, seg_len, shift)
 
 
-def rotation_tta(predict_features, clip: AmbisonicClip, cfg: StftConfig, patterns=ALL_PATTERNS) -> np.ndarray:
+def rotation_tta(predict_features, clip: AmbisonicClip, cfg: StftConfig, patterns=ALL_PATTERNS,
+                 dtype=np.float64) -> np.ndarray:
     """Average predictions over FOA rotations of one clip.
 
-    Each pattern's features come from `features.rotated_feature_stacks`,
-    which builds the amplitudes and phases once for all patterns, a chunk
-    of frames at a time.  `predict_features` gets one stack per pattern in
-    one shared read-only buffer, which the next pattern overwrites, so it
-    must not keep the stack.  Each pattern is its own inverse, so the
-    prediction on the rotated clip is mapped back with the same pattern
-    before averaging.
+    Each pattern's features come from `features.rotated_feature_stacks`
+    in `dtype`, which builds the amplitudes and phases once for all
+    patterns, a chunk of frames at a time.  `predict_features` gets one
+    stack per pattern in one shared read-only buffer, which the next
+    pattern overwrites, so it must not keep the stack.  Each pattern is
+    its own inverse, so the prediction on the rotated clip is mapped back
+    with the same pattern before averaging.
     """
     total = None
-    for r, fs in rotated_feature_stacks(clip, patterns, cfg):
+    for r, fs in rotated_feature_stacks(clip, patterns, cfg, dtype):
         out = rotate_accdoa(predict_features(fs), r)
         total = out if total is None else total + out
     return total / len(patterns)
@@ -247,14 +248,17 @@ class Predictor:
             return _shared_trunk_inference(self.model, fs, self.seg_len, self.shift)
         return sliding_inference(self.model.predict_batch, fs, self.seg_len, self.shift)
 
+    @property
+    def _feature_dtype(self):
+        """A network's dtype, which its trunk casts features to anyway;
+        float64 for other models."""
+        return self.model.branches[0].dtype if isinstance(self.model, Module) else np.float64
+
     def predict_clip(self, clip: AmbisonicClip) -> np.ndarray:
-        """Features in a network's dtype, which its trunk casts them to
-        anyway, and in float64 for other models."""
-        dtype = self.model.branches[0].dtype if isinstance(self.model, Module) else np.float64
-        return self.predict_features(extract_features(clip, self.stft_cfg, dtype))
+        return self.predict_features(extract_features(clip, self.stft_cfg, self._feature_dtype))
 
     def predict_clip_tta(self, clip: AmbisonicClip) -> np.ndarray:
-        return rotation_tta(self.predict_features, clip, self.stft_cfg)
+        return rotation_tta(self.predict_features, clip, self.stft_cfg, dtype=self._feature_dtype)
 
     def label_rate_sequence(self, clip: AmbisonicClip, tta: bool = False) -> np.ndarray:
         seq = self.predict_clip_tta(clip) if tta else self.predict_clip(clip)

@@ -507,11 +507,11 @@ class Elu(Module):
     def forward(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         y = np.empty_like(x) if out is None else out
         for idx in _pieces(x.shape):
+            # max(x, expm1(min(x, 0))) is max(x, 0) + expm1(min(x, 0)), as
+            # expm1(x) >= x, in one pass fewer
             em1 = np.minimum(x[idx], 0)
             np.expm1(em1, out=em1)
-            piece = y[idx]
-            np.maximum(x[idx], 0, out=piece)
-            piece += em1
+            np.maximum(x[idx], em1, out=y[idx])
         self._y = y if self.for_backward else None
         return y
 

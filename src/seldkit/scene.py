@@ -111,12 +111,19 @@ class DoaAngles:
 
 @dataclass
 class AmbisonicClip:
-    """4-channel FOA waveform, ACN order [W, Y, Z, X], SN3D gains."""
+    """4-channel FOA waveform, ACN order [W, Y, Z, X], SN3D gains.
+
+    Samples are float64, or float32 when given as float32 (as `read_wav`
+    reads a 32-bit float file): every reader of a clip computes in float64,
+    and every function that computes new audio returns a float64 clip.
+    """
 
     samples: np.ndarray
 
     def __post_init__(self):
-        self.samples = np.asarray(self.samples, dtype=float)
+        self.samples = np.asarray(self.samples)
+        if self.samples.dtype != np.float32:
+            self.samples = np.asarray(self.samples, dtype=float)
         if self.samples.ndim != 2 or self.samples.shape[0] != 4:
             raise ValueError(f"expected (4, L) samples, got {self.samples.shape}")
         # min and max are finite only when every sample is, and need no mask the size of the clip
@@ -398,11 +405,15 @@ def csv_rows(path):
 
 def write_wav(path, clip: AmbisonicClip) -> None:
     """Write a 32-bit float WAV, channels as columns."""
-    wavfile.write(str(path), SAMPLE_RATE, clip.samples.T.astype(np.float32))
+    # one copy, already in the row order scipy writes
+    wavfile.write(str(path), SAMPLE_RATE, np.ascontiguousarray(clip.samples.T, dtype=np.float32))
 
 
 def read_wav(path) -> AmbisonicClip:
     """Read a 4-channel 24 kHz WAV; integer PCM is scaled to [-1, 1) by its full scale.
+
+    A 32-bit float file gives a float32 clip, and any other file a float64
+    one.
 
     A file shorter than its header declares is rejected, not read as a
     shorter clip.
@@ -421,7 +432,7 @@ def read_wav(path) -> AmbisonicClip:
         raise ValueError(f"{path}: sample rate {rate} Hz, but seldkit runs at {SAMPLE_RATE} Hz")
     if data.ndim != 2 or data.shape[1] != 4:
         raise ValueError(f"{path}: expected 4-channel WAV")
-    samples = np.array(data.T, dtype=float)
+    samples = np.array(data.T, dtype=np.float32 if data.dtype == np.float32 else float, order="C")
     if data.dtype.kind in "iu":
         info = np.iinfo(data.dtype)
         half = (float(info.max) - float(info.min) + 1.0) / 2.0

@@ -107,6 +107,12 @@ class TestRotateFoa:
             out = rotate_foa(clip, r)
             assert np.array_equal((out.samples ** 2).sum(0), (clip.samples ** 2).sum(0))
 
+    def test_float32_clip_gives_the_float64_bits(self):
+        samples = np.random.default_rng(5).standard_normal((4, 50)).astype(np.float32)
+        for r in ALL_PATTERNS:
+            got = rotate_foa(AmbisonicClip(samples), r).samples
+            assert same_bits(got, rotate_foa(AmbisonicClip(samples.astype(np.float64)), r).samples)
+
 
 STFT = StftConfig(win_len=256, hop=240, fft_size=256)
 FLIP_YZX = RotationPattern(add_pi=True, elevation_sign=-1)
@@ -257,6 +263,20 @@ class TestRotatedFeatureStacks:
             assert counts[-1] == 3 * np.sum(previous.channel_signs != r.channel_signs), r
         assert sum(counts) == 3 * 8  # 8 swaps for the eight patterns
 
+    @pytest.mark.parametrize("chunk", [3, 256])
+    @pytest.mark.parametrize("silent_y", [False, True], ids=["noise", "silent-y"])
+    def test_float32_stacks_are_the_float64_stacks_cast(self, monkeypatch, chunk, silent_y):
+        samples = np.random.default_rng(14).standard_normal((4, 2416))
+        if silent_y:
+            samples[1, 480:1700] = 0.0
+        clip = AmbisonicClip(samples)
+        monkeypatch.setattr(features, "FRAME_CHUNK", chunk)
+        wide = [(r, fs.data.astype(np.float32)) for r, fs in rotated_feature_stacks(clip, ALL_PATTERNS, STFT)]
+        narrow = [(r, fs.data.copy()) for r, fs in rotated_feature_stacks(clip, ALL_PATTERNS, STFT, np.float32)]
+        assert [r for r, _ in narrow] == list(ALL_PATTERNS)
+        for (r, got), (_, expected) in zip(narrow, wide):
+            assert same_bits(got, expected), r
+
     def test_stacks_are_read_only(self):
         clip = AmbisonicClip(np.random.default_rng(13).standard_normal((4, 2416)))
         for r, fs in rotated_feature_stacks(clip, ALL_PATTERNS, STFT):
@@ -354,6 +374,20 @@ class TestEmda:
         )
         shifted = [ev for ev in out_events.events if ev.class_id == 1][0]
         assert shifted.onset == 3  # 1 + 200 ms / 100 ms
+
+    @pytest.mark.parametrize("narrow", ["primary", "secondaries", "all"])
+    def test_float32_clips_give_the_float64_bits(self, narrow):
+        def scene(seed, class_id, to_float32):
+            clip, events = single_event_scene(seed, class_id=class_id)
+            samples = clip.samples.astype(np.float32)
+            return AmbisonicClip(samples if to_float32 else samples.astype(np.float64)), events
+
+        mixes = []
+        for as_float32 in (True, False):
+            primary = scene(16, 0, as_float32 and narrow != "secondaries")
+            secs = [scene(17 + k, 1 + k, as_float32 and narrow != "primary") for k in range(2)]
+            mixes.append(emda_mix(primary, secs, np.random.default_rng(19))[0].samples)
+        assert same_bits(*mixes)
 
     def test_rejects_three_secondaries(self):
         clip, events = single_event_scene(14)

@@ -1,6 +1,7 @@
 import json
 import math
 import struct
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -12,8 +13,8 @@ from seldkit import cli
 from seldkit.cli import _CONFIG_DEFAULTS, _configs_from, main, read_config
 from seldkit.ensemble import EnsembleWeights, write_weights_csv
 from seldkit.features import StftConfig
-from seldkit.net.checkpoint import KIND_ACCDOA, load_checkpoint, save_intensity_checkpoint, save_model
-from seldkit.net.model import NetConfig, RD3NetLite
+from seldkit.net.checkpoint import KIND_ACCDOA, KIND_TWO_STAGE, load_checkpoint, save_intensity_checkpoint, save_model
+from seldkit.net.model import NetConfig, RD3NetLite, TwoStageNet
 from seldkit.scene import (
     LABEL_FRAME_SAMPLES, SAMPLE_RATE, DoaAngles, Event, EventList, read_label_csv, read_wav, write_label_csv,
 )
@@ -286,6 +287,21 @@ class TestTrain:
         assert err.startswith("error: ") and message in err
         assert not ckpt.exists()
 
+    @pytest.mark.parametrize("flag", ["--out", "--loss-log"])
+    def test_missing_output_directory_rejected_before_any_work(self, tmp_path, tiny_config, capsys, monkeypatch,
+                                                               flag):
+        def ran(*args, **kwargs):
+            raise AssertionError("training ran")
+
+        for name in ("SceneBatchStream", "train_single_stage", "train_two_stage"):
+            monkeypatch.setattr(cli, name, ran)
+        missing = tmp_path / "nodir" / "out"
+        outputs = {"--out": str(tmp_path / "m.ckpt"), "--loss-log": str(tmp_path / "loss.csv"), flag: str(missing)}
+        argv = ["train", "--config", tiny_config, "--iters", "3", "--seed", "0"]
+        assert main(argv + [arg for item in outputs.items() for arg in item]) == 2
+        assert capsys.readouterr().err == f"error: {flag} {missing}: no directory {missing.parent}\n"
+        assert not missing.parent.exists()
+
     @pytest.mark.parametrize("flag, value, expected", [
         ("--iters-sed", "1", [("1", "sed"), ("4", "doa")]),
         ("--iters-doa", "1", [("3", "sed"), ("4", "doa")]),
@@ -324,6 +340,34 @@ class TestInferEval:
         tta = load_accdoa(tmp_path / "tta.acc")
         assert np.abs(plain - tta).max() < 1e-6
         assert (tmp_path / "plain.csv").read_bytes() == (tmp_path / "tta.csv").read_bytes()
+
+    @pytest.mark.parametrize("kind", ["intensity", "rd3net", "two-stage"])
+    @pytest.mark.parametrize("tta", [False, True], ids=["plain", "tta"])
+    def test_float32_wav_gives_the_bytes_of_its_float64_clip(self, tmp_path, kind, tta):
+        # the float32 clip read from a synthesized WAV against the float64
+        # clip of the same samples, read from a 64-bit float WAV
+        wav, _ = self.setup_scene(tmp_path)
+        rate, data = wavfile.read(str(wav))
+        wide = tmp_path / "wide.wav"
+        wavfile.write(str(wide), rate, data.astype(np.float64))
+        assert read_wav(wav).samples.dtype == np.float32 and read_wav(wide).samples.dtype == np.float64
+        stft_cfg = StftConfig(win_len=256, hop=240, fft_size=256)
+        ckpt, threshold = tmp_path / "model.ckpt", "0.01"
+        if kind == "intensity":
+            ckpt, threshold = self.oracle_ckpt(tmp_path), "0.15"
+        elif kind == "rd3net":
+            save_model(ckpt, KIND_ACCDOA, RD3NetLite(TINY_NET, seed=1), TINY_NET, stft_cfg)
+        else:
+            save_model(ckpt, KIND_TWO_STAGE, TwoStageNet(TINY_NET, seed=2), TINY_NET, stft_cfg)
+        outputs = []
+        for path in (wav, wide):
+            out = tmp_path / path.stem
+            assert main(["infer", "--ckpt", str(ckpt), "--in", str(path), "--seg-len", "64", "--shift", "16",
+                         "--threshold", threshold, "--out", f"{out}.csv", "--dump-accdoa", f"{out}.acc"]
+                        + ["--tta"] * tta) == 0
+            outputs.append((Path(f"{out}.csv").read_bytes(), Path(f"{out}.acc").read_bytes()))
+        assert outputs[0][0].count(b"\n") > 1  # events were decoded
+        assert outputs[0] == outputs[1]
 
     def test_infer_rejects_other_sample_rate(self, tmp_path, capsys):
         wav = tmp_path / "48k.wav"
@@ -565,6 +609,40 @@ class TestInferEval:
         code = main(argv + [f"{flag}={value}"])  # "=": argparse takes "-inf" alone for an option
         assert code == 2
         assert f"error: {flag} must be" in capsys.readouterr().err
+
+
+class TestCommandMemory:
+    """Traced peaks of `synth` and `infer --tta` (intensity model) on a
+    10 s scene, as multiples of the clip's float32 bytes."""
+
+    CLIP_BYTES = 4 * 10 * SAMPLE_RATE * 4
+
+    @staticmethod
+    def traced_peak(argv):
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_synth_and_infer_tta(self, tmp_path):
+        ckpt = tmp_path / "oracle.ckpt"
+        save_intensity_checkpoint(ckpt, 3, StftConfig(win_len=256, hop=240, fft_size=256))
+        peaks = []
+        for duration in ("1.0", "10.0"):  # the first run fills the caches
+            out = tmp_path / duration
+            synth = self.traced_peak(["synth", "--scenes", "1", "--classes", "3", "--duration", duration,
+                                      "--seed", "5", "--out", str(out)])
+            infer = self.traced_peak(["infer", "--ckpt", str(ckpt), "--in", str(out / "audio" / "scene000.wav"),
+                                      "--out", str(out / "pred.csv"), "--tta", "--seg-len", "64", "--shift", "64"])
+            peaks = [synth / self.CLIP_BYTES, infer / self.CLIP_BYTES]
+        # synth: the float64 clip and one float32 copy for the file (3.02x;
+        # 4.02x when scipy copied a transposed float32 copy again)
+        assert peaks[0] < 3.25
+        # infer --tta: the float32 clip, ten float64 feature planes (2.69x)
+        # and the per-pattern work (5.35x; 6.35x with a float64 clip)
+        assert peaks[1] < 5.6
 
 
 class TestEnsembleCli:

@@ -701,6 +701,19 @@ class TestRotationTta:
         assert flips == matter
         assert bool(flips) == silent_y and len(flips) < 7
 
+    @pytest.mark.parametrize("kind", ["intensity", "rd3net", "two-stage"])
+    def test_stacks_in_the_models_feature_dtype(self, kind, monkeypatch):
+        # a network gets float32 stacks, which its trunk would cast float64
+        # stacks to anyway, so its output keeps the bits of float64 stacks
+        clip, _ = make_clip(seed=8)
+        predictor = self.predictor(kind)
+        expected = rotation_tta(predictor.predict_features, clip, STFT)
+        dtypes = []
+        predict_features = predictor.predict_features
+        monkeypatch.setattr(predictor, "predict_features",
+                            lambda fs: dtypes.append(fs.data.dtype) or predict_features(fs))
+        assert same_bits(predictor.predict_clip_tta(clip), expected)
+        assert dtypes == [np.float64 if kind == "intensity" else np.float32] * len(ALL_PATTERNS)
 
     @pytest.mark.parametrize("kind", ["intensity", "desk-rd3net"])
     @pytest.mark.parametrize("silent_y", [False, True], ids=["scene", "silent-y"])
@@ -777,6 +790,15 @@ class TestFeatureMemory:
         predictor.predict_clip_tta(AmbisonicClip(clip.samples[:, :48000]))  # the model's caches
         peak, _ = self.traced_peak(predictor.predict_clip_tta, clip)
         assert peak <= 10 * self.PLANE + 6 * self.CHUNK_SPECTRUM
+
+    def test_network_tta_stacks_hold_ten_float32_planes(self):
+        # half the bytes of the float64 planes, plus one chunk's float64
+        # planes and the chunk spectra that the float64 stacks hold too
+        clip = self.clip(True)
+        peak, _ = self.traced_peak(
+            lambda: [None for _ in features.rotated_feature_stacks(clip, ALL_PATTERNS, STFT, np.float32)])
+        chunk_planes = 10 * FRAME_CHUNK * STFT.n_bins * 8
+        assert peak <= 10 * self.PLANE // 2 + chunk_planes + 6 * self.CHUNK_SPECTRUM
 
 
 class TestIntensityOracle:

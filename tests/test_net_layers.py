@@ -706,6 +706,25 @@ class TestEluBackwardFromOutput:
         assert same_bits(elu.backward(dy), dy * (em1 + 1))
 
 
+class TestEluForward:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("in_place", [False, True], ids=["fresh", "in-place"])
+    def test_matches_the_four_pass_formula(self, dtype, in_place):
+        # max(x, expm1(min(x, 0))) against max(x, 0) + expm1(min(x, 0)), on
+        # a 4-D input that runs in several pieces
+        rng = np.random.default_rng(37)
+        tiny = np.finfo(dtype).smallest_normal
+        special = np.array([0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, tiny, -tiny, tiny / 3, -tiny / 3,
+                            np.finfo(dtype).smallest_subnormal, -np.finfo(dtype).smallest_subnormal,
+                            np.finfo(dtype).max, -np.finfo(dtype).max], dtype=dtype)
+        x = (3 * rng.standard_normal((2, 3, 40, 24))).astype(dtype)
+        flat = x.reshape(-1)
+        flat[rng.choice(flat.size, 20 * special.size, replace=False)] = np.repeat(special, 20)
+        expected = np.maximum(x, 0) + np.expm1(np.minimum(x, 0))
+        got = Elu().forward(x, out=x if in_place else None)
+        assert same_bits(got, expected)
+
+
 class TestLinearGradients:
     def test_linear(self):
         rng = np.random.default_rng(4)

@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.io import wavfile
 
-from oracles import class_signature_designed_per_call, synth_scene_in_one_pass
+from oracles import class_signature_designed_per_call, same_bits, synth_scene_in_one_pass
 from strategies import event_lists
 from seldkit import scene
 from seldkit.accdoa import encode_accdoa
@@ -233,6 +233,15 @@ class TestSynthScene:
         np.testing.assert_array_equal(both.samples, solo[0].samples + solo[1].samples)
 
 
+def test_render_scene_of_float32_signals_is_the_float64_render():
+    placed, events = place_events(SceneConfig(n_classes=3, duration_s=3.0, n_events=3), np.random.default_rng(8))
+    narrow = [(ev, sig.astype(np.float32)) for ev, sig in placed]
+    wide = [(ev, sig.astype(np.float32).astype(np.float64)) for ev, sig in placed]
+    got, expected = render_scene(narrow, events)[0], render_scene(wide, events)[0]
+    assert got.samples.dtype == np.float64
+    assert same_bits(got.samples, expected.samples)
+
+
 def same_scene(a, b) -> bool:
     (clip_a, ev_a), (clip_b, ev_b) = a, b
     return (np.array_equal(clip_a.samples, clip_b.samples) and ev_a.n_frames == ev_b.n_frames
@@ -298,17 +307,41 @@ class TestFileFormats:
             read_wav(path)
 
     def test_read_peak_memory_is_the_frames_and_the_clip(self, tmp_path):
-        # scipy's float32 frames and the float64 clip, with no finiteness
-        # mask the size of the clip (which would add an eighth of it)
+        # scipy's frames and the clip, float32 for a float32 file and float64
+        # for int16 PCM, with no float64 copy of a float32 file and no
+        # finiteness mask the size of the clip (which would add an eighth of
+        # a float64 clip)
+        samples = np.random.default_rng(0).standard_normal((4, 240_000))
         path = tmp_path / "clip.wav"
-        write_wav(path, AmbisonicClip(np.random.default_rng(0).standard_normal((4, 240_000))))
-        tracemalloc.start()
-        try:
-            clip = read_wav(path)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 1.5 * clip.samples.nbytes + 64 * 1024
+        write_wav(path, AmbisonicClip(samples))
+        pcm = tmp_path / "pcm16.wav"
+        wavfile.write(str(pcm), 24000, (samples.T * 4000).astype(np.int16))
+        for path, frame_bytes in ((path, 4), (pcm, 2)):
+            tracemalloc.start()
+            try:
+                clip = read_wav(path)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= samples.size * frame_bytes + clip.samples.nbytes + 64 * 1024, path
+
+    def test_float32_file_read_as_float32_and_pcm_as_float64(self, tmp_path):
+        samples = np.random.default_rng(1).standard_normal((4, 2400))
+        path, pcm = tmp_path / "clip.wav", tmp_path / "pcm16.wav"
+        write_wav(path, AmbisonicClip(samples))
+        wavfile.write(str(pcm), 24000, (samples.T * 4000).astype(np.int16))
+        clip = read_wav(path)
+        assert clip.samples.dtype == np.float32 and clip.samples.flags.c_contiguous
+        assert same_bits(clip.samples, samples.astype(np.float32))
+        assert read_wav(pcm).samples.dtype == np.float64
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_write_is_scipys_write_of_the_float32_columns(self, tmp_path, dtype):
+        samples = np.random.default_rng(2).standard_normal((4, 2400)).astype(dtype)
+        ours, theirs = tmp_path / "ours.wav", tmp_path / "theirs.wav"
+        write_wav(ours, AmbisonicClip(samples))
+        wavfile.write(str(theirs), 24000, samples.T.astype(np.float32))
+        assert ours.read_bytes() == theirs.read_bytes()
 
     @pytest.mark.parametrize("bad, where", [
         ({(0, 0): np.nan}, "nan at channel 0, sample 0"),
@@ -328,6 +361,16 @@ class TestFileFormats:
 
     def test_empty_clip_accepted(self):
         assert AmbisonicClip(np.zeros((4, 0))).n_samples == 0
+
+    @pytest.mark.parametrize("dtype", [np.float16, np.int16, np.int64, np.float64])
+    def test_clip_samples_other_than_float32_become_float64(self, dtype):
+        samples = np.arange(-4, 4).reshape(4, 2).astype(dtype)
+        clip = AmbisonicClip(samples)
+        assert same_bits(clip.samples, samples.astype(np.float64))
+
+    def test_float32_clip_stays_float32_and_is_not_copied(self):
+        samples = np.random.default_rng(3).standard_normal((4, 50)).astype(np.float32)
+        assert AmbisonicClip(samples).samples is samples
 
     def test_int16_wav_scaled_by_full_scale(self, tmp_path):
         path = tmp_path / "pcm16.wav"
