@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass, fields
 
 import numpy as np
-from scipy import signal as sps
 
 from .scene import (
     LABEL_FRAME_SAMPLES, SAMPLE_RATE, AmbisonicClip, DoaAngles, Event, EventList, wrap_azimuth,
@@ -128,6 +127,8 @@ def emda_mix(
     an already-active instance of the same class is re-randomized up to
     `_EMDA_MAX_TRIES` times and then dropped.  Output length equals the primary.
     """
+    from scipy.signal import lfilter
+
     clip, events = primary
     if len(secondaries) > MAX_SECONDARIES:
         raise ValueError(f"at most {MAX_SECONDARIES} secondaries are mixed")
@@ -171,7 +172,7 @@ def emda_mix(
             continue
         gain_db, delay, center, eq_gain, q, shifted = accepted
         b, a = _peaking_eq_coeffs(center, eq_gain, q)
-        filtered = sps.lfilter(b, a, sec_clip.samples, axis=1)
+        filtered = lfilter(b, a, sec_clip.samples, axis=1)
         gain = 10.0 ** (gain_db / 20.0)
         n = min(sec_clip.n_samples, total - delay)
         if n > 0:

@@ -11,10 +11,11 @@ hold such values.
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import get_window
 
 from .accdoa import LABEL_FRAME_FACTOR
 from .augment import RotationPattern, rotate_foa, zero_signs_matter
@@ -23,6 +24,7 @@ from .scene import LABEL_FRAME_SAMPLES, AmbisonicClip
 _TWO_PI = 2.0 * np.pi
 FEATURE_CHANNELS = 7  # amplitudes of [W, Y, Z, X], then 3 phase differences
 FRAME_CHUNK = 256  # STFT frames windowed and transformed at a time, which bounds the spectra held
+_MIN_PART_FRAMES = 8  # fewest frames of a chunk that `rotated_feature_stacks` hands a thread
 _FLIP_YZX = RotationPattern(add_pi=True, elevation_sign=-1)  # negates Y, Z and X
 
 
@@ -48,6 +50,10 @@ class StftConfig:
                     f"fft_size must be >= win_len ({self.win_len}), got {self.fft_size}"]
         if bad:
             raise ValueError("; ".join(bad))
+        if self.window == "hann":  # scipy's; checking it would import scipy.signal, which eval never needs
+            return
+        from scipy.signal import get_window
+
         try:
             get_window(self.window, self.win_len, fftbins=True)
         except (ValueError, TypeError) as exc:
@@ -94,30 +100,45 @@ def stft(clip: AmbisonicClip, cfg: StftConfig = StftConfig(), start: int = 0,
 
     T = 1 + floor((L - win_len) / hop); frame t covers samples
     [t*hop, t*hop + win_len).  The window is zero-padded to fft_size.
-    A range longer than FRAME_CHUNK frames is transformed a chunk at a
-    time, so a whole-clip call holds no windowed copy of the clip; a
-    frame's spectrum does not depend on the frames transformed with it,
-    so any range gives the same bits as the whole clip.
+    The range is windowed and transformed in one pass, so seldkit asks
+    for at most FRAME_CHUNK frames at a time; a frame's spectrum does not
+    depend on the frames transformed with it, so any range gives the bits
+    of the whole clip.
     """
+    from scipy.signal import get_window
+
     x = clip.samples
     n_frames = cfg.n_frames(x.shape[1])
     stop = n_frames if stop is None else stop
     if not 0 <= start < stop <= n_frames:
         raise ValueError(f"frames [{start}, {stop}) outside the clip's {n_frames}")
-    if stop - start > FRAME_CHUNK:
-        out = np.empty((4, stop - start, cfg.n_bins), dtype=complex)
-        for lo, hi in _frame_chunks(start, stop):
-            out[:, lo - start:hi - start] = stft(clip, cfg, lo, hi)
-        return out
     win = get_window(cfg.window, cfg.win_len, fftbins=True)
     frames = np.lib.stride_tricks.sliding_window_view(x, cfg.win_len, axis=1)[:, start * cfg.hop::cfg.hop]
     return np.fft.rfft(frames[:, :stop - start] * win, n=cfg.fft_size, axis=-1)
 
 
-def _frame_chunks(start: int, stop: int):
-    """(lo, hi) of each run of FRAME_CHUNK frames from `start`, the last one
-    shorter where it meets `stop`."""
-    return ((lo, min(lo + FRAME_CHUNK, stop)) for lo in range(start, stop, FRAME_CHUNK))
+def _frame_chunks(n_frames: int):
+    """(lo, hi) of each run of FRAME_CHUNK frames of `n_frames`, the last
+    one shorter where the frames end."""
+    return ((lo, min(lo + FRAME_CHUNK, n_frames)) for lo in range(0, n_frames, FRAME_CHUNK))
+
+
+def feature_workers() -> int:
+    """The CPUs this process may run on: the threads that build the
+    rotation-TTA planes (`rotated_feature_stacks`)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _frame_parts(lo: int, hi: int, workers: int) -> list:
+    """(a, b) of k = min(workers, (hi - lo) // _MIN_PART_FRAMES) runs of
+    frames [lo, hi), each (hi - lo) // k or one frame longer; one run
+    where k <= 1."""
+    k = max(1, min(workers, (hi - lo) // _MIN_PART_FRAMES))
+    bounds = [lo + i * (hi - lo) // k for i in range(k + 1)]
+    return list(zip(bounds[:-1], bounds[1:]))
 
 
 def _wrap_ipd(ipd: np.ndarray, amp_w: np.ndarray) -> None:
@@ -166,7 +187,7 @@ def extract_features(clip: AmbisonicClip, cfg: StftConfig = StftConfig(), dtype=
     at a time: only one chunk's spectrum is held, never the clip's."""
     n_frames = cfg.n_frames(clip.n_samples)
     out = np.empty((FEATURE_CHANNELS, n_frames, cfg.n_bins), dtype)
-    for lo, hi in _frame_chunks(0, n_frames):
+    for lo, hi in _frame_chunks(n_frames):
         out[:, lo:hi] = make_feature_stack(stft(clip, cfg, lo, hi)).data
     return FeatureStack(out)
 
@@ -216,14 +237,25 @@ def rotated_feature_stacks(clip: AmbisonicClip, patterns, cfg: StftConfig = Stft
     are written out before its spectrum is dropped: the amplitudes and
     the own phase differences into one (7, T, F) buffer, the negations'
     into a (3, T, F) one, both in `dtype` (in another dtype than float64,
-    each chunk's planes are computed in float64 and then cast, as
-    `extract_features` casts them).  The negation's phase is that of the
-    negated spectrum, except on chunks where `augment.zero_signs_matter`,
-    where it is that of the STFT of the chunk's audio with Y, Z and X
-    negated; the predicate is bin-local, so deciding it per chunk gives the
-    bits of deciding it for the clip.  Each pattern swaps, a chunk at a
-    time, only the planes whose sign differs from the previous pattern's
-    between the two buffers (8 swaps for `ALL_PATTERNS` in order).
+    each part's planes are computed in a float64 scratch of its frames
+    and then cast, as `extract_features` casts them).  The negation's
+    phase is that of the negated spectrum, except on parts where
+    `augment.zero_signs_matter`, where it is that of the STFT of the
+    part's audio with Y, Z and X negated; the predicate is bin-local, so
+    deciding it per part gives the bits of deciding it for the clip.  Each
+    pattern swaps, a chunk at a time, only the planes whose sign differs
+    from the previous pattern's between the two buffers (8 swaps for
+    `ALL_PATTERNS` in order).
+
+    A chunk of n frames is split into k = max(1, min(W, n // _MIN_PART_FRAMES))
+    parts of n // k or n // k + 1 frames, W = `feature_workers()`: the
+    calling thread transforms the first, and a pool of W - 1 threads that
+    lives for this call the others (so W = 1, and a chunk of fewer than
+    2 * _MIN_PART_FRAMES frames, run serially).  A part writes only its
+    own frames and every plane is frame-local, so the bits do not depend
+    on W; the next chunk starts once this one is written, so no more
+    frames are in flight than at W = 1.  A part's error is raised here,
+    after the pool's threads have ended.
 
     Every stack yielded is one read-only view of the (7, T, F) buffer:
     the next pattern overwrites those of its channels 4-6 whose sign
@@ -232,19 +264,25 @@ def rotated_feature_stacks(clip: AmbisonicClip, patterns, cfg: StftConfig = Stft
     n_frames = cfg.n_frames(clip.n_samples)
     out = np.empty((FEATURE_CHANNELS, n_frames, cfg.n_bins), dtype)
     alt = np.empty((3, n_frames, cfg.n_bins), dtype)
-    planes = None  # float64 planes are computed in place, others in one chunk's float64 scratch
-    if out.dtype != np.float64:
-        planes = np.empty((FEATURE_CHANNELS + 3, min(FRAME_CHUNK, n_frames), cfg.n_bins))
-    for lo, hi in _frame_chunks(0, n_frames):
-        spec = stft(clip, cfg, lo, hi)
-        flipped = _flipped_stft(clip, cfg, lo, hi) if zero_signs_matter(spec) else None
-        if planes is None:
-            _rotated_planes(spec, flipped, out[:, lo:hi], alt[:, lo:hi])
+
+    def transform(a, b):
+        spec = stft(clip, cfg, a, b)
+        flipped = _flipped_stft(clip, cfg, a, b) if zero_signs_matter(spec) else None
+        if out.dtype == np.float64:
+            _rotated_planes(spec, flipped, out[:, a:b], alt[:, a:b])
         else:
-            chunk = planes[:, :hi - lo]
-            _rotated_planes(spec, flipped, chunk[:FEATURE_CHANNELS], chunk[FEATURE_CHANNELS:])
-            out[:, lo:hi], alt[:, lo:hi] = chunk[:FEATURE_CHANNELS], chunk[FEATURE_CHANNELS:]
-    del spec, flipped, planes  # not held while the patterns run
+            planes = np.empty((FEATURE_CHANNELS + 3, b - a, cfg.n_bins))
+            _rotated_planes(spec, flipped, planes[:FEATURE_CHANNELS], planes[FEATURE_CHANNELS:])
+            out[:, a:b], alt[:, a:b] = planes[:FEATURE_CHANNELS], planes[FEATURE_CHANNELS:]
+
+    workers = feature_workers()
+    with ThreadPoolExecutor(max(1, workers - 1)) as pool:  # starts no thread until a part is submitted
+        for lo, hi in _frame_chunks(n_frames):
+            first, *rest = _frame_parts(lo, hi, workers)
+            others = [pool.submit(transform, a, b) for a, b in rest]
+            transform(*first)
+            for part in others:
+                part.result()
     view = out.view()
     view.flags.writeable = False
     fs = FeatureStack(view)
@@ -254,7 +292,7 @@ def rotated_feature_stacks(clip: AmbisonicClip, patterns, cfg: StftConfig = Stft
         for q, sign in enumerate(r.channel_signs[1:]):
             if negated[q] != (sign < 0):
                 negated[q] = sign < 0
-                for lo, hi in _frame_chunks(0, n_frames):
+                for lo, hi in _frame_chunks(n_frames):
                     a, b, t = out[4 + q, lo:hi], alt[q, lo:hi], swap[:hi - lo]
                     np.copyto(t, a)
                     np.copyto(a, b)

@@ -34,6 +34,13 @@ class IntensityVectorModel:
         # the union of the bands, and each band's columns in it
         self._bins = functools.reduce(np.union1d, self.band_bins, np.zeros(0, dtype=int))
         self._band_cols = [np.searchsorted(self._bins, b) for b in self.band_bins]
+        runs = []  # [first, last] of each run of consecutive bins; none runs from bin -1 into 0
+        for b in self._bins.tolist():
+            if runs and b == runs[-1][1] + 1 and b != 0:
+                runs[-1][1] = b
+            else:
+                runs.append([b, b])
+        self._runs = [slice(a, b + 1 or None) for a, b in runs] or [slice(0, 0)]
 
     @classmethod
     def for_scene_classes(cls, n_classes: int, stft_cfg: StftConfig) -> "IntensityVectorModel":
@@ -51,9 +58,13 @@ class IntensityVectorModel:
         """(T, N, 3) vectors; direction from intensity, activity from W power.
 
         Only the bins of some class band are read: the union is gathered
-        once and each band sums its own columns of it.
+        once, as slices of its runs of consecutive bins, and each band sums
+        its own columns of it.
         """
-        data = fs.data[:, :, self._bins]
+        data = np.concatenate([fs.data[:, :, run] for run in self._runs], axis=2)
+        if data.shape[2] != self._bins.size:
+            raise IndexError(f"band bins {self._bins.min()}..{self._bins.max()} outside the stack's "
+                             f"{fs.n_bins} bins")
         amp_w = data[0]
         # ACN order [W, Y, Z, X]: x from channel 3, y from 1, z from 2
         i_x = amp_w * data[3] * np.cos(data[6])

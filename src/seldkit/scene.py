@@ -22,7 +22,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import signal as sps
 from scipy.io import wavfile
 
 SAMPLE_RATE = 24000
@@ -258,10 +257,12 @@ def _class_bandpass(class_id: int, n_classes: int) -> tuple:
     """Second-order sections of the class's 4th-order Butterworth band-pass,
     as a tuple of rows: designed once per process, and immutable, so no
     caller can change what a later call gets."""
+    from scipy.signal import butter
+
     fc = class_center_frequencies(n_classes)[class_id]
     lo = fc * 2.0 ** (-1.0 / 6.0)
     hi = fc * 2.0 ** (1.0 / 6.0)  # at most 10.1 kHz, below Nyquist at 24 kHz
-    sos = sps.butter(4, [lo, hi], btype="bandpass", fs=SAMPLE_RATE, output="sos")
+    sos = butter(4, [lo, hi], btype="bandpass", fs=SAMPLE_RATE, output="sos")
     return tuple(map(tuple, sos.tolist()))
 
 
@@ -278,12 +279,14 @@ def class_signature(
     0.5 + class_id * 0.35 Hz.  Peak-normalized to 1.  The band-pass
     depends only on (class_id, n_classes) and is designed once per process.
     """
+    from scipy.signal import sosfiltfilt
+
     if not 0 <= class_id < n_classes:
         raise ValueError(f"class_id {class_id} outside [0, {n_classes})")
     n = int(round(duration_s * SAMPLE_RATE))
     noise = rng.standard_normal(n)
     # sosfiltfilt wants a writeable array, so each call gets its own
-    band = sps.sosfiltfilt(np.array(_class_bandpass(class_id, n_classes)), noise)
+    band = sosfiltfilt(np.array(_class_bandpass(class_id, n_classes)), noise)
     am_rate = 0.5 + class_id * 0.35
     phase = rng.uniform(0.0, _TWO_PI)
     t = np.arange(n) / SAMPLE_RATE

@@ -12,10 +12,14 @@ settings.load_profile("seldkit")
 
 
 def pytest_report_header(config):
-    """The BLAS thread settings and core count the run's bits depend on."""
+    """The BLAS thread settings and core count the run's bits depend on,
+    and the threads that build the rotation-TTA planes."""
+    from seldkit.features import feature_workers
+
     threads = ", ".join(f"{name}={os.environ.get(name, 'unset')}"
                         for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"))
-    return f"BLAS threads: {threads}; os.cpu_count() = {os.cpu_count()}"
+    return (f"BLAS threads: {threads}; os.cpu_count() = {os.cpu_count()}; "
+            f"feature workers = {feature_workers()}")
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -6,6 +6,7 @@ formulas, brute-force enumeration) rather than calling the code under test.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import replace
@@ -307,6 +308,15 @@ def intensity_over_all_bins(band_bins: list, data: np.ndarray, floor: float = 1e
         activity = band_power / peak if peak > 0 else band_power
         out[:, c, :] = activity[:, None] * direction
     return out
+
+
+def intensity_by_gathered_union(band_bins: list, data: np.ndarray) -> np.ndarray:
+    """Intensity-model predictions with the union of the bands gathered by
+    one fancy index, each band summing its own columns of it, as the model
+    read its bins before it took them as slices of runs."""
+    bands = [np.asarray(b, dtype=int) for b in band_bins]
+    union = functools.reduce(np.union1d, bands, np.zeros(0, dtype=int))
+    return intensity_over_all_bins([np.searchsorted(union, b) for b in bands], data[:, :, union])
 
 
 def same_bits(a, b) -> bool:

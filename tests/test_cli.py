@@ -1,6 +1,9 @@
 import json
 import math
+import os
 import struct
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -759,6 +762,43 @@ class TestPlot:
         assert main(["plot", "--pred", str(pred), "--out", str(svg), "--classes", classes]) == 2
         assert f"error: {message}" in capsys.readouterr().err
         assert not svg.exists()
+
+
+class TestImports:
+    SCRIPT = """
+import contextlib, io, json, sys
+from seldkit import cli
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    codes = [cli.main(argv) for argv in json.loads(sys.argv[1])]
+print(json.dumps([codes, out.getvalue(), "scipy.signal" in sys.modules]))
+"""
+
+    def test_eval_and_plot_do_not_import_scipy_signal(self, tmp_path, capsys):
+        # only synthesis, EMDA and the STFT need it; the outputs are those
+        # of the same commands in this process, which has imported it
+        ref, pred = tmp_path / "ref.csv", tmp_path / "pred.csv"
+        track = [DoaAngles(0.1 * k, 0.05 * k) for k in range(6)]
+        write_label_csv(ref, EventList([Event(0, 0, 6, track), Event(2, 4, 10, track)], 12))
+        write_label_csv(pred, EventList([Event(0, 1, 7, track), Event(1, 4, 10, track)], 12))
+
+        def commands(out):
+            out.mkdir()
+            return [["eval", "--pred", str(pred), "--ref", str(ref), "--classes", "3",
+                     "--out", str(out / "metrics.json"), "--csv", str(out / "metrics.csv")],
+                    ["plot", "--pred", str(pred), "--out", str(out / "plot.svg"), "--classes", "3"]]
+
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        run = subprocess.run([sys.executable, "-c", self.SCRIPT, json.dumps(commands(tmp_path / "sub"))],
+                             capture_output=True, text=True, env=env, check=True)
+        codes, stdout, imported = json.loads(run.stdout.splitlines()[-1])
+        assert codes == [0, 0] and not imported
+        capsys.readouterr()
+        assert [main(argv) for argv in commands(tmp_path / "here")] == [0, 0]
+        assert capsys.readouterr().out == stdout.replace(str(tmp_path / "sub"), str(tmp_path / "here"))
+        for name in ("metrics.json", "metrics.csv", "plot.svg", "plot.csv"):
+            assert (tmp_path / "sub" / name).read_bytes() == (tmp_path / "here" / name).read_bytes(), name
 
 
 class TestVersion:

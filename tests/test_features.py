@@ -1,10 +1,13 @@
 import math
+import os
+import threading
 
 import numpy as np
 import pytest
 
 from oracles import feature_stack_by_mod, rotated_feature_stacks_from_spec, same_bits, stft_whole_clip
 from seldkit.augment import ALL_PATTERNS, RotationPattern, rotate_foa, zero_signs_matter
+from seldkit import features
 from seldkit.features import (
     FRAME_CHUNK,
     StftConfig,
@@ -203,3 +206,77 @@ class TestFrameChunks:
         assert len(got) == 8
         for r, a, b in zip(ALL_PATTERNS, got, expected):
             assert same_bits(a, b), r
+
+
+class TestFeatureWorkers:
+    """The rotation-TTA planes of each chunk built on W threads, with the
+    bits of one thread, at frame counts around the chunk size."""
+
+    def test_workers_are_the_cpus_the_process_may_use(self):
+        if hasattr(os, "sched_getaffinity"):
+            assert features.feature_workers() == len(os.sched_getaffinity(0))
+        else:
+            assert features.feature_workers() == (os.cpu_count() or 1)
+
+    @pytest.mark.parametrize("workers, lo, hi, parts", [
+        (1, 0, FRAME_CHUNK, [(0, FRAME_CHUNK)]),
+        (2, 0, FRAME_CHUNK, [(0, 128), (128, FRAME_CHUNK)]),
+        (3, 0, FRAME_CHUNK, [(0, 85), (85, 170), (170, FRAME_CHUNK)]),
+        (3, FRAME_CHUNK, FRAME_CHUNK + 1, [(FRAME_CHUNK, FRAME_CHUNK + 1)]),
+        (2, 512, 527, [(512, 527)]),  # 15 frames: too short to split
+        (2, 512, 528, [(512, 520), (520, 528)]),
+        (3, 512, 535, [(512, 523), (523, 535)]),  # 23 frames: two parts of at least 8
+        (4, 10, 45, [(10, 18), (18, 27), (27, 36), (36, 45)]),
+    ])
+    def test_frame_parts(self, workers, lo, hi, parts):
+        assert features._frame_parts(lo, hi, workers) == parts
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("n_frames", [1, FRAME_CHUNK - 1, FRAME_CHUNK + 1, 2 * FRAME_CHUNK + 7])
+    @pytest.mark.parametrize("silent_y", [None, (FRAME_CHUNK - 40, FRAME_CHUNK + 20)], ids=["noise", "silent-y"])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_stacks_equal_whole_clip(self, monkeypatch, workers, n_frames, silent_y, dtype):
+        cfg = SHAPES[0]
+        clip = noise_clip(cfg, n_frames, seed=2, silent_y=silent_y)
+        spec = stft_whole_clip(clip, cfg)
+        flip = RotationPattern(add_pi=True, elevation_sign=-1)
+        flipped = stft_whole_clip(rotate_foa(clip, flip), cfg) if zero_signs_matter(spec) else None
+        assert (flipped is not None) == (silent_y is not None and n_frames > 1)
+        expected = [fs.data.astype(dtype) for _, fs in rotated_feature_stacks_from_spec(spec, ALL_PATTERNS, flipped)]
+        parts = []  # (a, b, whether on the calling thread) of each part's STFT
+        stft_part = features.stft
+
+        def recording_stft(clip, cfg, *frames):
+            if frames:  # not the flipped STFT of a part's audio
+                parts.append(frames + (threading.current_thread() is threading.main_thread(),))
+            return stft_part(clip, cfg, *frames)
+
+        monkeypatch.setattr(features, "stft", recording_stft)
+        monkeypatch.setattr(features, "feature_workers", lambda: workers)
+        got = [fs.data.copy() for _, fs in rotated_feature_stacks(clip, ALL_PATTERNS, cfg, dtype)]
+        for r, a, b in zip(ALL_PATTERNS, got, expected):
+            assert same_bits(a, b), r
+        # the first part of each chunk on the calling thread, the others on the pool's
+        chunks = [(lo, min(lo + FRAME_CHUNK, n_frames)) for lo in range(0, n_frames, FRAME_CHUNK)]
+        split = [features._frame_parts(lo, hi, workers) for lo, hi in chunks]
+        assert sorted(parts) == sorted((a, b, i == 0) for c in split for i, (a, b) in enumerate(c))
+        assert max(map(len, split)) == (1 if n_frames < 2 * 8 else workers)
+
+    @pytest.mark.parametrize("failing", [0, 1, 2], ids=["calling-thread", "worker-1", "worker-2"])
+    def test_a_failing_part_raises_and_leaves_no_thread(self, monkeypatch, failing):
+        cfg = SHAPES[0]
+        clip = noise_clip(cfg, 2 * FRAME_CHUNK + 7)
+        bad = features._frame_parts(FRAME_CHUNK, 2 * FRAME_CHUNK, 3)[failing][0]  # in the second chunk
+        stft_part = features.stft
+
+        def failing_stft(clip, cfg, a, b):
+            if a == bad:
+                raise RuntimeError(f"part at frame {a}")
+            return stft_part(clip, cfg, a, b)
+
+        monkeypatch.setattr(features, "stft", failing_stft)
+        monkeypatch.setattr(features, "feature_workers", lambda: 3)
+        before = set(threading.enumerate())
+        with pytest.raises(RuntimeError, match=f"part at frame {bad}"):
+            next(rotated_feature_stacks(clip, ALL_PATTERNS, cfg))
+        assert set(threading.enumerate()) == before

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from oracles import (
-    edge_rows_by_batch, feature_stack_by_mod, intensity_over_all_bins, rotation_tta_by_rotated_stfts,
+    edge_rows_by_batch, feature_stack_by_mod, intensity_by_gathered_union, intensity_over_all_bins,
+    rotation_tta_by_rotated_stfts,
     rotation_tta_from_spec, same_bits, stft_whole_clip, trunk_by_layer,
 )
 from seldkit.accdoa import compose_accdoa, decode_accdoa, pool_to_label_rate
@@ -688,18 +689,22 @@ class TestRotationTta:
         clip = AmbisonicClip(samples)
         predictor = self.predictor(kind)
         expected = self.audio_rotation_tta(predictor, clip)
-        # 99 frames in chunks of 16; Y is silent in frames 20-68 (chunks 1-4)
+        # 99 frames in chunks of 16, each split into two parts of 8 frames
+        # on two threads but the last, (96, 99); Y is silent in frames 20-68
+        # (parts 2-8)
         monkeypatch.setattr(features, "FRAME_CHUNK", 16)
+        monkeypatch.setattr(features, "feature_workers", lambda: 2)
         flips = []
         flipped_stft = features._flipped_stft
         monkeypatch.setattr(features, "_flipped_stft", lambda *a: flips.append(a[2:]) or flipped_stft(*a))
         assert same_bits(predictor.predict_clip_tta(clip), expected)
-        # the STFT of the chunk's audio with Y, Z and X negated, only on the
-        # chunks where zero signs matter, which only the silent Y has
-        matter = [(lo, min(lo + 16, 99)) for lo in range(0, 99, 16)
-                  if zero_signs_matter(stft(clip, STFT, lo, min(lo + 16, 99)))]
-        assert flips == matter
-        assert bool(flips) == silent_y and len(flips) < 7
+        # the STFT of the part's audio with Y, Z and X negated, once on each
+        # part where zero signs matter, which only the silent Y has; the two
+        # threads of a chunk record theirs in either order
+        parts = [(lo, lo + 8) for lo in range(0, 96, 8)] + [(96, 99)]
+        matter = [(a, b) for a, b in parts if zero_signs_matter(stft(clip, STFT, a, b))]
+        assert sorted(flips) == matter
+        assert bool(flips) == silent_y and len(flips) < len(parts)
 
     @pytest.mark.parametrize("kind", ["intensity", "rd3net", "two-stage"])
     def test_stacks_in_the_models_feature_dtype(self, kind, monkeypatch):
@@ -747,6 +752,27 @@ class TestRotationTta:
         flipped = stft_whole_clip(rotate_foa(clip, RotationPattern(add_pi=True, elevation_sign=-1)), STFT)
         assert zero_signs_matter(spec)
         expected = rotation_tta_from_spec(predictor.predict_features, spec, ALL_PATTERNS, flipped)
+        assert same_bits(predictor.predict_clip_tta(clip), expected)
+
+
+    @pytest.mark.parametrize("kind", ["intensity", "rd3net", "two-stage"])
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("n_frames", [1, FRAME_CHUNK - 1, FRAME_CHUNK + 1, 2 * FRAME_CHUNK + 7])
+    @pytest.mark.parametrize("silent_y", [False, True], ids=["noise", "silent-y"])
+    def test_same_bits_at_any_worker_count(self, kind, workers, n_frames, silent_y, monkeypatch):
+        # the intensity model takes float64 stacks, the networks float32;
+        # Y is silent from 40 frames before the first chunk edge to 20
+        # after it, or to the clip's end where that comes first
+        samples = np.random.default_rng(n_frames).standard_normal((4, STFT.frame_span(n_frames)))
+        if silent_y:
+            samples[1, (FRAME_CHUNK - 40) * STFT.hop:(FRAME_CHUNK + 20) * STFT.hop] = 0.0
+        clip = AmbisonicClip(samples)
+        predictor = self.predictor(kind)
+        spec = stft_whole_clip(clip, STFT)
+        flipped = stft_whole_clip(rotate_foa(clip, RotationPattern(add_pi=True, elevation_sign=-1)), STFT)
+        assert zero_signs_matter(spec) == (silent_y and n_frames > 1)
+        expected = rotation_tta_from_spec(predictor.predict_features, spec, ALL_PATTERNS, flipped)
+        monkeypatch.setattr(features, "feature_workers", lambda: workers)
         assert same_bits(predictor.predict_clip_tta(clip), expected)
 
 
@@ -801,6 +827,22 @@ class TestFeatureMemory:
         assert peak <= 10 * self.PLANE // 2 + chunk_planes + 6 * self.CHUNK_SPECTRUM
 
 
+class TestFeatureMemoryAtAnyWorkerCount:
+    """`TestFeatureMemory`'s float32 TTA bound at one and at three threads:
+    the parts of one chunk together hold no more than the chunk."""
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_tta_stacks_hold_ten_planes(self, monkeypatch, workers, dtype):
+        clip = TestFeatureMemory.clip(True)
+        monkeypatch.setattr(features, "feature_workers", lambda: workers)
+        peak, _ = TestFeatureMemory.traced_peak(
+            lambda: [None for _ in features.rotated_feature_stacks(clip, ALL_PATTERNS, STFT, dtype)])
+        planes = 10 * TestFeatureMemory.PLANE * np.dtype(dtype).itemsize // 8
+        chunk_planes = 10 * FRAME_CHUNK * STFT.n_bins * 8 if dtype == np.float32 else 0
+        assert peak <= planes + chunk_planes + 6 * TestFeatureMemory.CHUNK_SPECTRUM
+
+
 class TestIntensityOracle:
     def test_recovers_scene_events(self):
         # classical estimator closes the loop: synth -> features -> decode -> score
@@ -852,3 +894,36 @@ class TestIntensityOracle:
             expected = intensity_over_all_bins(model.band_bins, data)
             assert same_bits(model.predict_features(FeatureStack(data)), expected)
         assert models[0]._bins.size == 33  # of 129 bins at this STFT
+
+    @pytest.mark.parametrize("n_classes, cfg", [(3, STFT), (3, StftConfig()), (14, StftConfig())],
+                             ids=["3-desk", "3-default", "14-default"])
+    def test_slices_give_the_bits_of_the_gathered_union(self, n_classes, cfg):
+        # the 14 default-STFT bands overlap, so their union is shorter
+        # than their sum and bins are summed by more than one class
+        model = IntensityVectorModel.for_scene_classes(n_classes, cfg)
+        overlap = sum(map(len, model.band_bins)) - model._bins.size
+        assert (overlap > 0) == (n_classes == 14)
+        rng = np.random.default_rng(n_classes)
+        data = np.empty((7, 300, cfg.n_bins))
+        data[:4] = rng.uniform(0.0, 2.0, (4, 300, cfg.n_bins))
+        data[4:] = rng.uniform(0.0, 2 * math.pi, (3, 300, cfg.n_bins))
+        data[:4, 10:20] = 0.0
+        expected = intensity_by_gathered_union(model.band_bins, data)
+        assert same_bits(model.predict_features(FeatureStack(data)), expected)
+
+    def test_runs_of_negative_and_unsorted_bins(self):
+        # a run never passes from bin -1 to bin 0; empty bands read nothing
+        n_f = STFT.n_bins
+        data = np.random.default_rng(9).uniform(0.5, 2.0, (7, 30, n_f))
+        bands = [[-1, 0, 1], [-3, -2], [7, 3, 3, n_f - 4], [], [5, 4]]
+        model = IntensityVectorModel(len(bands), bands)
+        assert [(r.start, r.stop) for r in model._runs] == [(-3, None), (0, 2), (3, 6), (7, 8), (n_f - 4, n_f - 3)]
+        assert same_bits(model.predict_features(FeatureStack(data)), intensity_by_gathered_union(bands, data))
+        empty = IntensityVectorModel(2, [[], []])
+        assert same_bits(empty.predict_features(FeatureStack(data)), intensity_by_gathered_union([[], []], data))
+
+    @pytest.mark.parametrize("bins", [[5, 129], [-130, 5], [200]])
+    def test_bins_outside_the_stack_rejected(self, bins):
+        model = IntensityVectorModel(1, [bins])
+        with pytest.raises(IndexError, match="outside the stack's 129 bins"):
+            model.predict_features(FeatureStack(np.ones((7, 4, 129))))

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy import signal as sps
 from scipy.io import wavfile
 
 from oracles import class_signature_designed_per_call, same_bits, synth_scene_in_one_pass
@@ -135,9 +136,10 @@ class TestClassBandpassDesignedOnce:
     def test_desk_stream_designs_each_filter_once(self, monkeypatch):
         # the train_desk stream: 3 classes, a pool of 64 and a bank of 32 scenes of 3 s;
         # designing per event made 224 designs
+        # scene imports scipy.signal's functions when it calls them
         designs = []
-        butter = scene.sps.butter
-        monkeypatch.setattr(scene.sps, "butter", lambda *a, **k: designs.append(a) or butter(*a, **k))
+        butter = sps.butter
+        monkeypatch.setattr(sps, "butter", lambda *a, **k: designs.append(a) or butter(*a, **k))
         scene._class_bandpass.cache_clear()
         stream = SceneBatchStream(SceneConfig(n_classes=3, duration_s=3.0), StftConfig(), 3, 256,
                                   seed=0, pool_scenes=64, secondary_bank=32)
@@ -147,14 +149,14 @@ class TestClassBandpassDesignedOnce:
 
     def test_a_caller_cannot_change_what_later_calls_get(self, monkeypatch):
         want = class_signature_designed_per_call(2, 0.5, np.random.default_rng(4), 5)
-        sosfiltfilt = scene.sps.sosfiltfilt
+        sosfiltfilt = sps.sosfiltfilt
 
         def filter_then_scribble(sos, x):
             out = sosfiltfilt(sos, x)
             sos[...] = 0.0
             return out
 
-        monkeypatch.setattr(scene.sps, "sosfiltfilt", filter_then_scribble)
+        monkeypatch.setattr(sps, "sosfiltfilt", filter_then_scribble)
         first = class_signature(2, 0.5, np.random.default_rng(4), 5)
         first[...] = 0.0
         monkeypatch.undo()
