@@ -25,7 +25,7 @@ _TWO_PI = 2.0 * np.pi
 FEATURE_CHANNELS = 7  # amplitudes of [W, Y, Z, X], then 3 phase differences
 FRAME_CHUNK = 256  # STFT frames windowed and transformed at a time, which bounds the spectra held
 _MIN_PART_FRAMES = 8  # fewest frames of a chunk that `rotated_feature_stacks` hands a thread
-_FLIP_YZX = RotationPattern(add_pi=True, elevation_sign=-1)  # negates Y, Z and X
+FLIP_YZX = RotationPattern(add_pi=True, elevation_sign=-1)  # negates Y, Z and X
 
 
 @dataclass(frozen=True)
@@ -196,7 +196,7 @@ def _flipped_stft(clip: AmbisonicClip, cfg: StftConfig, lo: int, hi: int) -> np.
     """Frames [lo, hi) of the STFT of the clip with Y, Z and X negated,
     from the negated audio those frames cover."""
     span = clip.samples[:, lo * cfg.hop:lo * cfg.hop + cfg.frame_span(hi - lo)]
-    return stft(rotate_foa(AmbisonicClip(span), _FLIP_YZX), cfg)
+    return stft(rotate_foa(AmbisonicClip(span), FLIP_YZX), cfg)
 
 
 def _rotated_planes(spec: np.ndarray, flipped: np.ndarray | None, out: np.ndarray, alt: np.ndarray) -> None:

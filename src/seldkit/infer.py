@@ -6,8 +6,11 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .accdoa import pool_to_label_rate
-from .augment import ALL_PATTERNS, rotate_accdoa
-from .features import FeatureStack, StftConfig, extract_features, rotated_feature_stacks
+from .augment import ALL_PATTERNS, RotationPattern, rotate_accdoa
+from .features import (
+    FLIP_YZX, FRAME_CHUNK, FeatureStack, StftConfig, extract_features, rotated_feature_stacks,
+)
+from .intensity import IntensityVectorModel
 from .net.layers import Module
 from .net.model import TRUNK_FRAMES
 from .scene import AmbisonicClip
@@ -210,7 +213,9 @@ def rotation_tta(predict_features, clip: AmbisonicClip, cfg: StftConfig, pattern
     stack per pattern in one shared read-only buffer, which the next
     pattern overwrites, so it must not keep the stack.  Each pattern is
     its own inverse, so the prediction on the rotated clip is mapped back
-    with the same pattern before averaging.
+    with the same pattern before averaging.  `Predictor` takes another
+    path, with the same bits, for the intensity model
+    (`_intensity_rotation_tta`).
     """
     total = None
     for r, fs in rotated_feature_stacks(clip, patterns, cfg, dtype):
@@ -219,15 +224,68 @@ def rotation_tta(predict_features, clip: AmbisonicClip, cfg: StftConfig, pattern
     return total / len(patterns)
 
 
+def _band_sums(model: IntensityVectorModel, fs: FeatureStack, seg_len: int) -> tuple:
+    """`model.band_sums` of the whole stack, FRAME_CHUNK frames at a time,
+    followed by the sums of zero frames (0.0) up to `seg_len` frames, as
+    `_pad_to_segment` pads a short clip."""
+    n_t = fs.n_frames
+    vec = np.zeros((max(n_t, seg_len), model.n_classes, 3))
+    power = np.zeros(vec.shape[:2])
+    for lo in range(0, n_t, FRAME_CHUNK):
+        hi = min(lo + FRAME_CHUNK, n_t)
+        vec[lo:hi], power[lo:hi] = model.band_sums(fs.data[:, lo:hi])
+    return vec, power
+
+
+def _intensity_segments(model: IntensityVectorModel, vec: np.ndarray, power: np.ndarray, n_t: int,
+                        seg_len: int, shift: int) -> np.ndarray:
+    """`sliding_inference(model.predict_batch, ...)` of a clip of `n_t`
+    frames from its `_band_sums`: each segment's `segment_vectors`,
+    averaged in start order."""
+    outputs = ((s, model.segment_vectors(vec[s:s + seg_len], power[s:s + seg_len]))
+               for s in _segment_starts(len(vec), seg_len, shift))
+    return _overlap_average(len(vec), seg_len, outputs)[:n_t]
+
+
+def _intensity_rotation_tta(model: IntensityVectorModel, clip: AmbisonicClip, cfg: StftConfig,
+                            seg_len: int, shift: int) -> np.ndarray:
+    """`rotation_tta` over ALL_PATTERNS of the intensity model's
+    `sliding_inference`, bit for bit, from six cosine planes instead of 24.
+
+    A pattern keeps every amplitude and gives the phase difference of Y,
+    Z and X each its own or its negation's value, so a band's x, y and z
+    sums under a pattern are those of the identity's stack or of the
+    stack that negates all three, picked by the pattern's
+    `vector_signs`; the W power is the same under every pattern.
+    """
+    n_t = cfg.n_frames(clip.n_samples)
+    (own, power), (negated, _) = [
+        _band_sums(model, fs, seg_len)
+        for _, fs in rotated_feature_stacks(clip, (RotationPattern(), FLIP_YZX), cfg)
+    ]
+    total = None
+    for r in ALL_PATTERNS:
+        vec = np.where(np.array(r.vector_signs) > 0, own, negated)
+        out = rotate_accdoa(_intensity_segments(model, vec, power, n_t, seg_len, shift), r)
+        total = out if total is None else total + out
+    return total / len(ALL_PATTERNS)
+
+
 class Predictor:
     """Clip-level prediction glue around a trained or analytic model.
 
     The model's `predict_batch` maps (B, 7, T, F) feature batches to
     (B, T, N, 3) sequences.  Produces 10-ms-rate (T, N, 3) sequences via
     overlapped segments, with optional rotation averaging, and label-rate
-    sequences for decoding.  Every model goes through `sliding_inference`.
-    Networks (RD3NetLite, TwoStageNet) must be in eval mode; their segments
-    share one trunk pass over the clip.
+    sequences for decoding.  Networks (RD3NetLite, TwoStageNet) must be in
+    eval mode; their segments share one trunk pass over the clip.  The
+    intensity model's frame-local stage (`IntensityVectorModel.band_sums`)
+    runs once over the clip, FRAME_CHUNK frames at a time, and only its
+    per-segment stage per segment; under TTA the frame-local stage of two
+    stacks serves all eight patterns (`_intensity_rotation_tta`).  Both
+    give the bits of `sliding_inference` of the model's `predict_batch`
+    (and of `rotation_tta` over that).  Other models go through
+    `sliding_inference`.
     """
 
     def __init__(
@@ -246,6 +304,9 @@ class Predictor:
     def predict_features(self, fs: FeatureStack) -> np.ndarray:
         if isinstance(self.model, Module):
             return _shared_trunk_inference(self.model, fs, self.seg_len, self.shift)
+        if isinstance(self.model, IntensityVectorModel):
+            vec, power = _band_sums(self.model, fs, self.seg_len)
+            return _intensity_segments(self.model, vec, power, fs.n_frames, self.seg_len, self.shift)
         return sliding_inference(self.model.predict_batch, fs, self.seg_len, self.shift)
 
     @property
@@ -258,6 +319,8 @@ class Predictor:
         return self.predict_features(extract_features(clip, self.stft_cfg, self._feature_dtype))
 
     def predict_clip_tta(self, clip: AmbisonicClip) -> np.ndarray:
+        if isinstance(self.model, IntensityVectorModel):
+            return _intensity_rotation_tta(self.model, clip, self.stft_cfg, self.seg_len, self.shift)
         return rotation_tta(self.predict_features, clip, self.stft_cfg, dtype=self._feature_dtype)
 
     def label_rate_sequence(self, clip: AmbisonicClip, tta: bool = False) -> np.ndarray:

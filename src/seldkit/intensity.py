@@ -7,6 +7,14 @@ emitted in activity-coupled vector form.  For a plane wave this recovers
 the source direction exactly, so the model is equivariant under the eight
 FOA rotations; it serves as an oracle for the inference-time machinery and
 as a sanity baseline.
+
+A prediction takes two stages.  `band_sums` is frame-local: each band's
+intensity and W-power sums of a frame depend on that frame alone.
+`segment_vectors` needs the segment: the activity is the band power over
+its peak in the segment.  `infer.Predictor` therefore runs the first stage
+once over a clip and only the second per segment, and under rotation TTA
+takes the first stage of two stacks for all eight patterns (a pattern only
+picks each channel's own or negated phase difference).
 """
 
 from __future__ import annotations
@@ -54,37 +62,51 @@ class IntensityVectorModel:
             bands.append(np.arange(max(lo, 1), min(hi + 1, stft_cfg.n_bins)))
         return cls(n_classes, bands)
 
-    def predict_features(self, fs: FeatureStack) -> np.ndarray:
-        """(T, N, 3) vectors; direction from intensity, activity from W power.
+    def band_sums(self, data: np.ndarray) -> tuple:
+        """The frame-local stage: each band's sums over its bins of the
+        intensity [x, y, z], (T, N, 3), and of the W power, (T, N), of a
+        (7, T, F) stack.
 
         Only the bins of some class band are read: the union is gathered
-        once, as slices of its runs of consecutive bins, and each band sums
-        its own columns of it.
+        once, as slices of its runs of consecutive bins.  Each band adds
+        its bins one after another onto 0.0, in every frame alike, so a
+        frame's sums do not depend on the frames summed with it (np.sum of
+        the band's columns does that for T > 1, but sums a lone frame's
+        bins pairwise).
         """
-        data = np.concatenate([fs.data[:, :, run] for run in self._runs], axis=2)
-        if data.shape[2] != self._bins.size:
+        union = np.concatenate([data[:, :, run] for run in self._runs], axis=2)
+        if union.shape[2] != self._bins.size:
             raise IndexError(f"band bins {self._bins.min()}..{self._bins.max()} outside the stack's "
-                             f"{fs.n_bins} bins")
-        amp_w = data[0]
-        # ACN order [W, Y, Z, X]: x from channel 3, y from 1, z from 2
-        i_x = amp_w * data[3] * np.cos(data[6])
-        i_y = amp_w * data[1] * np.cos(data[4])
-        i_z = amp_w * data[2] * np.cos(data[5])
-        power = amp_w * amp_w
-        n_t = data.shape[1]
-        out = np.zeros((n_t, self.n_classes, 3))
-        for c, cols in enumerate(self._band_cols):
-            vec = np.stack(
-                [i_x[:, cols].sum(axis=1), i_y[:, cols].sum(axis=1), i_z[:, cols].sum(axis=1)],
-                axis=1,
-            )
-            norms = np.linalg.norm(vec, axis=1, keepdims=True)
-            direction = np.divide(vec, norms, out=np.zeros_like(vec), where=norms > _ACTIVITY_FLOOR)
-            band_power = power[:, cols].sum(axis=1)
-            peak = band_power.max()
-            activity = band_power / peak if peak > 0 else band_power
-            out[:, c, :] = activity[:, None] * direction
-        return out
+                             f"{data.shape[2]} bins")
+        amp_w = union[0]
+        # in place in the gathered copy: the intensity of Y, Z and X (ACN
+        # order [W, Y, Z, X]) over their amplitudes, each from its phase
+        # difference to W in channel 3 + q, then the W power over Y's phase
+        # difference, read by then
+        for q in (1, 2, 3):
+            union[q] *= amp_w
+            union[q] *= np.cos(union[3 + q])
+        np.multiply(amp_w, amp_w, out=union[4])
+        sums = np.zeros((self.n_classes, 4, union.shape[1]))  # [y, z, x, power]
+        for band, cols in zip(sums, self._band_cols):
+            for j in cols.tolist():
+                band += union[1:5, :, j]
+        return sums[:, [2, 0, 1]].transpose(2, 0, 1), sums[:, 3].T
+
+    @staticmethod
+    def segment_vectors(vec: np.ndarray, band_power: np.ndarray) -> np.ndarray:
+        """The per-segment stage: (T, N, 3) predictions of one segment from
+        its frames' `band_sums`; direction from the intensity, activity the
+        band power over its peak in the segment."""
+        norms = np.linalg.norm(vec, axis=2, keepdims=True)
+        direction = np.divide(vec, norms, out=np.zeros_like(vec), where=norms > _ACTIVITY_FLOOR)
+        peak = band_power.max(axis=0)
+        activity = np.divide(band_power, peak, out=band_power.copy(), where=peak > 0)
+        return activity[:, :, None] * direction
+
+    def predict_features(self, fs: FeatureStack) -> np.ndarray:
+        """(T, N, 3) vectors of one segment: `segment_vectors` of its `band_sums`."""
+        return self.segment_vectors(*self.band_sums(fs.data))
 
     def predict_batch(self, x: np.ndarray) -> np.ndarray:
         return np.stack([self.predict_features(FeatureStack(sample)) for sample in x])

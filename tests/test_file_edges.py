@@ -1,20 +1,24 @@
 """Byte-mutation fuzz of the file readers: each mutated file either loads,
-or raises a ValueError whose message starts with the file's path."""
+or raises a ValueError whose message starts with the file's path; and of
+`seldkit infer` on a mutated WAV, which exits 0 or exits 2 naming it."""
 
+import itertools
 import random
 
 import numpy as np
 import pytest
 
+from seldkit import cli
 from seldkit.accdoa import dump_accdoa, load_accdoa
 from seldkit.cli import read_config
 from seldkit.ensemble import EnsembleWeights, read_weights_csv, write_weights_csv
 from seldkit.features import StftConfig
-from seldkit.net.checkpoint import KIND_ACCDOA, load_model, save_model
+from seldkit.net.checkpoint import KIND_ACCDOA, load_model, save_intensity_checkpoint, save_model
 from seldkit.net.model import NetConfig, RD3NetLite
 from seldkit.scene import SceneConfig, read_label_csv, read_wav, synth_scene, write_label_csv, write_wav
 
 MUTANTS = 150
+CLI_MUTANTS = 60  # of the WAV's mutants, each run through `seldkit infer` with and without --tta
 NET = NetConfig(n_classes=2, f_bins=9, stem_channels=2, growth=2, layers_per_block=1,
                 n_blocks=1, freq_pool=2, gru_hidden=2)
 
@@ -90,3 +94,21 @@ def test_mutated_file_loads_or_is_rejected_by_path(tmp_path, name):
             read(path)
         except ValueError as exc:
             assert str(exc).startswith(str(path)), (i, str(exc)[:200])
+
+
+@pytest.mark.filterwarnings("ignore")
+@pytest.mark.parametrize("tta", [[], ["--tta"]], ids=["plain", "tta"])
+def test_infer_on_a_mutated_wav_exits_0_or_2_naming_it(tmp_path, capsys, tta):
+    ckpt, wav = tmp_path / "intensity.ckpt", tmp_path / "fuzzed.wav"
+    save_intensity_checkpoint(ckpt, 2, StftConfig())
+    write_wav_file(wav)
+    argv = ["infer", "--ckpt", str(ckpt), "--in", str(wav), "--out", str(tmp_path / "pred.csv"),
+            "--seg-len", "8", "--shift", "3", *tta]
+    codes = []
+    for i, raw in enumerate(itertools.islice(mutants(wav.read_bytes(), random.Random("infer")), CLI_MUTANTS)):
+        wav.write_bytes(raw)
+        codes.append(cli.main(argv))
+        err = capsys.readouterr().err
+        assert (codes[-1], err) == (0, "") or codes[-1] == 2 and err.startswith(f"error: {wav}: "), \
+            (i, codes[-1], err[:200])
+    assert {0, 2} <= set(codes)

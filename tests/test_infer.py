@@ -630,13 +630,22 @@ class TestSegmentViews:
             assert np.shares_memory(x, data) and not x.flags.writeable
 
 
+def sliding_reference(predictor):
+    """The per-stack predictions that bit-identity references build on: for
+    the intensity model, `sliding_inference` of its `predict_batch`, which
+    `Predictor` does not run; for other models `Predictor.predict_features`."""
+    if isinstance(predictor.model, IntensityVectorModel):
+        return lambda fs: sliding_inference(predictor.model.predict_batch, fs, predictor.seg_len, predictor.shift)
+    return predictor.predict_features
+
+
 class TestRotationTta:
     def test_oracle_tta_matches_plain(self):
         clip, _ = make_clip(seed=1)
         model = IntensityVectorModel.for_scene_classes(3, STFT)
         predictor = Predictor(model, STFT, seg_len=64, shift=16)
         plain = predictor.predict_clip(clip)
-        tta = rotation_tta(predictor.predict_features, clip, STFT)
+        tta = predictor.predict_clip_tta(clip)
         assert np.abs(tta - plain).max() < 1e-9
 
     def test_constant_model_averages_to_zero(self):
@@ -658,7 +667,7 @@ class TestRotationTta:
         model = IntensityVectorModel.for_scene_classes(3, STFT)
         predictor = Predictor(model, STFT, seg_len=64, shift=16)
         plain = predictor.predict_clip(clip)
-        tta = rotation_tta(predictor.predict_features, clip, STFT, patterns=(RotationPattern(),))
+        tta = rotation_tta(sliding_reference(predictor), clip, STFT, patterns=(RotationPattern(),))
         np.testing.assert_array_equal(tta, plain)
 
     @staticmethod
@@ -668,7 +677,7 @@ class TestRotationTta:
         total = None
         for r in ALL_PATTERNS:
             fs = FeatureStack(feature_stack_by_mod(stft(rotate_foa(clip, r), STFT)))
-            out = rotate_accdoa(predictor.predict_features(fs), r)
+            out = rotate_accdoa(sliding_reference(predictor)(fs), r)
             total = out if total is None else total + out
         return total / len(ALL_PATTERNS)
 
@@ -709,16 +718,26 @@ class TestRotationTta:
     @pytest.mark.parametrize("kind", ["intensity", "rd3net", "two-stage"])
     def test_stacks_in_the_models_feature_dtype(self, kind, monkeypatch):
         # a network gets float32 stacks, which its trunk would cast float64
-        # stacks to anyway, so its output keeps the bits of float64 stacks
+        # stacks to anyway, so its output keeps the bits of float64 stacks;
+        # the intensity model reads two float64 stacks, the identity's and
+        # the one negating Y, Z and X, each frame once, and no pattern's stack
         clip, _ = make_clip(seed=8)
         predictor = self.predictor(kind)
-        expected = rotation_tta(predictor.predict_features, clip, STFT)
-        dtypes = []
+        expected = rotation_tta(sliding_reference(predictor), clip, STFT)
+        dtypes, frames = [], []
         predict_features = predictor.predict_features
         monkeypatch.setattr(predictor, "predict_features",
                             lambda fs: dtypes.append(fs.data.dtype) or predict_features(fs))
+        if kind == "intensity":
+            band_sums = predictor.model.band_sums
+            monkeypatch.setattr(predictor.model, "band_sums",
+                                lambda data: frames.append((data.dtype, data.shape[1])) or band_sums(data))
         assert same_bits(predictor.predict_clip_tta(clip), expected)
-        assert dtypes == [np.float64 if kind == "intensity" else np.float32] * len(ALL_PATTERNS)
+        if kind == "intensity":
+            assert dtypes == [] and [dtype for dtype, _ in frames] == [np.float64] * len(frames)
+            assert sum(n for _, n in frames) == 2 * STFT.n_frames(clip.n_samples)
+        else:
+            assert dtypes == [np.float32] * len(ALL_PATTERNS)
 
     @pytest.mark.parametrize("kind", ["intensity", "desk-rd3net"])
     @pytest.mark.parametrize("silent_y", [False, True], ids=["scene", "silent-y"])
@@ -736,7 +755,7 @@ class TestRotationTta:
         spec = stft(clip, STFT)
         flipped = stft(rotate_foa(clip, RotationPattern(add_pi=True, elevation_sign=-1)), STFT) if silent_y else None
         assert zero_signs_matter(spec) == silent_y
-        expected = rotation_tta_by_rotated_stfts(predictor.predict_features, spec, ALL_PATTERNS, flipped)
+        expected = rotation_tta_by_rotated_stfts(sliding_reference(predictor), spec, ALL_PATTERNS, flipped)
         assert same_bits(predictor.predict_clip_tta(clip), expected)
 
     @pytest.mark.parametrize("kind", ["intensity", "rd3net"])
@@ -751,7 +770,7 @@ class TestRotationTta:
         spec = stft_whole_clip(clip, STFT)
         flipped = stft_whole_clip(rotate_foa(clip, RotationPattern(add_pi=True, elevation_sign=-1)), STFT)
         assert zero_signs_matter(spec)
-        expected = rotation_tta_from_spec(predictor.predict_features, spec, ALL_PATTERNS, flipped)
+        expected = rotation_tta_from_spec(sliding_reference(predictor), spec, ALL_PATTERNS, flipped)
         assert same_bits(predictor.predict_clip_tta(clip), expected)
 
 
@@ -771,8 +790,51 @@ class TestRotationTta:
         spec = stft_whole_clip(clip, STFT)
         flipped = stft_whole_clip(rotate_foa(clip, RotationPattern(add_pi=True, elevation_sign=-1)), STFT)
         assert zero_signs_matter(spec) == (silent_y and n_frames > 1)
-        expected = rotation_tta_from_spec(predictor.predict_features, spec, ALL_PATTERNS, flipped)
+        expected = rotation_tta_from_spec(sliding_reference(predictor), spec, ALL_PATTERNS, flipped)
         monkeypatch.setattr(features, "feature_workers", lambda: workers)
+        assert same_bits(predictor.predict_clip_tta(clip), expected)
+
+
+class TestIntensityPath:
+    """`Predictor`'s intensity path (the model's band sums once per clip;
+    under TTA, of two stacks for all eight patterns) against the model's
+    `predict_batch` through `sliding_inference`, and `rotation_tta` of that."""
+
+    MODEL = IntensityVectorModel.for_scene_classes(3, STFT)
+    GEOMETRIES = [  # seg_len, shift, n_frames
+        (1024, 20, 1500),  # last segment flush against the end, off the shift grid
+        (64, 5, 300),
+        (37, 11, 300),
+        (60, 20, 300),  # last start on the shift grid
+        (1, 1, 20),  # segments of one frame
+        (64, 16, 1),  # one frame, zero-padded to a segment
+        (64, 16, FRAME_CHUNK - 1),
+        (64, 16, FRAME_CHUNK + 1),  # a last chunk of one frame
+        (1024, 20, FRAME_CHUNK + 1),  # shorter than a segment
+    ]
+
+    @staticmethod
+    def clip(n_frames, silent_y):
+        # Y silent over the first half of the frames (all of one frame)
+        samples = np.random.default_rng(n_frames).standard_normal((4, STFT.frame_span(n_frames)))
+        if silent_y:
+            samples[1, :STFT.frame_span(max(1, n_frames // 2))] = 0.0
+        return AmbisonicClip(samples)
+
+    @pytest.mark.parametrize("seg_len, shift, n_frames", GEOMETRIES)
+    @pytest.mark.parametrize("silent_y", [False, True], ids=["noise", "silent-y"])
+    def test_plain_keeps_the_bits_of_sliding_inference(self, seg_len, shift, n_frames, silent_y):
+        clip = self.clip(n_frames, silent_y)
+        expected = sliding_inference(self.MODEL.predict_batch, extract_features(clip, STFT), seg_len, shift)
+        assert same_bits(Predictor(self.MODEL, STFT, seg_len, shift).predict_clip(clip), expected)
+
+    @pytest.mark.parametrize("seg_len, shift, n_frames", GEOMETRIES)
+    @pytest.mark.parametrize("silent_y", [False, True], ids=["noise", "silent-y"])
+    def test_tta_keeps_the_bits_of_rotation_tta(self, seg_len, shift, n_frames, silent_y):
+        clip = self.clip(n_frames, silent_y)
+        assert zero_signs_matter(stft(clip, STFT)) == silent_y
+        predictor = Predictor(self.MODEL, STFT, seg_len, shift)
+        expected = rotation_tta(sliding_reference(predictor), clip, STFT)
         assert same_bits(predictor.predict_clip_tta(clip), expected)
 
 
@@ -894,6 +956,20 @@ class TestIntensityOracle:
             expected = intensity_over_all_bins(model.band_bins, data)
             assert same_bits(model.predict_features(FeatureStack(data)), expected)
         assert models[0]._bins.size == 33  # of 129 bins at this STFT
+
+    @pytest.mark.parametrize("n_classes, cfg", [(3, STFT), (14, StftConfig())], ids=["3-desk", "14-default"])
+    def test_band_sums_are_frame_local(self, n_classes, cfg):
+        # each frame summed alone, and in runs of two and of 37 frames
+        model = IntensityVectorModel.for_scene_classes(n_classes, cfg)
+        rng = np.random.default_rng(n_classes)
+        data = np.empty((7, 74, cfg.n_bins))
+        data[:4] = rng.uniform(0.0, 2.0, (4, 74, cfg.n_bins)) * (rng.uniform(size=(4, 74, cfg.n_bins)) > 0.2)
+        data[4:] = rng.uniform(0.0, 2 * math.pi, (3, 74, cfg.n_bins))
+        vec, power = model.band_sums(data)
+        for n in (1, 2, 37):
+            parts = [model.band_sums(data[:, lo:lo + n]) for lo in range(0, 74, n)]
+            assert same_bits(np.concatenate([v for v, _ in parts]), vec)
+            assert same_bits(np.concatenate([p for _, p in parts]), power)
 
     @pytest.mark.parametrize("n_classes, cfg", [(3, STFT), (3, StftConfig()), (14, StftConfig())],
                              ids=["3-desk", "3-default", "14-default"])
